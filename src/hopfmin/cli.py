@@ -53,7 +53,7 @@ from .shapovalov import (
     symmetrizer,
 )
 from .sl2 import parallel_report
-from .words import Element, block_size, concat, multidegrees_up_to, shuffle, words_of_multidegree
+from .words import Element, block_size, multidegrees_up_to, shuffle
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -150,10 +150,14 @@ class _Cache:
             return cls(path, {})
 
     def get(self, datum_key, deg):
+        """Cached (size, rank), or None unless the entry is a plausible
+        answer for the block: its true size and a rank in 0..size."""
         entry = self.ranks.get(datum_key, {}).get(_deg_key(deg))
         if (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)):
-            return entry[0], entry[1]
+                and all(type(x) is int for x in entry)):
+            size, rank = entry
+            if size == block_size(deg) and 0 <= rank <= size:
+                return size, rank
         return None
 
     def put(self, datum_key, deg, size, rank):
@@ -482,6 +486,23 @@ def cmd_selftest(args):
 # argument wiring
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_datum_options(sub, with_specialize=True):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset",
@@ -507,16 +528,17 @@ def _build_parser():
 
     p = subs.add_parser("analyze", help="rank every block up to a total degree")
     _add_datum_options(p)
-    p.add_argument("--max-total", type=int, default=6,
+    p.add_argument("--max-total", type=_int_at_least(0), default=6,
                    help="largest total degree to table (default 6)")
-    p.add_argument("--window", type=int, default=3,
+    p.add_argument("--window", type=_int_at_least(1), default=3,
                    help="trailing window for the growth verdict (default 3)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
     p.add_argument("--cache", help="rank cache file "
                                    f"(default from ${CACHE_ENV})")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for block computation")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker processes for block computation, at most "
+                        "one per missing block and per CPU")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("det", help="block determinant with cyclotomic factors")

@@ -22,6 +22,7 @@ literal constancy test would never settle.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,16 +99,20 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
 
     The size guard runs over all requested blocks before any work starts,
     so oversized inputs fail fast and name the offending multidegree. With
-    jobs > 1 blocks are computed in worker processes; results are collected
-    in input order, so the output does not depend on scheduling.
+    jobs > 1 blocks are computed in worker processes, at most one per block
+    and per CPU; results are collected in input order, so the output does
+    not depend on scheduling.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     degs = [tuple(d) for d in degs]
     for deg in degs:
         size = block_size(deg)
         if block_limit is not None and size > block_limit:
             raise BlockSizeError(deg, size, block_limit)
-    if jobs > 1 and len(degs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(degs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(
                 _block_task,
                 [(datum, deg, block_limit) for deg in degs]))

@@ -117,12 +117,6 @@ class Poly:
             return _P_ZERO
         return Poly(tuple(c * n for c in self.coeffs))
 
-    def shifted(self, k):
-        """Multiply by t**k, k >= 0."""
-        if self.is_zero() or k == 0:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def compose_power(self, j):
         """Substitute t -> t**j."""
         if j == 1 or self.is_zero():

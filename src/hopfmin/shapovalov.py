@@ -19,12 +19,16 @@ whose j-th term moves letter w[j] to the front across everything before it,
 picking up prod_{i<j} b(w[i], w[j]). The permutation-sum definition is kept
 alongside as an independent oracle and the two are compared in the tests.
 
-Ranks are exact. Over QQ and cyclotomic fields a fraction-free elimination
-runs directly on the scalars. Over QQ(t) rows are cleared to integer
+Ranks are exact and computed on integers wherever the field allows. Over QQ
+each row is scaled by the lcm of its denominators to a row of Python ints
+(row scalings leave the rank unchanged) and the integer matrix goes through
+fraction-free Bareiss elimination. Over QQ(t) rows are cleared to integer
 polynomials and evaluated at a single integer point B chosen larger than any
 coefficient a relevant minor polynomial can have: a nonzero minor then stays
-nonzero at t = B, so the integer rank equals the rank over QQ(t). B is grown
-adaptively until it covers minors one larger than the rank it reports.
+nonzero at t = B, so the integer rank equals the rank over QQ(t). The minor
+size B must cover starts from a certified lower bound on the rank, the
+integer rank at a small point, so one evaluation usually decides; B grows
+only if that bound was low. Cyclotomic fields eliminate on their scalars.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
-from .scalars import QT, Poly, RatFunc, cyclotomic_polynomial, poly_gcd
+from .scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial, poly_gcd
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
@@ -135,11 +139,17 @@ class SymEngine:
 
 
 def matrix_rows(datum, deg, engine=None):
-    """Words of the block and the Sh matrix as row lists of field scalars."""
+    """Words of the block and the Sh matrix as row lists for rank_rows.
+
+    Over QQ the entries are the symmetrizer's own ints and Fractions, which
+    rank_rows clears to integer rows; other fields get field scalars.
+    """
     words = words_of_multidegree(deg)
     if engine is None:
         engine = SymEngine(datum.braiding_matrix)
     cols = [engine.sym(w) for w in words]
+    if datum.field == QQ:
+        return words, [[col.get(u, 0) for col in cols] for u in words]
     coerce = datum.field.coerce
     zero = datum.field.zero()
     rows = []
@@ -158,7 +168,9 @@ def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
     if block_limit is not None and size > block_limit:
         raise BlockSizeError(deg, size, block_limit)
     words, rows = matrix_rows(datum, deg)
-    return SymMatrix(tuple(deg), words, tuple(tuple(r) for r in rows),
+    coerce = datum.field.coerce  # QQ rows still hold ints
+    return SymMatrix(tuple(deg), words,
+                     tuple(tuple(coerce(x) for x in r) for r in rows),
                      datum.field)
 
 
@@ -307,14 +319,16 @@ def _div_qt(v, p):
 
 
 def _int_eliminate(rows):
-    """Bareiss rank of an integer matrix; divisions are exact by the minor
-    identity, so floor division is safe."""
+    """_eliminate on an integer matrix, in place and with the same result
+    (rank, sign, last_pivot); divisions are exact by the minor identity, so
+    floor division is safe."""
     n = len(rows)
     if n == 0:
-        return 0
+        return 0, 1, None
     ncols = len(rows[0])
     prev = None
     rank = 0
+    sign = 1
     for col in range(ncols):
         piv = None
         for i in range(rank, n):
@@ -325,6 +339,7 @@ def _int_eliminate(rows):
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
         prow = rows[rank]
         p = prow[col]
         for i in range(rank + 1, n):
@@ -350,29 +365,58 @@ def _int_eliminate(rows):
         rank += 1
         if rank == n:
             break
-    return rank
+    return rank, sign, prev
 
 
-def _row_to_int_polys(row):
-    """Clear denominators and shared content of a RatFunc row; returns
-    coefficient tuples. Row scalings leave the rank unchanged."""
-    lcm = _P_ONE
+def _int_row(row):
+    """A row of ints and Fractions times the lcm of its denominators;
+    returns the integer row and that multiplier."""
+    dens = [x.denominator for x in row if type(x) is not int]
+    if not dens:
+        return list(row), 1
+    den = lcm(*dens)
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _den_lcm(row):
+    """Least common multiple of the denominators in a RatFunc row."""
+    out = _P_ONE
     for e in row:
         if e.num.coeffs and e.den.coeffs != (1,):
-            g = poly_gcd(lcm, e.den)
-            lcm = lcm * e.den.exact_div(g) if g.coeffs != (1,) else lcm * e.den
-    out = []
-    for e in row:
-        if not e.num.coeffs:
-            out.append(())
-            continue
-        scaled = e * RatFunc(lcm, _P_ONE)
-        out.append(scaled.num.coeffs)
+            g = poly_gcd(out, e.den)
+            out = out * e.den.exact_div(g) if g.coeffs != (1,) else out * e.den
     return out
 
 
+def _row_to_int_polys(row):
+    """Clear the denominators of a RatFunc row; returns coefficient tuples.
+    Row scalings leave the rank unchanged."""
+    scale = RatFunc(_den_lcm(row), _P_ONE)
+    return [(e * scale).num.coeffs if e.num.coeffs else () for e in row]
+
+
+def _evaluate(polys, point):
+    """The integer matrix of coefficient-tuple rows at t = point."""
+    out = []
+    for prow in polys:
+        row = []
+        for coeffs in prow:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * point + c
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+# Evaluation point of the rank lower bound. Any integer gives a certified
+# bound; a root of the minors only makes it low and costs a second pass.
+_SEED_POINT = 2
+
+
 def _rank_qt_certified(rows):
-    """Exact rank over QQ(t) by integer evaluation with a height certificate.
+    """Exact rank over QQ(t) by integer evaluation with a height certificate;
+    returns (rank, number of certificate passes).
 
     After clearing each row to integer polynomials, let H bound the
     coefficients and D the degrees. An s x s minor of the matrix is a
@@ -380,8 +424,12 @@ def _rank_qt_certified(rows):
     integer B exceeding that bound plus one sends every nonzero minor to a
     nonzero integer. The integer rank then both lower-bounds the rank over
     QQ(t) (evaluation never raises rank) and upper-bounds it (all minors one
-    size larger vanish identically). s starts small and grows until it
-    covers rank + 1.
+    size larger vanish identically).
+
+    s starts at one more than the integer rank at _SEED_POINT, a certified
+    lower bound, so a single pass decides unless the seed point is a root of
+    every minor of full rank; a pass reporting rank r >= s grows s to r + 1.
+    A seed rank equal to the smaller matrix dimension is already the rank.
     """
     polys = [_row_to_int_polys(row) for row in rows]
     height = 0
@@ -394,48 +442,51 @@ def _rank_qt_certified(rows):
                 if h > height:
                     height = h
     if height == 0:
-        return 0
-    dim = min(len(polys), len(polys[0]) if polys else 0)
-    s = min(dim, 8)
+        return 0, 0
+    dim = min(len(polys), len(polys[0]))
+    seed, _, _ = _int_eliminate(_evaluate(polys, _SEED_POINT))
+    if seed == dim:
+        return seed, 0
+    s = seed + 1
+    passes = 0
     while True:
-        bound = factorial(s) * height ** s * (degree + 1) ** max(s - 1, 0)
-        base = bound + 2
-        ints = []
-        for prow in polys:
-            row = []
-            for coeffs in prow:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * base + c
-                row.append(acc)
-            ints.append(row)
-        r = _int_eliminate(ints)
+        bound = factorial(s) * height ** s * (degree + 1) ** (s - 1)
+        r, _, _ = _int_eliminate(_evaluate(polys, bound + 2))
+        passes += 1
         if r == dim or r + 1 <= s:
-            return r
+            return r, passes
         s = min(r + 1, dim)
 
 
 def rank_rows(field, rows):
-    """Exact rank of a block given as lists of field scalars."""
+    """Exact rank of a block given as lists of field scalars (over QQ, ints
+    and Fractions).
+
+    Over QQ each row is cleared to integers and ranked by integer Bareiss
+    elimination. Over QQ(t) rows are cleared to integer polynomials and
+    ranked by the evaluation certificate of _rank_qt_certified, which starts
+    from a certified lower bound on the rank. Cyclotomic rows are eliminated
+    on their scalars.
+    """
     if not rows:
         return 0
+    if field == QQ:
+        return _int_eliminate([_int_row(r)[0] for r in rows])[0]
     if field == QT:
-        return _rank_qt_certified(rows)
-    work = [list(r) for r in rows]
-    r, _, _ = _eliminate(work, _div_generic)
-    return r
+        return _rank_qt_certified(rows)[0]
+    return _eliminate([list(r) for r in rows], _div_generic)[0]
 
 
 def rank(mat):
     """Exact rank of a SymMatrix over its field."""
-    return rank_rows(mat.field, [list(r) for r in mat.entries])
+    return rank_rows(mat.field, mat.entries)
 
 
 def rank_symbolic(mat):
     """Rank by symbolic fraction-free elimination, for any field.
 
-    Slower than rank() over QQ(t); kept as the independent second route and
-    used by the tests to cross-check the evaluation certificate.
+    Slower than rank() over QQ and QQ(t); kept as the independent second
+    route and used by the tests to cross-check the integer paths.
     """
     div = _div_qt if mat.field == QT else _div_generic
     work = [list(r) for r in mat.entries]
@@ -447,34 +498,38 @@ def gram_determinant(datum, deg, factor_bound=24,
                      block_limit=DEFAULT_BLOCK_LIMIT):
     """Determinant of the block matrix, with cyclotomic factors split off.
 
-    Over QQ(t) the numerator is probed by trial exact division against
-    Phi_k(t**j) for k*j up to factor_bound, in ascending (j, k) order; the
-    unfactored remainder keeps whatever is left, including the denominator.
-    Symbolic elimination, so intended for moderate blocks.
+    Over QQ the rows are cleared to integers: the determinant is the signed
+    last Bareiss pivot over the product of the row multipliers. Over QQ(t)
+    the numerator is probed by trial exact division against Phi_k(t**j) for
+    k*j up to factor_bound, in ascending (j, k) order; the unfactored
+    remainder keeps whatever is left, including the denominator. Symbolic
+    elimination over QQ(t), so intended for moderate blocks.
     """
     mat = symmetrizer(datum, deg, block_limit=block_limit)
     n = len(mat.words)
     field = mat.field
-    rows = [list(r) for r in mat.entries]
     factors_out = ()
-    if field == QT:
+    if field == QQ:
+        rows, scales = zip(*map(_int_row, mat.entries))
+        r, sign, last = _int_eliminate(list(rows))
+        det = Fraction(sign * last, prod(scales)) if r == n else field.zero()
+    elif field == QT:
+        rows = []
         scale = field.one()
-        for i, row in enumerate(rows):
-            lcm = _P_ONE
-            for e in row:
-                if e.num.coeffs and e.den.coeffs != (1,):
-                    g = poly_gcd(lcm, e.den)
-                    lcm = lcm * e.den.exact_div(g) if g.coeffs != (1,) else lcm * e.den
-            if lcm.coeffs != (1,):
-                f = RatFunc(lcm, _P_ONE)
-                rows[i] = [e * f for e in row]
+        for row in mat.entries:
+            den = _den_lcm(row)
+            if den.coeffs != (1,):
+                f = RatFunc(den, _P_ONE)
+                row = [e * f for e in row]
                 scale = scale * f
+            rows.append(list(row))
         r, sign, last = _eliminate(rows, _div_qt)
         if r < n:
             det = field.zero()
         else:
             det = (last if sign == 1 else -last) / scale
     else:
+        rows = [list(r) for r in mat.entries]
         r, sign, last = _eliminate(rows, _div_generic)
         det = field.zero() if r < n else (last if sign == 1 else -last)
     remainder = det

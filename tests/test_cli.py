@@ -120,6 +120,41 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-total", "-1"), ("--window", "0"), ("--jobs", "0"), ("--jobs", "-3"),
+])
+def test_analyze_bad_numbers_exit_one(capsys, option, value):
+    # the later --max-total wins, so the first case runs with -1
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--preset", "cartan:A1", "--max-total", "3",
+              option, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: must be at least" in err
+    assert "Traceback" not in err
+
+
+def test_cache_entry_out_of_range_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    args = ("analyze", "--preset", "cartan:A2", "--max-total", "3",
+            "--format", "json", "--cache", str(cache))
+    code, cold, err = run(capsys, *args)
+    assert code == 0
+    doc = json.loads(cache.read_text())
+    ranks = next(iter(doc["ranks"].values()))
+    assert ranks["1,2"] == [3, 2]
+    ranks["1,2"] = [3, 99]  # rank above the block size
+    ranks["2,1"] = [4, 1]   # wrong block size
+    cache.write_text(json.dumps(doc))
+    code, warm, err = run(capsys, *args)
+    assert code == 0
+    a, b = json.loads(cold), json.loads(warm)
+    assert b["timings"]["cache_misses"] == 2
+    assert a["blocks"] == b["blocks"]
+    ranks = next(iter(json.loads(cache.read_text())["ranks"].values()))
+    assert ranks["1,2"] == [3, 2] and ranks["2,1"] == [3, 2]
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     args = ("analyze", "--preset", "cartan:A2", "--max-total", "4",

@@ -65,6 +65,53 @@ def test_compute_blocks_parallel_matches_serial():
     assert serial == parallel
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs the tasks in this process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, blocks, workers", [
+    (2, 5, 3, 2),     # clamped to the CPU count
+    (4, 3, 2, 2),     # clamped to the block count
+    (4, 2, 3, 2),     # as asked
+    (1, 4, 3, None),  # one CPU: serial, no pool
+    (4, 4, 1, None),  # one block: serial, no pool
+])
+def test_compute_blocks_pool_is_bounded(monkeypatch, cpus, jobs, blocks,
+                                        workers):
+    from hopfmin import growth
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(growth.os, "cpu_count", lambda: cpus)
+    _InlinePool.created.clear()
+    d = preset_cartan("A2")
+    degs = multidegrees_up_to(2, 2)[:blocks]
+    got = compute_blocks(d, degs, jobs=jobs)
+    assert _InlinePool.created == ([] if workers is None else [workers])
+    assert got == compute_blocks(d, degs, jobs=1)
+
+
+def test_compute_blocks_rejects_nonpositive_jobs():
+    d = preset_cartan("A1")
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            compute_blocks(d, [(1,)], jobs=jobs)
+
+
 def test_compute_blocks_guard_names_block():
     d = preset_reductive("A2")
     degs = multidegrees_up_to(d.m, 8)

@@ -7,15 +7,26 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmin.datum import datum_from_q_matrix, preset_cartan
+from hopfmin.datum import (
+    datum_from_q_matrix,
+    positive_roots,
+    preset_cartan,
+    preset_doubled,
+)
+from hopfmin.growth import kostant_dims
 from hopfmin.scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial
 from hopfmin.shapovalov import (
+    _SEED_POINT,
     BlockSizeError,
     SymMatrix,
+    _div_generic,
+    _eliminate,
+    _rank_qt_certified,
     all_reduced_words,
     apply_braid_word,
     bubble_word,
     gram_determinant,
+    matrix_rows,
     permutation_sum_oracle,
     rank,
     rank_rows,
@@ -121,6 +132,80 @@ def test_rank_certified_matches_symbolic_random():
             rows[-1] = [x * f for x in rows[0]]
         mat = _qt_matrix(rows)
         assert rank(mat) == rank_symbolic(mat)
+
+
+def test_rank_integer_path_matches_symbolic_over_rationals():
+    rng = random.Random(307)
+    for _ in range(6):
+        m = rng.randint(2, 3)
+        q = _random_q(rng, m)
+        # at least one non-integer entry, so rows really carry denominators
+        q = ((Fraction(-2, 3),) + q[0][1:],) + q[1:]
+        d = datum_from_q_matrix(q, QQ)
+        for deg in multidegrees_up_to(m, 4):
+            mat = symmetrizer(d, deg)
+            assert all(type(x) is Fraction for row in mat.entries for x in row)
+            assert rank(mat) == rank_symbolic(mat)
+            _, raw = matrix_rows(d, deg)
+            assert rank_rows(QQ, raw) == rank(mat)
+            if len(mat.words) >= 3:
+                # plant a dependent row: a Fraction combination of two others
+                a, b = Fraction(rng.randint(-4, 4), 3), Fraction(1, rng.randint(1, 5))
+                rows = [list(r) for r in mat.entries]
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+                planted = SymMatrix(mat.multidegree, mat.words,
+                                    tuple(tuple(r) for r in rows), QQ)
+                assert rank(planted) == rank_symbolic(planted)
+
+
+def test_rank_certificate_second_pass_after_seed_drop():
+    # diag(1, t - p, t - p, 0) mixed by unimodular integer matrices: rank 3
+    # over QQ(t) but 1 at the seed point p, so the first pass, sized for
+    # 2 x 2 minors, finds rank 3 and a second pass must confirm it
+    p = _SEED_POINT
+    diag = [[1, 0, 0, 0], [0, (-p, 1), 0, 0], [0, 0, (-p, 1), 0], [0, 0, 0, 0]]
+    left = [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+    right = [[1, 0, 0, 0], [1, 1, 0, 0], [-2, 1, 1, 0], [0, 3, 1, 1]]
+
+    def poly(x):
+        return Poly(x) if isinstance(x, tuple) else Poly((x,))
+
+    def matmul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(4)), Poly(()))
+                 for j in range(4)] for i in range(4)]
+
+    prod = matmul(matmul([[poly(x) for x in r] for r in left],
+                         [[poly(x) for x in r] for r in diag]),
+                  [[poly(x) for x in r] for r in right])
+    mat = _qt_matrix([[RatFunc(e, Poly((1,))) for e in row] for row in prod])
+    assert _rank_qt_certified(mat.entries) == (3, 2)
+    assert rank(mat) == rank_symbolic(mat) == 3
+
+
+def test_rank_certificate_one_pass_on_g2():
+    mat = symmetrizer(preset_cartan("G2"), (3, 3))
+    got, passes = _rank_qt_certified(mat.entries)
+    assert passes == 1
+    assert got == kostant_dims(positive_roots("G2"), (3, 3))
+
+
+def test_gram_determinant_rational_matches_fraction_elimination():
+    # the doubled blocks are full rank and need an odd number of row swaps
+    for preset, name, degs in (
+            (preset_cartan, "B2", ((1, 1), (2, 1), (1, 2), (2, 2))),
+            (preset_cartan, "G2", ((1, 1), (2, 1), (1, 2), (3, 1))),
+            (preset_doubled, "B2", ((0, 1, 1, 1),)),
+            (preset_doubled, "G2", ((1, 1, 1, 0),))):
+        d = preset(name, base=Fraction(2))
+        for deg in degs:
+            report = gram_determinant(d, deg)
+            mat = symmetrizer(d, deg)
+            r, sign, last = _eliminate([list(row) for row in mat.entries],
+                                       _div_generic)
+            expected = sign * last if r == len(mat.words) else Fraction(0)
+            assert report.rank == r
+            assert type(report.determinant) is Fraction
+            assert report.determinant == expected
 
 
 def test_rank_handles_large_coefficients():

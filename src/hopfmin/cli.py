@@ -48,6 +48,7 @@ from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
     BlockSizeError,
     SymEngine,
+    check_block_sizes,
     gram_determinant,
     permutation_sum_oracle,
     symmetrizer,
@@ -209,10 +210,7 @@ def cmd_analyze(args):
     t0 = time.monotonic()
     datum = _load_datum(args)
     degs = multidegrees_up_to(datum.m, args.max_total)
-    for deg in degs:
-        size = block_size(deg)
-        if size > args.block_limit:
-            raise BlockSizeError(deg, size, args.block_limit)
+    check_block_sizes(degs, args.block_limit)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = _Cache.open(cache_path) if cache_path else None
     datum_key = datum_hash(datum)
@@ -513,7 +511,7 @@ def _add_datum_options(sub, with_specialize=True):
                      help="evaluate cartan/doubled presets at this nonzero "
                           "rational instead of the formal t")
     if with_specialize:
-        sub.add_argument("--specialize", type=int, metavar="N",
+        sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
                          help="send t to a primitive N-th root of unity")
     sub.add_argument("--block-limit", type=int, default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "
@@ -553,7 +551,7 @@ def _build_parser():
     p = subs.add_parser("sl2", help="classical highest-weight mirror")
     p.add_argument("--lam", required=True,
                    help="highest weight, a rational such as 3 or 1/2")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_int_at_least(0), default=8)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_sl2)
 

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
-    BlockSizeError,
     SymEngine,
+    check_block_sizes,
     matrix_rows,
     rank_rows,
 )
@@ -81,17 +81,13 @@ class DominanceReport:
     dominance: str
 
 
-def _block_entry(datum, deg, block_limit, engine=None):
-    size = block_size(deg)
-    if block_limit is not None and size > block_limit:
-        raise BlockSizeError(deg, size, block_limit)
+def _block_entry(datum, deg, engine=None):
     _, rows = matrix_rows(datum, deg, engine=engine)
-    return BlockDim(tuple(deg), size, rank_rows(datum.field, rows))
+    return BlockDim(tuple(deg), block_size(deg), rank_rows(datum.field, rows))
 
 
 def _block_task(args):
-    datum, deg, block_limit = args
-    return _block_entry(datum, deg, block_limit)
+    return _block_entry(*args)
 
 
 def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
@@ -106,20 +102,17 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
     if jobs < 1:
         raise ValueError("jobs must be positive")
     degs = [tuple(d) for d in degs]
-    for deg in degs:
-        size = block_size(deg)
-        if block_limit is not None and size > block_limit:
-            raise BlockSizeError(deg, size, block_limit)
+    check_block_sizes(degs, block_limit)
     workers = min(jobs, len(degs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(
                 _block_task,
-                [(datum, deg, block_limit) for deg in degs]))
+                [(datum, deg) for deg in degs]))
     engine = SymEngine(datum.braiding_matrix)
     out = []
     for deg in degs:
-        out.append(_block_entry(datum, deg, block_limit, engine=engine))
+        out.append(_block_entry(datum, deg, engine=engine))
         engine.trim()
     return tuple(out)
 

@@ -428,10 +428,6 @@ _RF_ONE = RatFunc(_P_ONE, _P_ONE)
 # cyclotomic fields, coordinates modulo Phi_N
 
 
-def _phi_degree(n):
-    return cyclotomic_polynomial(n).degree
-
-
 def _reduce_mod_phi(coeffs, n):
     """Reduce a Fraction-coefficient coordinate list modulo Phi_n."""
     phi = cyclotomic_polynomial(n).coeffs

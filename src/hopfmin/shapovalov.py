@@ -19,16 +19,17 @@ whose j-th term moves letter w[j] to the front across everything before it,
 picking up prod_{i<j} b(w[i], w[j]). The permutation-sum definition is kept
 alongside as an independent oracle and the two are compared in the tests.
 
-Ranks are exact and computed on integers wherever the field allows. Over QQ
-each row is scaled by the lcm of its denominators to a row of Python ints
-(row scalings leave the rank unchanged) and the integer matrix goes through
-fraction-free Bareiss elimination. Over QQ(t) rows are cleared to integer
-polynomials and evaluated at a single integer point B chosen larger than any
-coefficient a relevant minor polynomial can have: a nonzero minor then stays
-nonzero at t = B, so the integer rank equals the rank over QQ(t). The minor
-size B must cover starts from a certified lower bound on the rank, the
-integer rank at a small point, so one evaluation usually decides; B grows
-only if that bound was low. Cyclotomic fields eliminate on their scalars.
+Ranks and determinants come from one fraction-free Bareiss elimination,
+run by each field with its own exact division after scaling every row to
+make it exact: over QQ to Python ints with floor division (exact by
+Sylvester's identity), over QQ(t) to integer polynomials with exact
+polynomial division; cyclotomic rows divide in the field. Row scalings
+leave the rank unchanged and divide out of the determinant. The rank over
+QQ(t) evaluates the integer polynomial rows at one integer point B larger
+than any coefficient a relevant minor can have, so a nonzero minor stays
+nonzero at t = B and the integer rank is the rank over QQ(t). B is sized
+from a certified lower bound on the rank, the integer rank at a small
+point, so one evaluation usually decides.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import floordiv, truediv
 
 from .scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial, poly_gcd
 from .words import block_size, braid_at, words_of_multidegree
@@ -55,6 +57,17 @@ class BlockSizeError(RuntimeError):
         self.limit = limit
         super().__init__(
             f"block {tuple(deg)} has {size} words, over the limit of {limit}")
+
+
+def check_block_sizes(degs, block_limit):
+    """Raise BlockSizeError for the first multidegree whose block has more
+    than block_limit words; a limit of None allows every size."""
+    if block_limit is None:
+        return
+    for deg in degs:
+        size = block_size(deg)
+        if size > block_limit:
+            raise BlockSizeError(deg, size, block_limit)
 
 
 @dataclass(frozen=True)
@@ -164,9 +177,7 @@ def matrix_rows(datum, deg, engine=None):
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
     """The Sh matrix of one multidegree block as a SymMatrix."""
-    size = block_size(deg)
-    if block_limit is not None and size > block_limit:
-        raise BlockSizeError(deg, size, block_limit)
+    check_block_sizes([deg], block_limit)
     words, rows = matrix_rows(datum, deg)
     coerce = datum.field.coerce  # QQ rows still hold ints
     return SymMatrix(tuple(deg), words,
@@ -256,12 +267,17 @@ def permutation_sum_oracle(datum, deg, total_bound=5):
 
 
 def _eliminate(rows, div):
-    """Fraction-free Bareiss elimination in place.
+    """Fraction-free Bareiss elimination in place; returns (rank, sign,
+    last_pivot).
 
     Pivots are the first nonzero entry of each column scanning down from the
-    current row; columns without one are skipped. Returns (rank, sign,
-    last_pivot); entries of finished rows are left stale but are never read
-    again. div performs the exact division by the previous pivot.
+    current row; columns without one are skipped. Each updated entry is a
+    minor of the input (Sylvester's identity) divided by the previous pivot,
+    itself a minor, so div only has to divide exactly in the ring the rows
+    live in: floor division on ints, polynomial division on QQ(t) rows over
+    denominator 1, truediv in a field. On a square matrix of full rank,
+    sign * last_pivot is the determinant. Entries of finished rows are left
+    stale but are never read again.
     """
     n = len(rows)
     if n == 0:
@@ -303,8 +319,7 @@ def _eliminate(rows, div):
     return rank, sign, prev
 
 
-def _div_generic(v, p):
-    return v / p
+_div_generic = truediv
 
 
 def _div_qt(v, p):
@@ -316,56 +331,6 @@ def _div_qt(v, p):
         except ValueError:
             pass
     return v / p
-
-
-def _int_eliminate(rows):
-    """_eliminate on an integer matrix, in place and with the same result
-    (rank, sign, last_pivot); divisions are exact by the minor identity, so
-    floor division is safe."""
-    n = len(rows)
-    if n == 0:
-        return 0, 1, None
-    ncols = len(rows[0])
-    prev = None
-    rank = 0
-    sign = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, n):
-            ri = rows[i]
-            a = ri[col]
-            if a:
-                if prev is None:
-                    for j in range(col + 1, ncols):
-                        ri[j] = p * ri[j] - a * prow[j]
-                else:
-                    for j in range(col + 1, ncols):
-                        ri[j] = (p * ri[j] - a * prow[j]) // prev
-            else:
-                if prev is None:
-                    for j in range(col + 1, ncols):
-                        if ri[j]:
-                            ri[j] = p * ri[j]
-                else:
-                    for j in range(col + 1, ncols):
-                        if ri[j]:
-                            ri[j] = (p * ri[j]) // prev
-        prev = p
-        rank += 1
-        if rank == n:
-            break
-    return rank, sign, prev
 
 
 def _int_row(row):
@@ -388,11 +353,35 @@ def _den_lcm(row):
     return out
 
 
+def _qt_row(row):
+    """A RatFunc row times the lcm of its denominators; returns the row, now
+    over denominator 1, and that multiplier."""
+    den = _den_lcm(row)
+    if den.coeffs == (1,):
+        return list(row), 1
+    scale = RatFunc(den, _P_ONE)
+    return [e * scale if e else e for e in row], scale
+
+
+def _field_row(row):
+    """A row over a field, which needs no clearing, and multiplier 1."""
+    return list(row), 1
+
+
+def _clearing(field):
+    """The Bareiss rule of a field as (clear_row, div): clear_row scales a
+    row so that div is an exact division on its entries and returns the new
+    row with its multiplier."""
+    if field == QQ:
+        return _int_row, floordiv
+    if field == QT:
+        return _qt_row, _div_qt
+    return _field_row, _div_generic
+
+
 def _row_to_int_polys(row):
-    """Clear the denominators of a RatFunc row; returns coefficient tuples.
-    Row scalings leave the rank unchanged."""
-    scale = RatFunc(_den_lcm(row), _P_ONE)
-    return [(e * scale).num.coeffs if e.num.coeffs else () for e in row]
+    """Clear the denominators of a RatFunc row; returns coefficient tuples."""
+    return [e.num.coeffs for e in _qt_row(row)[0]]
 
 
 def _evaluate(polys, point):
@@ -444,14 +433,14 @@ def _rank_qt_certified(rows):
     if height == 0:
         return 0, 0
     dim = min(len(polys), len(polys[0]))
-    seed, _, _ = _int_eliminate(_evaluate(polys, _SEED_POINT))
+    seed, _, _ = _eliminate(_evaluate(polys, _SEED_POINT), floordiv)
     if seed == dim:
         return seed, 0
     s = seed + 1
     passes = 0
     while True:
         bound = factorial(s) * height ** s * (degree + 1) ** (s - 1)
-        r, _, _ = _int_eliminate(_evaluate(polys, bound + 2))
+        r, _, _ = _eliminate(_evaluate(polys, bound + 2), floordiv)
         passes += 1
         if r == dim or r + 1 <= s:
             return r, passes
@@ -462,19 +451,18 @@ def rank_rows(field, rows):
     """Exact rank of a block given as lists of field scalars (over QQ, ints
     and Fractions).
 
-    Over QQ each row is cleared to integers and ranked by integer Bareiss
-    elimination. Over QQ(t) rows are cleared to integer polynomials and
-    ranked by the evaluation certificate of _rank_qt_certified, which starts
-    from a certified lower bound on the rank. Cyclotomic rows are eliminated
-    on their scalars.
+    Over QQ(t) rows are cleared to integer polynomials and ranked by the
+    evaluation certificate of _rank_qt_certified, which starts from a
+    certified lower bound on the rank. Other fields clear and eliminate
+    their rows by their _clearing rule: integer Bareiss over QQ, Bareiss on
+    the scalars over a cyclotomic field.
     """
     if not rows:
         return 0
-    if field == QQ:
-        return _int_eliminate([_int_row(r)[0] for r in rows])[0]
     if field == QT:
         return _rank_qt_certified(rows)[0]
-    return _eliminate([list(r) for r in rows], _div_generic)[0]
+    clear, div = _clearing(field)
+    return _eliminate([clear(r)[0] for r in rows], div)[0]
 
 
 def rank(mat):
@@ -498,40 +486,24 @@ def gram_determinant(datum, deg, factor_bound=24,
                      block_limit=DEFAULT_BLOCK_LIMIT):
     """Determinant of the block matrix, with cyclotomic factors split off.
 
-    Over QQ the rows are cleared to integers: the determinant is the signed
-    last Bareiss pivot over the product of the row multipliers. Over QQ(t)
-    the numerator is probed by trial exact division against Phi_k(t**j) for
-    k*j up to factor_bound, in ascending (j, k) order; the unfactored
-    remainder keeps whatever is left, including the denominator. Symbolic
-    elimination over QQ(t), so intended for moderate blocks.
+    Rows are cleared by the field's _clearing rule; the determinant is the
+    signed last Bareiss pivot over the product of the row multipliers. Over
+    QQ(t) the numerator is probed by trial exact division against
+    Phi_k(t**j) for k*j up to factor_bound, in ascending (j, k) order; the
+    unfactored remainder keeps whatever is left, including the denominator.
+    Symbolic elimination over QQ(t), so intended for moderate blocks.
     """
     mat = symmetrizer(datum, deg, block_limit=block_limit)
     n = len(mat.words)
     field = mat.field
-    factors_out = ()
-    if field == QQ:
-        rows, scales = zip(*map(_int_row, mat.entries))
-        r, sign, last = _int_eliminate(list(rows))
-        det = Fraction(sign * last, prod(scales)) if r == n else field.zero()
-    elif field == QT:
-        rows = []
-        scale = field.one()
-        for row in mat.entries:
-            den = _den_lcm(row)
-            if den.coeffs != (1,):
-                f = RatFunc(den, _P_ONE)
-                row = [e * f for e in row]
-                scale = scale * f
-            rows.append(list(row))
-        r, sign, last = _eliminate(rows, _div_qt)
-        if r < n:
-            det = field.zero()
-        else:
-            det = (last if sign == 1 else -last) / scale
+    clear, div = _clearing(field)
+    rows, scales = zip(*map(clear, mat.entries))
+    r, sign, last = _eliminate(list(rows), div)
+    if r < n:
+        det = field.zero()
     else:
-        rows = [list(r) for r in mat.entries]
-        r, sign, last = _eliminate(rows, _div_generic)
-        det = field.zero() if r < n else (last if sign == 1 else -last)
+        det = field.coerce(sign * last) / field.coerce(prod(scales))
+    factors_out = ()
     remainder = det
     if field == QT and det:
         num = det.num

@@ -31,15 +31,6 @@ def total_degree(word):
     return len(word)
 
 
-def weight(datum, word):
-    """Sum of the characters carried by the letters, a lattice vector."""
-    acc = [0] * datum.rank
-    for letter in word:
-        for k, e in enumerate(datum.alphas[letter - 1]):
-            acc[k] += e
-    return tuple(acc)
-
-
 def block_size(deg):
     """Number of words of the multidegree: the multinomial coefficient."""
     total = 0
@@ -145,9 +136,6 @@ class Element:
 
     def coeff(self, word):
         return self._terms.get(tuple(word), 0)
-
-    def support(self):
-        return sorted(self._terms)
 
     def __bool__(self):
         return bool(self._terms)

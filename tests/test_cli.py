@@ -244,3 +244,34 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["totals"] == [1, 1, 1, 1]
+
+
+def test_block_limit_applies_to_cached_blocks(tmp_path, capsys):
+    # every block comes from the cache on the rerun, so only the front-end
+    # guard can refuse the (2, 2) block of six words
+    cache = tmp_path / "cache.json"
+    args = ("analyze", "--preset", "cartan:A2", "--max-total", "4",
+            "--cache", str(cache))
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    code, out, err = run(capsys, *args, "--block-limit", "5")
+    assert code == 2
+    assert "block (2, 2) has 6 words" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("sl2", "--lam", "2", "--depth", "-1"), "--depth"),
+    (("analyze", "--preset", "cartan:A1", "--specialize", "0"),
+     "--specialize"),
+    (("analyze", "--preset", "cartan:A1", "--specialize", "-3"),
+     "--specialize"),
+    (("det", "--preset", "cartan:A1", "--deg", "2", "--specialize", "0"),
+     "--specialize"),
+])
+def test_out_of_range_numbers_exit_one(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: must be at least" in err
+    assert "Traceback" not in err

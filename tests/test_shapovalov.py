@@ -2,8 +2,10 @@
 algebra: block matrices, the permutation-sum oracle, exact ranks and
 determinants."""
 
+import itertools
 import random
 from fractions import Fraction
+from operator import floordiv, truediv
 
 import pytest
 
@@ -269,3 +271,74 @@ def test_gram_determinant_against_factor_product():
         for _ in range(mult):
             prod = prod * cyclotomic_polynomial(k).compose_power(j)
     assert RatFunc(prod, Poly((1,))) * report.remainder == report.determinant
+
+
+def _leibniz_det(a):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(1 for i in range(len(perm))
+                         for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total += term
+    return total
+
+
+def _minor_rank(a):
+    """Size of the largest square submatrix with a nonzero determinant."""
+    for k in range(min(len(a), len(a[0])), 0, -1):
+        for rs in itertools.combinations(range(len(a)), k):
+            for cs in itertools.combinations(range(len(a[0])), k):
+                if _leibniz_det([[a[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def _planted_matrix(rng, entry):
+    """A random matrix of up to 5 x 5 with planted defects: a row that is a
+    combination of two others, a zero column, or a zero top-left entry so
+    the first pivot needs a row swap."""
+    n = rng.randint(1, 5)
+    m = n if rng.random() < 0.5 else rng.randint(1, 5)
+    a = [[entry() for _ in range(m)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0 and n >= 3:
+        i, j, k = rng.sample(range(n), 3)
+        x, y = entry(), entry()
+        a[k] = [x * u + y * v for u, v in zip(a[i], a[j])]
+    elif kind == 1:
+        col = rng.randrange(m)
+        for row in a:
+            row[col] = 0 * row[col]
+    elif kind == 2:
+        a[0][0] = 0 * a[0][0]
+    return a
+
+
+@pytest.mark.parametrize("entry_kind", ["int", "fraction"])
+def test_eliminate_matches_leibniz_and_minor_rank(entry_kind):
+    rng = random.Random(1968)
+    if entry_kind == "int":
+        def entry():
+            return rng.choice((0, 0, 1, -1, 2, -3, 5))
+        div = floordiv
+    else:
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        div = truediv
+    full_square = swapped = deficient = 0
+    for _ in range(300):
+        a = _planted_matrix(rng, entry)
+        work = [list(row) for row in a]
+        r, sign, last = _eliminate(work, div)
+        assert r == _minor_rank(a), a
+        deficient += r < min(len(a), len(a[0]))
+        if len(a) == len(a[0]) and r == len(a):
+            full_square += 1
+            swapped += sign == -1
+            assert sign * last == _leibniz_det(a), a
+    # the draw exercises rank drops and full-rank determinants, odd swap
+    # parities included
+    assert deficient >= 30 and full_square >= 50 and swapped >= 10

@@ -16,14 +16,13 @@ import tempfile
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, oracles
 from .datum import (
     DatumValidationError,
     datum_from_q_matrix,
     datum_hash,
     emit_datum,
     parse_datum,
-    positive_roots,
     preset_cartan,
     preset_doubled,
     preset_reductive,
@@ -35,8 +34,6 @@ from .growth import (
     compute_blocks,
     dominance_label,
     growth_classify,
-    hilbert_table,
-    kostant_dims,
 )
 from .scalars import (
     QQ,
@@ -47,14 +44,11 @@ from .scalars import (
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
     BlockSizeError,
-    SymEngine,
     check_block_sizes,
     gram_determinant,
-    permutation_sum_oracle,
-    symmetrizer,
 )
 from .sl2 import parallel_report
-from .words import Element, block_size, multidegrees_up_to, shuffle
+from .words import block_size, multidegrees_up_to
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -353,131 +347,44 @@ def cmd_sl2(args):
 # selftest
 
 
-def _random_q_matrix(rng, m):
-    pool = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-            Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3),
-            Fraction(-3, 2)]
-    return tuple(tuple(rng.choice(pool) for _ in range(m)) for _ in range(m))
-
-
-def _random_words(rng, m, total):
-    n1 = rng.randint(0, total)
-    u = tuple(rng.randint(1, m) for _ in range(n1))
-    v = tuple(rng.randint(1, m) for _ in range(total - n1))
-    return u, v
-
-
-def _hopf_mismatch(sym_braiding, shuffle_braiding, pairs):
-    """First pair where Sh(u . v) != Sh(u) sh Sh(v), or None."""
-    engine = SymEngine(sym_braiding)
-    for u, v in pairs:
-        lhs = Element(engine.sym(u + v))
-        rhs = shuffle(shuffle_braiding,
-                      Element(engine.sym(u)), Element(engine.sym(v)))
-        if lhs != rhs:
-            return (u, v)
-    return None
-
-
-def _selftest(quick):
-    oracle_bound = 3 if quick else 4
-    word_bound = 4 if quick else 5
-    kostant_bound = 4 if quick else 5
+def cmd_selftest(args):
+    """Run the checks of hopfmin.oracles on fixed seeded inputs."""
     rng = random.Random(20240917)
-    results = []
+    a2 = preset_cartan("A2")
 
-    # recursive symmetrizer against the permutation-sum definition
-    count = 0
-    detail = None
-    data = [preset_cartan("A2"),
-            datum_from_q_matrix(_random_q_matrix(rng, 2), QQ),
-            datum_from_q_matrix(_random_q_matrix(rng, 3), QQ)]
-    for d in data:
-        for deg in multidegrees_up_to(d.m, oracle_bound):
-            if sum(deg) < 2:
-                continue
-            a = symmetrizer(d, deg)
-            b = permutation_sum_oracle(d, deg, total_bound=oracle_bound)
-            count += 1
-            if a.entries != b.entries:
-                detail = f"mismatch at multidegree {deg}"
-                break
-        if detail:
-            break
-    results.append(("symmetrizer matches permutation sum", detail, count))
+    def rational(m):
+        return datum_from_q_matrix(oracles.random_q(rng, m), QQ)
 
-    # rank tables against root-multiset counts
-    count = 0
-    detail = None
-    for name in ("A2", "B2"):
-        d = preset_cartan(name)
-        roots = positive_roots(name)
-        for b in hilbert_table(d, kostant_bound).blocks:
-            count += 1
-            expected = kostant_dims(roots, b.deg)
-            if b.rank != expected:
-                detail = (f"{name} block {b.deg}: rank {b.rank}, "
-                          f"expected {expected}")
-                break
-        if detail:
-            break
-    results.append(("rank tables match root multiset counts", detail, count))
-
-    # transposing the q matrix must not change any dimension
-    count = 0
-    detail = None
-    for m in (2, 3):
-        q = _random_q_matrix(rng, m)
-        qt = tuple(tuple(q[j][i] for j in range(m)) for i in range(m))
-        t1 = hilbert_table(datum_from_q_matrix(q, QQ), oracle_bound)
-        t2 = hilbert_table(datum_from_q_matrix(qt, QQ), oracle_bound)
-        count += len(t1.blocks)
-        if t1.dims() != t2.dims():
-            detail = f"transposed table differs for m = {m}"
-            break
-    results.append(("transposition invariance of dimensions", detail, count))
-
-    # Sh is multiplicative from concatenation to the braided shuffle
-    count = 0
-    detail = None
-    for d in [preset_cartan("A1"), preset_cartan("A2"),
-              datum_from_q_matrix(_random_q_matrix(rng, 2), QQ)]:
-        b = d.braiding_matrix
-        pairs = [_random_words(rng, d.m, rng.randint(2, word_bound))
-                 for _ in range(25)]
-        bad = _hopf_mismatch(b, b, pairs)
-        count += len(pairs)
-        if bad is not None:
-            detail = f"Sh(u.v) != Sh(u) sh Sh(v) for u, v = {bad}"
-            break
-    results.append(("concatenation-to-shuffle morphism", detail, count))
-
-    # negative control: a corrupted braiding must break the morphism
-    d = preset_cartan("A2")
-    good = d.braiding_matrix
-    bad_braiding = tuple(
-        tuple(-x if (i, j) == (0, 1) else x for j, x in enumerate(row))
-        for i, row in enumerate(good))
-    pairs = [_random_words(rng, d.m, rng.randint(2, word_bound))
-             for _ in range(25)]
-    mismatch = _hopf_mismatch(bad_braiding, good, pairs)
-    detail = None if mismatch is not None else \
-        "corrupted braiding went undetected"
-    results.append(("negative control flags a corrupted braiding",
-                    detail, len(pairs)))
-
+    checks = [
+        ("symmetrizer matches permutation sum",
+         [oracles.symmetrizer_matches_permutation_sum(
+             [a2, rational(2), rational(3)], 4)]),
+        ("rank tables match root multiset counts",
+         [oracles.ranks_match_kostant(name, 5) for name in ("A2", "B2")]),
+        ("transposition invariance of dimensions",
+         [oracles.transposition_invariant(
+             [oracles.random_q(rng, m) for m in (2, 3)], 4)]),
+        ("concatenation-to-shuffle morphism",
+         [oracles.shuffle_morphism(
+             d.braiding_matrix, d.braiding_matrix,
+             [oracles.random_word_pair(rng, d.m, 5) for _ in range(25)])
+          for d in (preset_cartan("A1"), a2, rational(2))]),
+    ]
+    mismatch, count = oracles.shuffle_morphism(
+        oracles.corrupted(a2.braiding_matrix), a2.braiding_matrix,
+        [oracles.random_word_pair(rng, a2.m, 5) for _ in range(25)])
+    checks.append(("negative control flags a corrupted braiding",
+                   [(None if mismatch else "corrupted braiding went undetected",
+                     count)]))
     failed = False
-    for name, detail, count in results:
+    for name, results in checks:
+        detail = next((d for d, _ in results if d is not None), None)
         if detail is None:
-            print(f"PASS {name} ({count} checks)")
+            print(f"PASS {name} ({sum(c for _, c in results)} checks)")
         else:
             failed = True
             print(f"FAIL {name}: {detail}")
     return EXIT_SELFTEST if failed else EXIT_OK
-
-
-def cmd_selftest(args):
-    return _selftest(args.quick)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +420,8 @@ def _add_datum_options(sub, with_specialize=True):
     if with_specialize:
         sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
                          help="send t to a primitive N-th root of unity")
-    sub.add_argument("--block-limit", type=int, default=DEFAULT_BLOCK_LIMIT,
+    sub.add_argument("--block-limit", type=_int_at_least(1),
+                     default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "
                           f"(default {DEFAULT_BLOCK_LIMIT})")
 
@@ -543,8 +451,8 @@ def _build_parser():
     _add_datum_options(p)
     p.add_argument("--deg", required=True,
                    help="multidegree as comma-separated letter counts")
-    p.add_argument("--factor-bound", type=int, default=24,
-                   help="try Phi_k(t^j) factors for k*j up to this bound")
+    p.add_argument("--factor-bound", type=_int_at_least(0), default=24,
+                   help="try Phi_k(t^j) for k*j up to this bound (0: none)")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_det)
 
@@ -556,8 +464,6 @@ def _build_parser():
     p.set_defaults(func=cmd_sl2)
 
     p = subs.add_parser("selftest", help="run the built-in oracle suites")
-    p.add_argument("--quick", action="store_true",
-                   help="reduce the degree bounds by one")
     p.set_defaults(func=cmd_selftest)
 
     return parser

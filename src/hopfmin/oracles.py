@@ -1,0 +1,92 @@
+"""Property checks shared by `hopfmin selftest` and the acceptance tests.
+
+Each check returns (detail, count): detail is None when every case agrees,
+else it names the first mismatch; count is the number of cases compared.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .datum import datum_from_q_matrix, positive_roots, preset_cartan
+from .growth import hilbert_table, kostant_dims
+from .scalars import QQ
+from .shapovalov import SymEngine, permutation_sum_oracle, symmetrizer
+from .words import Element, multidegrees_up_to, shuffle
+
+POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+        Fraction(-2), Fraction(2, 3), Fraction(-1, 3), Fraction(3),
+        Fraction(-3, 2))
+
+
+def random_q(rng, m):
+    """An m x m q matrix with entries drawn from POOL."""
+    return tuple(tuple(rng.choice(POOL) for _ in range(m)) for _ in range(m))
+
+
+def random_word_pair(rng, m, max_total):
+    """Two words in letters 1..m whose lengths add up to at most max_total."""
+    total = rng.randint(0, max_total)
+    cut = rng.randint(0, total)
+    u = tuple(rng.randint(1, m) for _ in range(cut))
+    v = tuple(rng.randint(1, m) for _ in range(total - cut))
+    return u, v
+
+
+def corrupted(braiding):
+    """The braiding with the sign of its (1, 2) entry flipped."""
+    rows = [list(row) for row in braiding]
+    rows[0][1] = -rows[0][1]
+    return tuple(map(tuple, rows))
+
+
+def symmetrizer_matches_permutation_sum(data, bound):
+    """The recursive Sh blocks against the permutation-sum definition, on
+    every multidegree of total at most bound."""
+    cases = [(k, datum, deg) for k, datum in enumerate(data)
+             for deg in multidegrees_up_to(datum.m, bound)]
+    for count, (k, datum, deg) in enumerate(cases, 1):
+        got = symmetrizer(datum, deg)
+        want = permutation_sum_oracle(datum, deg, total_bound=bound)
+        if (got.words, got.entries) != (want.words, want.entries):
+            return f"datum {k}: mismatch at multidegree {deg}", count
+    return None, len(cases)
+
+
+def ranks_match_kostant(name, bound):
+    """Block ranks of the cartan preset against root-multiset counts."""
+    roots = positive_roots(name)
+    blocks = hilbert_table(preset_cartan(name), bound).blocks
+    for count, b in enumerate(blocks, 1):
+        expected = kostant_dims(roots, b.deg)
+        if b.rank != expected:
+            return (f"{name} block {b.deg}: rank {b.rank}, "
+                    f"expected {expected}"), count
+    return None, len(blocks)
+
+
+def transposition_invariant(qs, bound):
+    """Transposing each rational q matrix leaves its dimension table alone."""
+    count = 0
+    for q in qs:
+        m = len(q)
+        qt = tuple(tuple(q[j][i] for j in range(m)) for i in range(m))
+        t1 = hilbert_table(datum_from_q_matrix(q, QQ), bound)
+        t2 = hilbert_table(datum_from_q_matrix(qt, QQ), bound)
+        count += len(t1.blocks)
+        if t1.dims() != t2.dims():
+            return f"transposed table differs for q = {q}", count
+    return None, count
+
+
+def shuffle_morphism(sym_braiding, shuffle_braiding, pairs):
+    """Sh(u . v) = Sh(u) shuffled with Sh(v) on each word pair, with Sh taken
+    in sym_braiding and the shuffle in shuffle_braiding."""
+    engine = SymEngine(sym_braiding)
+    for count, (u, v) in enumerate(pairs, 1):
+        lhs = Element(engine.sym(u + v))
+        rhs = shuffle(shuffle_braiding,
+                      Element(engine.sym(u)), Element(engine.sym(v)))
+        if lhs != rhs:
+            return f"Sh(u.v) != Sh(u) sh Sh(v) for u, v = {(u, v)}", count
+    return None, len(pairs)

@@ -112,11 +112,6 @@ class Poly:
                         out[i + j] += ca * cb
         return Poly(tuple(out))
 
-    def scaled(self, n):
-        if not n:
-            return _P_ZERO
-        return Poly(tuple(c * n for c in self.coeffs))
-
     def compose_power(self, j):
         """Substitute t -> t**j."""
         if j == 1 or self.is_zero():

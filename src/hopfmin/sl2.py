@@ -45,11 +45,7 @@ def shapovalov_value(lam, k):
     Uses contravariance step by step: pairing(F**k v, F**k v) equals the
     coefficient of F**(k-1) v in E F**k v times the previous value.
     """
-    lam = Fraction(lam)
-    value = Fraction(1)
-    for i in range(1, k + 1):
-        value = value * e_action_on_f_power(lam, i).get(i - 1, Fraction(0))
-    return value
+    return shapovalov_values(lam, k)[k]
 
 
 def shapovalov_values(lam, kmax):
@@ -74,8 +70,9 @@ def dim_L(lam):
     """
     lam = Fraction(lam)
     if lam.denominator == 1 and lam >= 0:
-        for k in range(1, int(lam) + 3):
-            if shapovalov_value(lam, k) == 0:
+        values = shapovalov_values(lam, int(lam) + 2)
+        for k in range(1, len(values)):
+            if values[k] == 0:
                 return k
         raise AssertionError("pairing failed to vanish for a dominant weight")
     return float("inf")

@@ -229,12 +229,15 @@ def test_sl2_output(capsys):
     assert code == 1
 
 
-def test_selftest_quick(capsys):
-    code, out, err = run(capsys, "selftest", "--quick")
+def test_selftest(capsys):
+    code, out, err = run(capsys, "selftest")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--quick"])
+    assert exc.value.code == 1
 
 
 def test_module_entry_point():
@@ -267,6 +270,14 @@ def test_block_limit_applies_to_cached_blocks(tmp_path, capsys):
      "--specialize"),
     (("det", "--preset", "cartan:A1", "--deg", "2", "--specialize", "0"),
      "--specialize"),
+    (("analyze", "--preset", "cartan:A1", "--block-limit", "0"),
+     "--block-limit"),
+    (("analyze", "--preset", "cartan:A1", "--block-limit", "-1"),
+     "--block-limit"),
+    (("det", "--preset", "cartan:A1", "--deg", "2", "--block-limit", "0"),
+     "--block-limit"),
+    (("det", "--preset", "cartan:A1", "--deg", "2", "--factor-bound", "-1"),
+     "--factor-bound"),
 ])
 def test_out_of_range_numbers_exit_one(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

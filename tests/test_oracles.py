@@ -1,0 +1,81 @@
+"""The shared oracles must notice a planted fault.
+
+selftest and the acceptance tests both run hopfmin.oracles, so an oracle
+that always agreed would pass both; each case here plants one fault and
+expects a mismatch, after a clean run of the same check that agrees.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from hopfmin import oracles
+from hopfmin.datum import preset_cartan
+
+A2 = preset_cartan("A2")
+
+
+def _perturb_symmetrizer(monkeypatch):
+    real = oracles.symmetrizer
+
+    def fake(datum, deg):
+        mat = real(datum, deg)
+        if deg != (2, 1):
+            return mat
+        rows = [list(r) for r in mat.entries]
+        rows[1][0] = rows[1][0] + datum.field.one()
+        return dataclasses.replace(mat, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(oracles, "symmetrizer", fake)
+
+
+def _shift_kostant(monkeypatch):
+    real = oracles.kostant_dims
+    monkeypatch.setattr(oracles, "kostant_dims",
+                        lambda roots, deg: real(roots, deg) + 1)
+
+
+def _change_second_table(monkeypatch):
+    real = oracles.hilbert_table
+    tables = []
+
+    def fake(datum, bound):
+        table = real(datum, bound)
+        tables.append(table)
+        if len(tables) % 2:
+            return table
+        *head, last = table.blocks
+        last = dataclasses.replace(last, rank=last.rank + 1)
+        return dataclasses.replace(table, blocks=(*head, last))
+
+    monkeypatch.setattr(oracles, "hilbert_table", fake)
+
+
+def _corrupt_braiding(monkeypatch):
+    real = oracles.SymEngine
+    monkeypatch.setattr(oracles, "SymEngine",
+                        lambda braiding: real(oracles.corrupted(braiding)))
+
+
+def _morphism_on_a2():
+    rng = random.Random(7)
+    pairs = [oracles.random_word_pair(rng, A2.m, 5) for _ in range(25)]
+    return oracles.shuffle_morphism(A2.braiding_matrix, A2.braiding_matrix,
+                                    pairs)
+
+
+@pytest.mark.parametrize("check, plant", [
+    (lambda: oracles.symmetrizer_matches_permutation_sum([A2], 3),
+     _perturb_symmetrizer),
+    (lambda: oracles.ranks_match_kostant("A2", 3), _shift_kostant),
+    (lambda: oracles.transposition_invariant(
+        [oracles.random_q(random.Random(5), 2)], 3), _change_second_table),
+    (_morphism_on_a2, _corrupt_braiding),
+], ids=["symmetrizer", "kostant", "transposition", "shuffle"])
+def test_planted_fault_is_reported(monkeypatch, check, plant):
+    detail, count = check()
+    assert detail is None and count > 0
+    plant(monkeypatch)
+    detail, _ = check()
+    assert detail is not None

@@ -58,6 +58,9 @@ EXIT_SELFTEST = 4
 
 CACHE_ENV = "HOPFMIN_CACHE"
 SCHEMA_VERSION = 1
+# Version of the rank computation behind cached entries; bump it whenever a
+# change to the rank code could change a cached answer.
+RANK_ALGORITHM = 2
 
 PRESET_KINDS = ("cartan", "reductive", "doubled")
 
@@ -119,25 +122,49 @@ def _deg_key(deg):
     return ",".join(str(d) for d in deg)
 
 
+class _StaleCache(ValueError):
+    """A cache file written under another rank-algorithm version; newer is
+    true when that version is later than RANK_ALGORITHM."""
+
+    def __init__(self, version):
+        super().__init__(f"written by rank algorithm {version}, "
+                         f"this is {RANK_ALGORITHM}")
+        self.newer = type(version) is int and version > RANK_ALGORITHM
+
+
+def _read_cache(path):
+    """The ranks mapping of a cache file; raises OSError, ValueError, or
+    _StaleCache for a file of another rank-algorithm version."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if (not isinstance(doc, dict)
+            or doc.get("schema_version") != SCHEMA_VERSION
+            or not isinstance(doc.get("ranks"), dict)):
+        raise ValueError("unexpected cache layout")
+    version = doc.get("rank_algorithm", 1)  # files before the key: 1
+    if version != RANK_ALGORITHM:
+        raise _StaleCache(version)
+    return doc["ranks"]
+
+
 class _Cache:
-    """Rank cache file: JSON keyed by datum hash, then by multidegree."""
+    """Rank cache file: JSON keyed by datum hash, then by multidegree, with
+    the rank-algorithm version it was written under."""
 
     def __init__(self, path, ranks):
         self.path = path
         self.ranks = ranks
-        self.dirty = False
+        self.written = {}
 
     @classmethod
     def open(cls, path):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if (not isinstance(doc, dict)
-                    or doc.get("schema_version") != SCHEMA_VERSION
-                    or not isinstance(doc.get("ranks"), dict)):
-                raise ValueError("unexpected cache layout")
-            return cls(path, doc["ranks"])
+            return cls(path, _read_cache(path))
         except FileNotFoundError:
+            return cls(path, {})
+        except _StaleCache as exc:
+            print(f"warning: ignoring cache {path}: {exc}; recomputing",
+                  file=sys.stderr)
             return cls(path, {})
         except (OSError, ValueError) as exc:
             print(f"warning: ignoring unreadable cache {path}: {exc}; "
@@ -147,7 +174,8 @@ class _Cache:
     def get(self, datum_key, deg):
         """Cached (size, rank), or None unless the entry is a plausible
         answer for the block: its true size and a rank in 0..size."""
-        entry = self.ranks.get(datum_key, {}).get(_deg_key(deg))
+        blocks = self.ranks.get(datum_key)
+        entry = blocks.get(_deg_key(deg)) if isinstance(blocks, dict) else None
         if (isinstance(entry, list) and len(entry) == 2
                 and all(type(x) is int for x in entry)):
             size, rank = entry
@@ -156,13 +184,31 @@ class _Cache:
         return None
 
     def put(self, datum_key, deg, size, rank):
-        self.ranks.setdefault(datum_key, {})[_deg_key(deg)] = [size, rank]
-        self.dirty = True
+        self.written.setdefault(datum_key, {})[_deg_key(deg)] = [size, rank]
 
     def save(self):
-        if not self.dirty:
+        """Write this process's entries over a fresh read of the file, so
+        entries another process saved since open() are kept. A file written
+        by a newer rank algorithm is left as it is."""
+        if not self.written:
             return
-        doc = {"schema_version": SCHEMA_VERSION, "ranks": self.ranks}
+        try:
+            ranks = _read_cache(self.path)
+        except _StaleCache as exc:
+            if exc.newer:
+                print(f"warning: not saving cache {self.path}: {exc}",
+                      file=sys.stderr)
+                return
+            ranks = {}
+        except (OSError, ValueError):
+            ranks = {}
+        for datum_key, entries in self.written.items():
+            blocks = ranks.get(datum_key)
+            if not isinstance(blocks, dict):
+                blocks = ranks[datum_key] = {}
+            blocks.update(entries)
+        doc = {"rank_algorithm": RANK_ALGORITHM,
+               "schema_version": SCHEMA_VERSION, "ranks": ranks}
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(prefix=".hopfmin-cache-", dir=directory)
         try:

@@ -8,6 +8,9 @@ sequence the growth classifier looks at.
 Classification inspects a trailing window of the totals:
 
 * all zeros there: Finite;
+* falling there (non-increasing, not constant) but not all zero:
+  Inconclusive, since a polynomial fit to a tail on its way down to zero
+  would claim growth the data does not show;
 * some k-th difference sequence settles (constant across the window, or
   equal at stride two inside it, which catches period-two quasi-polynomial
   dimension counts such as graded root-system tables): Polynomial(k) for
@@ -28,8 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .scalars import QQ, QT
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
+    IntegerPoints,
     SymEngine,
     check_block_sizes,
     matrix_rows,
@@ -81,13 +86,25 @@ class DominanceReport:
     dominance: str
 
 
-def _block_entry(datum, deg, engine=None):
-    _, rows = matrix_rows(datum, deg, engine=engine)
-    return BlockDim(tuple(deg), block_size(deg), rank_rows(datum.field, rows))
+def _setup(datum):
+    """The engine a table's blocks share, and for QQ(t) data the
+    IntegerPoints whose seed braiding that engine runs on."""
+    if datum.field != QT:
+        return SymEngine(datum.braiding_matrix), None
+    points = IntegerPoints(datum.braiding_matrix)
+    return SymEngine(points.seed_braiding), points
+
+
+def _block_entry(datum, deg, engine, points):
+    _, rows = matrix_rows(datum, deg, engine=engine,
+                          field=None if points is None else QQ)
+    return BlockDim(tuple(deg), block_size(deg),
+                    rank_rows(datum.field, rows, points=points, deg=deg))
 
 
 def _block_task(args):
-    return _block_entry(*args)
+    datum, deg = args
+    return _block_entry(datum, deg, *_setup(datum))
 
 
 def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
@@ -97,7 +114,8 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
     so oversized inputs fail fast and name the offending multidegree. With
     jobs > 1 blocks are computed in worker processes, at most one per block
     and per CPU; results are collected in input order, so the output does
-    not depend on scheduling.
+    not depend on scheduling. QQ(t) blocks are built and ranked at integer
+    points of t (IntegerPoints), never over RatFunc scalars.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -109,10 +127,10 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
             return tuple(pool.map(
                 _block_task,
                 [(datum, deg) for deg in degs]))
-    engine = SymEngine(datum.braiding_matrix)
+    engine, points = _setup(datum)
     out = []
     for deg in degs:
-        out.append(_block_entry(datum, deg, engine=engine))
+        out.append(_block_entry(datum, deg, engine, points))
         engine.trim()
     return tuple(out)
 
@@ -181,6 +199,12 @@ def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
             "window": window,
             "trailing": list(tail),
             "last_nonzero_degree": last_nonzero,
+        })
+    if tail[0] != tail[-1] and all(a >= b for a, b in zip(tail, tail[1:])):
+        return GrowthVerdict(INCONCLUSIVE, None, {
+            "reason": "trailing window falls but does not reach zero",
+            "window": window,
+            "trailing": list(tail),
         })
     diffs = totals
     for k in range(window):

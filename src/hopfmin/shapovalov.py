@@ -24,12 +24,19 @@ run by each field with its own exact division after scaling every row to
 make it exact: over QQ to Python ints with floor division (exact by
 Sylvester's identity), over QQ(t) to integer polynomials with exact
 polynomial division; cyclotomic rows divide in the field. Row scalings
-leave the rank unchanged and divide out of the determinant. The rank over
-QQ(t) evaluates the integer polynomial rows at one integer point B larger
-than any coefficient a relevant minor can have, so a nonzero minor stays
-nonzero at t = B and the integer rank is the rank over QQ(t). B is sized
-from a certified lower bound on the rank, the integer rank at a small
-point, so one evaluation usually decides.
+leave the rank unchanged and divide out of the determinant.
+
+A rank over QQ(t) is the integer rank at one integer point B above every
+coefficient a relevant minor can have, so that a nonzero minor stays
+nonzero at t = B; B is sized from a certified lower bound on the rank, the
+rank at a small seed point, so one evaluation usually decides. The rows
+come from one of two sources. Tables (growth.compute_blocks) never build
+symbolic blocks: IntegerPoints evaluates the braiding at the seed and at B
+and builds each block there over QQ, with B taken from an a-priori bound
+on the minors of Sh (its entries are integer polynomials in the braiding
+entries). Given symbolic RatFunc rows (rank(mat), rank_rows), the rows are
+cleared to integer polynomials and evaluated, with B taken from their
+heights and degrees. Both share one pass loop, _certified_rank.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import floordiv, truediv
 
 from .scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial, poly_gcd
@@ -151,20 +158,31 @@ class SymEngine:
             self._load = 0
 
 
-def matrix_rows(datum, deg, engine=None):
+def _raw_rows(engine, words):
+    """The Sh matrix on the words as rows of the engine's own scalars."""
+    cols = [engine.sym(w) for w in words]
+    return [[col.get(u, 0) for col in cols] for u in words]
+
+
+def matrix_rows(datum, deg, engine=None, field=None):
     """Words of the block and the Sh matrix as row lists for rank_rows.
 
-    Over QQ the entries are the symmetrizer's own ints and Fractions, which
-    rank_rows clears to integer rows; other fields get field scalars.
+    field is the field the engine computes in, by default the datum's. Over
+    QQ the entries are the symmetrizer's own ints and Fractions, which
+    rank_rows clears to integer rows; other fields get field scalars. A
+    QQ(t) block built at an integer point passes QQ and an engine over the
+    evaluated braiding (IntegerPoints.seed_braiding).
     """
     words = words_of_multidegree(deg)
     if engine is None:
         engine = SymEngine(datum.braiding_matrix)
+    if field is None:
+        field = datum.field
+    if field == QQ:
+        return words, _raw_rows(engine, words)
     cols = [engine.sym(w) for w in words]
-    if datum.field == QQ:
-        return words, [[col.get(u, 0) for col in cols] for u in words]
-    coerce = datum.field.coerce
-    zero = datum.field.zero()
+    coerce = field.coerce
+    zero = field.zero()
     rows = []
     for u in words:
         row = []
@@ -398,27 +416,49 @@ def _evaluate(polys, point):
     return out
 
 
-# Evaluation point of the rank lower bound. Any integer gives a certified
-# bound; a root of the minors only makes it low and costs a second pass.
+def _int_rank(rows):
+    """Rank of an integer matrix, consumed by the elimination."""
+    return _eliminate(rows, floordiv)[0]
+
+
+def _certified_rank(seed, dim, bound, rank_at):
+    """The evaluation certificate's pass loop; returns (rank, passes).
+
+    seed is a certified lower bound on the rank over QQ(t) of a matrix with
+    smaller dimension dim, bound(s) bounds the coefficients of each of its
+    s x s minors (as integer polynomials in t, up to a factor that does not
+    vanish at the points used), and rank_at(x) is the integer rank at t = x.
+    At B = bound(s) + 2 every nonzero minor of size at most s stays nonzero
+    (no integer root exceeds 1 + the height), while evaluation never raises
+    rank. So a rank r < s at B is the rank over QQ(t), and r >= s grows s to
+    r + 1 for another pass. A seed equal to dim needs no pass.
+    """
+    if seed == dim:
+        return seed, 0
+    s = seed + 1
+    passes = 0
+    while True:
+        r = rank_at(bound(s) + 2)
+        passes += 1
+        if r == dim or r < s:
+            return r, passes
+        s = min(r + 1, dim)
+
+
+# Seed point of symbolic rows. Any integer gives a certified lower bound; a
+# root of the minors only makes it low and costs a second pass.
 _SEED_POINT = 2
 
 
 def _rank_qt_certified(rows):
-    """Exact rank over QQ(t) by integer evaluation with a height certificate;
-    returns (rank, number of certificate passes).
+    """Exact rank over QQ(t) of symbolic RatFunc rows by integer evaluation
+    with a height certificate; returns (rank, number of certificate passes).
 
     After clearing each row to integer polynomials, let H bound the
-    coefficients and D the degrees. An s x s minor of the matrix is a
-    polynomial of height at most s! * H**s * (D+1)**(s-1); evaluating at an
-    integer B exceeding that bound plus one sends every nonzero minor to a
-    nonzero integer. The integer rank then both lower-bounds the rank over
-    QQ(t) (evaluation never raises rank) and upper-bounds it (all minors one
-    size larger vanish identically).
-
-    s starts at one more than the integer rank at _SEED_POINT, a certified
-    lower bound, so a single pass decides unless the seed point is a root of
-    every minor of full rank; a pass reporting rank r >= s grows s to r + 1.
-    A seed rank equal to the smaller matrix dimension is already the rank.
+    coefficients and D the degrees. An s x s minor is then a polynomial of
+    height at most s! * H**s * (D+1)**(s-1), the bound _certified_rank
+    evaluates above. Its seed is the integer rank at _SEED_POINT, so one pass
+    decides unless the seed point is a root of every minor of full rank.
     """
     polys = [_row_to_int_polys(row) for row in rows]
     height = 0
@@ -432,33 +472,103 @@ def _rank_qt_certified(rows):
                     height = h
     if height == 0:
         return 0, 0
-    dim = min(len(polys), len(polys[0]))
-    seed, _, _ = _eliminate(_evaluate(polys, _SEED_POINT), floordiv)
-    if seed == dim:
-        return seed, 0
-    s = seed + 1
-    passes = 0
-    while True:
-        bound = factorial(s) * height ** s * (degree + 1) ** (s - 1)
-        r, _, _ = _eliminate(_evaluate(polys, bound + 2), floordiv)
-        passes += 1
-        if r == dim or r + 1 <= s:
-            return r, passes
-        s = min(r + 1, dim)
+    return _certified_rank(
+        _int_rank(_evaluate(polys, _SEED_POINT)),
+        min(len(polys), len(polys[0])),
+        lambda s: factorial(s) * height ** s * (degree + 1) ** (s - 1),
+        lambda x: _int_rank(_evaluate(polys, x)))
 
 
-def rank_rows(field, rows):
+def _norm1(poly):
+    return sum(abs(c) for c in poly.coeffs)
+
+
+class IntegerPoints:
+    """A QQ(t) braiding read at integer values of t, where its Sh blocks are
+    QQ matrices with the same rank as long as the point is chosen well.
+
+    Every entry of Sh is an integer polynomial in the braiding entries, so
+    evaluating t commutes with Sh wherever no braiding denominator vanishes.
+    Let Q be the lcm of the braiding denominators, P_ij = b_ij * Q and c the
+    largest coefficient 1-norm among Q and the P_ij. On a block of
+    multidegree d and total n, with K = n(n-1)/2, each entry of Q**K * Sh
+    sums prod(d_i!) braided lifts of at most K braiding factors, so it is an
+    integer polynomial of 1-norm at most N = prod(d_i!) * c**K, and an
+    s x s minor one of 1-norm at most s! * N**s (minor_bound). For n >= 2,
+    Q has 1-norm at most c <= N, so it does not vanish at minor_bound + 2
+    either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
+
+    The seed is the least integer x >= 2 with Q(x) != 0; the table's blocks
+    are built there by one engine over seed_braiding, and their ranks are
+    certified lower bounds.
+    """
+
+    def __init__(self, braiding):
+        self.braiding = braiding
+        den = _den_lcm([b for row in braiding for b in row])
+        self.norm = max([_norm1(den)] + [
+            _norm1(b.num * den.exact_div(b.den)) for row in braiding for b in row])
+        seed = 2
+        while not den.eval_at(seed):
+            seed += 1
+        self.seed = seed
+        self.seed_braiding = self.braiding_at(seed)
+
+    def braiding_at(self, x):
+        """The braiding at t = x as Fractions."""
+        return tuple(tuple(Fraction(b.num.eval_at(x), b.den.eval_at(x))
+                           for b in row) for row in self.braiding)
+
+    def minor_bound(self, deg, s):
+        n = sum(deg)
+        block_norm = prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
+        return factorial(s) * block_norm ** s
+
+    def rows_at(self, deg, x):
+        """The block of multidegree deg at t = x, by a fresh engine."""
+        return _raw_rows(SymEngine(self.braiding_at(x)),
+                         words_of_multidegree(deg))
+
+    @staticmethod
+    def rank_at_point(rows):
+        """Rank of a block's rows of ints and Fractions at one point: each
+        row is cleared by _int_row and divided by the gcd of its entries,
+        which keeps the Bareiss pivots small at a large point."""
+        cleared = []
+        for row in rows:
+            row = _int_row(row)[0]
+            g = gcd(*row)
+            cleared.append(row if g < 2 else [x // g for x in row])
+        return _int_rank(cleared)
+
+    def rank(self, deg, seed_rows):
+        """Rank over QQ(t) of block deg from its rows at the seed point;
+        returns (rank, certificate passes)."""
+        return _certified_rank(
+            self.rank_at_point(seed_rows),
+            min(len(seed_rows), len(seed_rows[0])),
+            lambda s: self.minor_bound(deg, s),
+            lambda x: self.rank_at_point(self.rows_at(deg, x)))
+
+
+def rank_rows(field, rows, points=None, deg=None):
     """Exact rank of a block given as lists of field scalars (over QQ, ints
     and Fractions).
 
-    Over QQ(t) rows are cleared to integer polynomials and ranked by the
-    evaluation certificate of _rank_qt_certified, which starts from a
-    certified lower bound on the rank. Other fields clear and eliminate
-    their rows by their _clearing rule: integer Bareiss over QQ, Bareiss on
-    the scalars over a cyclotomic field.
+    Over QQ(t) rows come from one of two sources. Given points (the
+    IntegerPoints of the datum's braiding) and the block's multidegree deg,
+    rows are the block's QQ rows at points.seed, whose rank is a certified
+    lower bound; the block is rebuilt at a point above the a-priori minor
+    bound until the rank is certified (IntegerPoints.rank). Otherwise rows
+    hold RatFunc scalars, cleared to integer polynomials and ranked by the
+    evaluation certificate of _rank_qt_certified. Other fields clear and
+    eliminate their rows by their _clearing rule: integer Bareiss over QQ,
+    Bareiss on the scalars over a cyclotomic field.
     """
     if not rows:
         return 0
+    if points is not None:
+        return points.rank(deg, rows)[0]
     if field == QT:
         return _rank_qt_certified(rows)[0]
     clear, div = _clearing(field)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hopfmin.cli import main
+from hopfmin.cli import RANK_ALGORITHM, _Cache, main
 
 
 def run(capsys, *argv):
@@ -191,6 +191,88 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
                          "--max-total", "3", "--format", "json")
     assert code == 0
     assert cache.exists()
+
+
+@pytest.mark.parametrize("version", [None, 1])
+def test_cache_of_another_rank_algorithm_is_recomputed(tmp_path, capsys,
+                                                       version):
+    cache = tmp_path / "cache.json"
+    args = ("analyze", "--preset", "cartan:A2", "--max-total", "3",
+            "--format", "json", "--cache", str(cache))
+    code, cold, err = run(capsys, *args)
+    assert code == 0
+    doc = json.loads(cache.read_text())
+    assert doc["rank_algorithm"] == RANK_ALGORITHM
+    # an entry that passes the range check, under an older version
+    next(iter(doc["ranks"].values()))["1,2"] = [3, 3]
+    if version is None:
+        del doc["rank_algorithm"]  # files from before the version key
+    else:
+        doc["rank_algorithm"] = version
+    cache.write_text(json.dumps(doc))
+    code, warm, err = run(capsys, *args)
+    assert code == 0
+    assert "ignoring cache" in err and "rank algorithm 1" in err
+    a, b = json.loads(cold), json.loads(warm)
+    assert b["timings"]["cache_misses"] == len(b["blocks"])
+    assert a["blocks"] == b["blocks"]
+    doc = json.loads(cache.read_text())
+    assert doc["rank_algorithm"] == RANK_ALGORITHM
+    assert next(iter(doc["ranks"].values()))["1,2"] == [3, 2]
+
+
+def test_cache_of_a_newer_rank_algorithm_is_left_alone(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    args = ("analyze", "--preset", "cartan:A2", "--max-total", "3",
+            "--format", "json", "--cache", str(cache))
+    code, cold, err = run(capsys, *args)
+    doc = json.loads(cache.read_text())
+    next(iter(doc["ranks"].values()))["1,2"] = [3, 3]
+    doc["rank_algorithm"] = RANK_ALGORITHM + 1
+    newer = json.dumps(doc)
+    cache.write_text(newer)
+    code, warm, err = run(capsys, *args)
+    assert code == 0
+    assert "ignoring cache" in err and "not saving cache" in err
+    b = json.loads(warm)
+    assert b["timings"]["cache_misses"] == len(b["blocks"])
+    assert json.loads(cold)["blocks"] == b["blocks"]
+    assert cache.read_text() == newer
+
+
+def test_cache_with_malformed_datum_entry_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    args = ("analyze", "--preset", "cartan:A1", "--max-total", "2",
+            "--format", "json", "--cache", str(cache))
+    code, cold, err = run(capsys, *args)
+    doc = json.loads(cache.read_text())
+    datum_key = next(iter(doc["ranks"]))
+    doc["ranks"][datum_key] = [1, 1]  # a list where blocks should be keyed
+    cache.write_text(json.dumps(doc))
+    code, warm, err = run(capsys, *args)
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(warm)["timings"]["cache_misses"] == 3
+    ranks = json.loads(cache.read_text())["ranks"][datum_key]
+    assert ranks == {"0": [1, 1], "1": [1, 1], "2": [1, 1]}
+
+
+def test_cache_save_merges_entries_of_other_writers(tmp_path):
+    path = str(tmp_path / "cache.json")
+    first, second = _Cache.open(path), _Cache.open(path)
+    first.put("datum-a", (1, 0), 1, 1)
+    second.put("datum-a", (0, 1), 1, 1)
+    second.put("datum-b", (0,), 1, 1)
+    first.save()
+    second.save()
+    ranks = json.loads((tmp_path / "cache.json").read_text())["ranks"]
+    assert ranks == {"datum-a": {"1,0": [1, 1], "0,1": [1, 1]},
+                     "datum-b": {"0": [1, 1]}}
+    # a writer's own entries win over what the file holds for the same block
+    third = _Cache.open(path)
+    third.put("datum-a", (1, 0), 1, 0)
+    third.save()
+    ranks = json.loads((tmp_path / "cache.json").read_text())["ranks"]
+    assert ranks["datum-a"] == {"1,0": [1, 0], "0,1": [1, 1]}
 
 
 def test_det_json(capsys):

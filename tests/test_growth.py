@@ -180,3 +180,22 @@ def test_dominance_verdict_end_to_end():
     assert report.verdict.kind == POLYNOMIAL
     assert report.verdict.degree == 1
     assert report.dominance.startswith("dominant")
+
+
+@pytest.mark.parametrize("totals", [
+    (1, 2, 3, 4, 5, 6, 7, 6, 5),
+    # A2 at a primitive cube root of unity, truncated at degree 10: the
+    # table is finite, but its window has not reached zero yet
+    (1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0),
+])
+def test_growth_falling_tail_is_not_polynomial(totals):
+    v = growth_classify(totals)
+    assert v.kind == INCONCLUSIVE
+    assert v.evidence["trailing"] == list(totals[-3:])
+    assert dominance_label(v, len(totals) - 1).startswith("undetermined")
+
+
+def test_growth_constant_and_rising_tails_still_settle():
+    assert growth_classify((3, 2, 1, 1, 1, 1, 1)).kind == POLYNOMIAL
+    v = growth_classify((9, 1, 2, 3, 4, 5, 6))
+    assert (v.kind, v.degree) == (POLYNOMIAL, 1)

@@ -1,0 +1,105 @@
+"""QQ(t) blocks ranked at integer points of t: agreement with symbolic
+elimination, the seed point, extra certificate passes, and the guarantee
+that tables over QQ(t) never run the symmetrizer on RatFunc scalars."""
+
+import pytest
+
+from hopfmin import cli, growth, shapovalov
+from hopfmin.datum import datum_from_q_matrix, preset_cartan, preset_doubled
+from hopfmin.growth import hilbert_table
+from hopfmin.scalars import QQ, QT, RatFunc
+from hopfmin.shapovalov import (
+    IntegerPoints,
+    SymEngine,
+    matrix_rows,
+    rank_symbolic,
+    symmetrizer,
+)
+
+
+def _qt_datum(q):
+    return datum_from_q_matrix(
+        tuple(tuple(QT.parse(x) for x in row) for row in q), QT)
+
+
+def _assert_table_matches_symbolic(datum, max_total):
+    table = hilbert_table(datum, max_total)
+    for b in table.blocks:
+        assert b.rank == rank_symbolic(symmetrizer(datum, b.deg)), b.deg
+
+
+def _seed_rows(points, datum, deg):
+    _, rows = matrix_rows(datum, deg, engine=SymEngine(points.seed_braiding),
+                          field=QQ)
+    return rows
+
+
+@pytest.mark.parametrize("preset, name, max_total", [
+    (preset_cartan, "A2", 5),
+    (preset_cartan, "B2", 5),
+    (preset_cartan, "G2", 5),
+    (preset_doubled, "A2", 4),
+])
+def test_presets_match_symbolic_rank(preset, name, max_total):
+    _assert_table_matches_symbolic(preset(name), max_total)
+
+
+def test_pole_and_zero_at_two_move_the_seed():
+    d = _qt_datum((("t", "1/(t-2)"), ("t-2", "t^2")))
+    points = IntegerPoints(d.braiding_matrix)
+    assert points.seed == 3
+    _assert_table_matches_symbolic(d, 5)
+
+
+def test_seed_rank_drop_takes_an_extra_pass():
+    # q_11 = 1 - t is -1 at the seed point 2, where [2]_q = 1 + q_11 and with
+    # it the rank of block (2, 1) vanish; the first certificate point then
+    # only certifies rank 1 as a lower bound, and a second pass confirms it
+    d = _qt_datum((("1-t", "t"), ("t^-1", "t")))
+    points = IntegerPoints(d.braiding_matrix)
+    assert points.seed == 2
+    rows = _seed_rows(points, d, (2, 1))
+    assert IntegerPoints.rank_at_point(rows) == 0
+    assert points.rank((2, 1), rows) == (1, 2)
+    _assert_table_matches_symbolic(d, 5)
+
+
+def test_full_seed_rank_needs_no_pass():
+    d = preset_cartan("A2")
+    points = IntegerPoints(d.braiding_matrix)
+    assert points.rank((1, 1), _seed_rows(points, d, (1, 1))) == (2, 0)
+
+
+def test_minor_bound_from_norms():
+    # A2: Q = t and every P_ij is a monomial, so c = 1 and N = prod d_i!
+    points = IntegerPoints(preset_cartan("A2").braiding_matrix)
+    assert points.norm == 1
+    assert points.minor_bound((2, 2), 3) == 6 * 4 ** 3
+    # Q = (t - 2) t, P_11 = (1 - t)(t - 2) t has 1-norm 2 + 3 + 1 = 6
+    d = _qt_datum((("1-t", "1/(t-2)"), ("t^-1", "t")))
+    points = IntegerPoints(d.braiding_matrix)
+    assert points.norm == 6
+    assert points.minor_bound((1, 1), 2) == 2 * 6 ** 2
+
+
+class _RationalOnlyEngine(SymEngine):
+    built = 0
+
+    def __init__(self, braiding):
+        assert not any(isinstance(x, RatFunc) for row in braiding for x in row)
+        type(self).built += 1
+        super().__init__(braiding)
+
+
+def test_tables_never_build_ratfunc_engines(monkeypatch, capsys):
+    monkeypatch.setattr(growth, "SymEngine", _RationalOnlyEngine)
+    monkeypatch.setattr(shapovalov, "SymEngine", _RationalOnlyEngine)
+    _RationalOnlyEngine.built = 0
+    table = hilbert_table(_qt_datum((("1-t", "t"), ("t^-1", "t"))), 4)
+    assert table.totals() == (1, 2, 3, 4, 5)
+    code = cli.main(["analyze", "--preset", "cartan:A2", "--max-total", "5",
+                     "--format", "csv"])
+    assert code == 0
+    assert _RationalOnlyEngine.built > 2  # seed engines and certificate points
+    with pytest.raises(AssertionError):
+        symmetrizer(preset_cartan("A2"), (1, 1))  # the symbolic route does

@@ -12,15 +12,17 @@ Classification inspects a trailing window of the totals:
   Inconclusive, since a polynomial fit to a tail on its way down to zero
   would claim growth the data does not show;
 * some k-th difference sequence settles (constant across the window, or
-  equal at stride two inside it, which catches period-two quasi-polynomial
-  dimension counts such as graded root-system tables): Polynomial(k) for
-  the least such k < window;
+  equal at stride two across the window and one term before it, which
+  catches period-two quasi-polynomial dimension counts such as graded
+  root-system tables): Polynomial(k) for the least such k < window;
 * consecutive ratios all at least the threshold: ExponentialSuspected;
 * anything else, or a history shorter than twice the window: Inconclusive.
 
 The stride-two clause is deliberate: totals of a free-to-shuffle table over
 a rank-two root system oscillate in their second differences forever, and a
-literal constancy test would never settle.
+literal constancy test would never settle. It takes two stride-two
+equalities at the default window, since one is met by chance, as by the
+cubic totals of B2 to degree 7.
 """
 
 from __future__ import annotations
@@ -86,25 +88,25 @@ class DominanceReport:
     dominance: str
 
 
-def _setup(datum):
-    """The engine a table's blocks share, and for QQ(t) data the
-    IntegerPoints whose seed braiding that engine runs on."""
-    if datum.field != QT:
-        return SymEngine(datum.braiding_matrix), None
-    points = IntegerPoints(datum.braiding_matrix)
-    return SymEngine(points.seed_braiding), points
+def _blocks(args):
+    """BlockDim for each multidegree of (datum, degs), in order.
 
-
-def _block_entry(datum, deg, engine, points):
-    _, rows = matrix_rows(datum, deg, engine=engine,
-                          field=None if points is None else QQ)
-    return BlockDim(tuple(deg), block_size(deg),
-                    rank_rows(datum.field, rows, points=points, deg=deg))
-
-
-def _block_task(args):
-    datum, deg = args
-    return _block_entry(datum, deg, *_setup(datum))
+    The one block loop: the serial path and every pool worker run it. One
+    engine serves all the blocks, over IntegerPoints.seed_braiding for QQ(t)
+    data, and is trimmed between blocks.
+    """
+    datum, degs = args
+    points = IntegerPoints(datum.braiding_matrix) if datum.field == QT else None
+    engine = SymEngine(datum.braiding_matrix if points is None
+                       else points.seed_braiding)
+    field = None if points is None else QQ
+    out = []
+    for deg in degs:
+        _, rows = matrix_rows(datum, deg, engine=engine, field=field)
+        out.append(BlockDim(deg, block_size(deg), rank_rows(
+            datum.field, rows, points=points, deg=deg)))
+        engine.trim()
+    return out
 
 
 def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
@@ -112,26 +114,25 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
 
     The size guard runs over all requested blocks before any work starts,
     so oversized inputs fail fast and name the offending multidegree. With
-    jobs > 1 blocks are computed in worker processes, at most one per block
-    and per CPU; results are collected in input order, so the output does
-    not depend on scheduling. QQ(t) blocks are built and ranked at integer
-    points of t (IntegerPoints), never over RatFunc scalars.
+    one worker the blocks run in this process. With jobs > 1 they run in
+    worker processes, at most one per block and per CPU: worker i runs the
+    same block loop, with its own engine, on the interleaved share
+    degs[i::workers], and its results go back to those places, so the
+    output does not depend on scheduling. QQ(t) blocks are built and ranked
+    at integer points of t (IntegerPoints), never over RatFunc scalars.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
     degs = [tuple(d) for d in degs]
     check_block_sizes(degs, block_limit)
     workers = min(jobs, len(degs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(
-                _block_task,
-                [(datum, deg) for deg in degs]))
-    engine, points = _setup(datum)
-    out = []
-    for deg in degs:
-        out.append(_block_entry(datum, deg, engine, points))
-        engine.trim()
+    if workers < 2:
+        return tuple(_blocks((datum, degs)))
+    out = [None] * len(degs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        shares = [(datum, degs[i::workers]) for i in range(workers)]
+        for i, part in enumerate(pool.map(_blocks, shares)):
+            out[i::workers] = part
     return tuple(out)
 
 
@@ -171,12 +172,15 @@ def _differences(seq):
     return tuple(b - a for a, b in zip(seq, seq[1:]))
 
 
-def _settled(tail):
-    """A difference tail counts as settled when constant, or when equal at
-    stride two (period-two oscillation)."""
+def _settled(diffs, window):
+    """How a difference sequence settles: "constant" when its last window
+    terms are equal, "alternating" when its last window + 1 terms are equal
+    at stride two (period-two oscillation), else None."""
+    tail = diffs[-window:]
     if all(x == tail[0] for x in tail):
         return "constant"
-    if len(tail) >= 3 and all(tail[i] == tail[i - 2] for i in range(2, len(tail))):
+    wide = diffs[-window - 1:]
+    if all(wide[i] == wide[i - 2] for i in range(2, len(wide))):
         return "alternating"
     return None
 
@@ -208,13 +212,12 @@ def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
         })
     diffs = totals
     for k in range(window):
-        dtail = diffs[-window:]
-        mode = _settled(dtail)
+        mode = _settled(diffs, window)
         if mode is not None:
             return GrowthVerdict(POLYNOMIAL, k, {
                 "window": window,
                 "differences_order": k,
-                "differences_tail": list(dtail),
+                "differences_tail": list(diffs[-window:]),
                 "mode": mode,
             })
         diffs = _differences(diffs)

@@ -21,10 +21,12 @@ alongside as an independent oracle and the two are compared in the tests.
 
 Ranks and determinants come from one fraction-free Bareiss elimination,
 run by each field with its own exact division after scaling every row to
-make it exact: over QQ to Python ints with floor division (exact by
+make it exact: over QQ to coprime Python ints with floor division (exact by
 Sylvester's identity), over QQ(t) to integer polynomials with exact
 polynomial division; cyclotomic rows divide in the field. Row scalings
-leave the rank unchanged and divide out of the determinant.
+leave the rank unchanged and divide out of the determinant. The QQ rule,
+_int_row, is the one integer-row rule: every integer rank, including each
+evaluation below, is rank_rows over QQ.
 
 A rank over QQ(t) is the integer rank at one integer point B above every
 coefficient a relevant minor can have, so that a nonzero minor stays
@@ -47,12 +49,13 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import floordiv, truediv
 
-from .scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial, poly_gcd
+from .scalars import QQ, QT, _P_ONE, RatFunc, cyclotomic_polynomial, poly_gcd
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
 
-_P_ONE = Poly((1,))
+# SymEngine.trim drops the memo once it holds more coefficients than this
+_MEMO_COEFF_LIMIT = 400_000
 
 
 class BlockSizeError(RuntimeError):
@@ -150,10 +153,10 @@ class SymEngine:
         self._load += len(out)
         return out
 
-    def trim(self, coeff_limit=400_000):
+    def trim(self):
         """Drop the memo when it holds too many coefficients; called between
         blocks so in-flight recursions never lose entries they rely on."""
-        if self._load > coeff_limit:
+        if self._load > _MEMO_COEFF_LIMIT:
             self.memo = {(): {(): 1}}
             self._load = 0
 
@@ -352,13 +355,18 @@ def _div_qt(v, p):
 
 
 def _int_row(row):
-    """A row of ints and Fractions times the lcm of its denominators;
-    returns the integer row and that multiplier."""
-    dens = [x.denominator for x in row if type(x) is not int]
-    if not dens:
-        return list(row), 1
-    den = lcm(*dens)
-    return [x.numerator * (den // x.denominator) for x in row], den
+    """A row of ints and Fractions as coprime ints (times the lcm den of its
+    denominators, over the gcd g of the result, which keeps Bareiss pivots
+    small); returns them and the multiplier Fraction(den, g)."""
+    den = 1
+    try:
+        g = gcd(*row)  # ints only: any Fraction, even an integral one, raises
+    except TypeError:
+        den = lcm(*[x.denominator for x in row if type(x) is not int])
+        row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
+    g = g or 1
+    return [x // g for x in row] if g > 1 else list(row), Fraction(den, g)
 
 
 def _den_lcm(row):
@@ -416,11 +424,6 @@ def _evaluate(polys, point):
     return out
 
 
-def _int_rank(rows):
-    """Rank of an integer matrix, consumed by the elimination."""
-    return _eliminate(rows, floordiv)[0]
-
-
 def _certified_rank(seed, dim, bound, rank_at):
     """The evaluation certificate's pass loop; returns (rank, passes).
 
@@ -473,10 +476,10 @@ def _rank_qt_certified(rows):
     if height == 0:
         return 0, 0
     return _certified_rank(
-        _int_rank(_evaluate(polys, _SEED_POINT)),
+        rank_rows(QQ, _evaluate(polys, _SEED_POINT)),
         min(len(polys), len(polys[0])),
         lambda s: factorial(s) * height ** s * (degree + 1) ** (s - 1),
-        lambda x: _int_rank(_evaluate(polys, x)))
+        lambda x: rank_rows(QQ, _evaluate(polys, x)))
 
 
 def _norm1(poly):
@@ -499,8 +502,10 @@ class IntegerPoints:
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
     The seed is the least integer x >= 2 with Q(x) != 0; the table's blocks
-    are built there by one engine over seed_braiding, and their ranks are
-    certified lower bounds.
+    are built there by one engine over seed_braiding (one per pool worker),
+    and their ranks are certified lower bounds. rank certifies a block by
+    rebuilding it at points above minor_bound with a fresh engine; every
+    rank, at the seed and at those points, is rank_rows over QQ.
     """
 
     def __init__(self, braiding):
@@ -529,26 +534,14 @@ class IntegerPoints:
         return _raw_rows(SymEngine(self.braiding_at(x)),
                          words_of_multidegree(deg))
 
-    @staticmethod
-    def rank_at_point(rows):
-        """Rank of a block's rows of ints and Fractions at one point: each
-        row is cleared by _int_row and divided by the gcd of its entries,
-        which keeps the Bareiss pivots small at a large point."""
-        cleared = []
-        for row in rows:
-            row = _int_row(row)[0]
-            g = gcd(*row)
-            cleared.append(row if g < 2 else [x // g for x in row])
-        return _int_rank(cleared)
-
     def rank(self, deg, seed_rows):
         """Rank over QQ(t) of block deg from its rows at the seed point;
         returns (rank, certificate passes)."""
         return _certified_rank(
-            self.rank_at_point(seed_rows),
+            rank_rows(QQ, seed_rows),
             min(len(seed_rows), len(seed_rows[0])),
             lambda s: self.minor_bound(deg, s),
-            lambda x: self.rank_at_point(self.rows_at(deg, x)))
+            lambda x: rank_rows(QQ, self.rows_at(deg, x)))
 
 
 def rank_rows(field, rows, points=None, deg=None):
@@ -584,12 +577,14 @@ def rank_symbolic(mat):
     """Rank by symbolic fraction-free elimination, for any field.
 
     Slower than rank() over QQ and QQ(t); kept as the independent second
-    route and used by the tests to cross-check the integer paths.
+    route and used by the tests to cross-check the integer paths. QQ(t)
+    rows are scaled to denominator 1 by _qt_row first, so each Bareiss
+    division is an exact polynomial division; a row scaling keeps the rank
+    and shares nothing with the evaluation routes.
     """
-    div = _div_qt if mat.field == QT else _div_generic
-    work = [list(r) for r in mat.entries]
-    r, _, _ = _eliminate(work, div)
-    return r
+    clear, div = ((_qt_row, _div_qt) if mat.field == QT
+                  else (_field_row, _div_generic))
+    return _eliminate([clear(r)[0] for r in mat.entries], div)[0]
 
 
 def gram_determinant(datum, deg, factor_bound=24,

@@ -105,6 +105,46 @@ def test_compute_blocks_pool_is_bounded(monkeypatch, cpus, jobs, blocks,
     assert got == compute_blocks(d, degs, jobs=1)
 
 
+def test_compute_blocks_builds_one_engine_per_worker(monkeypatch):
+    from hopfmin import growth
+
+    class CountingEngine(growth.SymEngine):
+        built = 0
+
+        def __init__(self, braiding):
+            type(self).built += 1
+            super().__init__(braiding)
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(growth, "SymEngine", CountingEngine)
+    _InlinePool.created.clear()
+    d = preset_cartan("A2")
+    degs = multidegrees_up_to(2, 4)
+    got = compute_blocks(d, degs, jobs=2)
+    assert _InlinePool.created == [2]
+    # one table engine per worker; certificate points build their own
+    # engines inside shapovalov, which this count leaves out
+    assert CountingEngine.built == 2
+    assert [b.deg for b in got] == [tuple(g) for g in degs]
+
+
+def test_compute_blocks_pool_keeps_input_order(monkeypatch):
+    from hopfmin import growth
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
+    _InlinePool.created.clear()
+    d = preset_cartan("A2")
+    # gaps, as left by cache hits, and one degree out of total order
+    degs = [deg for i, deg in enumerate(multidegrees_up_to(2, 5)) if i % 3]
+    degs.append((1, 0))
+    got = compute_blocks(d, degs, jobs=3)
+    assert _InlinePool.created == [3]
+    assert [b.deg for b in got] == degs
+    assert got == compute_blocks(d, degs, jobs=1)
+
+
 def test_compute_blocks_rejects_nonpositive_jobs():
     d = preset_cartan("A1")
     for jobs in (0, -3):
@@ -140,6 +180,21 @@ def test_growth_polynomial_period_two():
     v = growth_classify((1, 2, 2, 3, 3, 4, 4))
     assert (v.kind, v.degree) == (POLYNOMIAL, 1)
     assert v.evidence["mode"] == "alternating"
+    assert v.evidence["differences_tail"] == [0, 1, 0]
+    v = growth_classify((1, 2, 4, 6, 9, 12, 16, 20, 25))  # A2 to degree 8
+    assert (v.kind, v.degree) == (POLYNOMIAL, 2)
+    assert v.evidence["mode"] == "alternating"
+    assert v.evidence["differences_tail"] == [1, 0, 1]
+
+
+def test_growth_one_stride_two_equality_is_not_enough():
+    # second differences 0, 0, 2, 0 end in 0, 2, 0, equal at stride two
+    # once; two equalities are needed
+    assert growth_classify((5, 4, 3, 2, 1, 2, 3)).kind != POLYNOMIAL
+    # cartan:B2 to degree 7: the totals grow cubically, and their second
+    # differences 1, 1, 2, 1 end in a lone stride-two equality
+    v = growth_classify((1, 2, 4, 7, 11, 16, 23, 31))
+    assert v.kind == INCONCLUSIVE
 
 
 def test_growth_exponential_suspected():

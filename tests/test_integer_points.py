@@ -12,6 +12,7 @@ from hopfmin.shapovalov import (
     IntegerPoints,
     SymEngine,
     matrix_rows,
+    rank_rows,
     rank_symbolic,
     symmetrizer,
 )
@@ -59,7 +60,7 @@ def test_seed_rank_drop_takes_an_extra_pass():
     points = IntegerPoints(d.braiding_matrix)
     assert points.seed == 2
     rows = _seed_rows(points, d, (2, 1))
-    assert IntegerPoints.rank_at_point(rows) == 0
+    assert rank_rows(QQ, rows) == 0
     assert points.rank((2, 1), rows) == (1, 2)
     _assert_table_matches_symbolic(d, 5)
 

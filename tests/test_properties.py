@@ -1,12 +1,21 @@
-"""Property tests: small random QQ(t) braidings, ranked at integer points,
-against symbolic elimination."""
+"""Property tests against symbolic elimination: small random QQ(t)
+braidings ranked at integer points, and QQ rows ranked as integer rows."""
+
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hopfmin.datum import datum_from_q_matrix
 from hopfmin.growth import hilbert_table
-from hopfmin.scalars import QT
-from hopfmin.shapovalov import rank_symbolic, symmetrizer
+from hopfmin.scalars import QQ, QT
+from hopfmin.shapovalov import (
+    SymMatrix,
+    _int_row,
+    rank_rows,
+    rank_symbolic,
+    symmetrizer,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -34,3 +43,42 @@ def test_integer_points_match_symbolic_rank(case):
         tuple(tuple(QT.parse(x) for x in row) for row in q), QT)
     for b in hilbert_table(datum, max_total).blocks:
         assert b.rank == rank_symbolic(symmetrizer(datum, b.deg)), b.deg
+
+
+# raw symmetrizer rows mix ints with Fractions, integral ones among them
+_FRACTIONS = st.one_of(st.integers(-6, 6),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _fraction_rows(draw):
+    """Small matrices of ints and Fractions, with rows scaled by a common
+    factor, zero rows, and rows that repeat a multiple of another."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("plain", "scaled", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([draw(st.sampled_from((0, Fraction(0))))] * ncols)
+        elif kind == "repeat" and rows:
+            k = draw(_FRACTIONS)
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            row = draw(st.lists(_FRACTIONS, min_size=ncols, max_size=ncols))
+            if kind == "scaled":
+                k = draw(st.integers(2, 12))
+                row = [k * x for x in row]
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fraction_rows())
+def test_qq_integer_rows_match_fraction_elimination(rows):
+    for row in rows:
+        ints, mult = _int_row(row)
+        assert all(type(x) is int for x in ints)
+        assert gcd(*ints) in (0, 1)
+        assert ints == [x * mult for x in row]
+    mat = SymMatrix((), (), tuple(tuple(map(Fraction, r)) for r in rows), QQ)
+    assert rank_rows(QQ, rows) == rank_symbolic(mat)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import random
@@ -422,6 +423,16 @@ def cmd_selftest(args):
     checks.append(("negative control flags a corrupted braiding",
                    [(None if mismatch else "corrupted braiding went undetected",
                      count)]))
+    multilinear = [
+        (datum_from_q_matrix(draw(rng, m), QQ), deg)
+        for draw in (oracles.random_q, oracles.planted_q) for m in (2, 3, 4)
+        for deg in itertools.product((0, 1), repeat=m)]
+    multilinear += [(preset_cartan(name), (1, 1)) for name in ("A2", "B2", "G2")]
+    multilinear += [(preset_doubled(name), deg) for name in ("A2", "B2")
+                    for deg in ((1, 1, 1, 1), (1, 0, 1, 1))]
+    multilinear.append((specialize_datum(preset_doubled("A2"), 3), (1, 1, 1, 1)))
+    checks.append(("closed-form multilinear determinants match elimination",
+                   [oracles.multilinear_det_matches_elimination(multilinear)]))
     failed = False
     for name, results in checks:
         detail = next((d for d, _ in results if d is not None), None)
@@ -482,7 +493,7 @@ def _build_parser():
     _add_datum_options(p)
     p.add_argument("--max-total", type=_int_at_least(0), default=6,
                    help="largest total degree to table (default 6)")
-    p.add_argument("--window", type=_int_at_least(1), default=3,
+    p.add_argument("--window", type=_int_at_least(2), default=3,
                    help="trailing window for the growth verdict (default 3)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")

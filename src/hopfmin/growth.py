@@ -15,7 +15,8 @@ Classification inspects a trailing window of the totals:
   equal at stride two across the window and one term before it, which
   catches period-two quasi-polynomial dimension counts such as graded
   root-system tables): Polynomial(k) for the least such k < window;
-* consecutive ratios all at least the threshold: ExponentialSuspected;
+* the window's ratios (each total over the one before, over the last
+  window + 1 totals) all at least the threshold: ExponentialSuspected;
 * anything else, or a history shorter than twice the window: Inconclusive.
 
 The stride-two clause is deliberate: totals of a free-to-shuffle table over
@@ -188,8 +189,8 @@ def _settled(diffs, window):
 def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
     """Growth verdict for a totals sequence indexed from degree 0."""
     totals = tuple(int(x) for x in totals)
-    if window < 1:
-        raise ValueError("window must be positive")
+    if window < 2:
+        raise ValueError("window must be at least 2")
     top = len(totals) - 1
     if top < 2 * window:
         return GrowthVerdict(INCONCLUSIVE, None, {
@@ -221,9 +222,9 @@ def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
                 "mode": mode,
             })
         diffs = _differences(diffs)
-    if all(totals[i] for i in range(len(totals) - window, len(totals))):
+    if all(totals[-window - 1:]):
         ratios = [Fraction(totals[i + 1], totals[i])
-                  for i in range(len(totals) - window, len(totals) - 1)]
+                  for i in range(len(totals) - window - 1, len(totals) - 1)]
         if all(r >= ratio for r in ratios):
             return GrowthVerdict(EXPONENTIAL_SUSPECTED, None, {
                 "window": window,

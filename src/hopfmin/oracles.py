@@ -7,11 +7,18 @@ else it names the first mismatch; count is the number of cases compared.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .datum import datum_from_q_matrix, positive_roots, preset_cartan
 from .growth import hilbert_table, kostant_dims
 from .scalars import QQ
-from .shapovalov import SymEngine, permutation_sum_oracle, symmetrizer
+from .shapovalov import (
+    SymEngine,
+    determinant_by_elimination,
+    multilinear_determinant,
+    permutation_sum_oracle,
+    symmetrizer,
+)
 from .words import Element, multidegrees_up_to, shuffle
 
 POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
@@ -31,6 +38,19 @@ def random_word_pair(rng, m, max_total):
     u = tuple(rng.randint(1, m) for _ in range(cut))
     v = tuple(rng.randint(1, m) for _ in range(total - cut))
     return u, v
+
+
+def planted_q(rng, m):
+    """A random_q matrix (m >= 2) made to have q_S = 1 on a random subset S
+    of at least two letters, so that every multilinear block holding S has
+    determinant 0: the entry of one ordered pair in S is the inverse of the
+    product over the others."""
+    q = [list(row) for row in random_q(rng, m)]
+    subset = rng.sample(range(m), rng.randint(2, m))
+    pairs = [(i, j) for i in subset for j in subset if i != j]
+    (i, j), rest = pairs[0], pairs[1:]
+    q[i][j] = 1 / prod((q[a][b] for a, b in rest), start=Fraction(1))
+    return tuple(map(tuple, q))
 
 
 def corrupted(braiding):
@@ -90,3 +110,37 @@ def shuffle_morphism(sym_braiding, shuffle_braiding, pairs):
         if lhs != rhs:
             return f"Sh(u.v) != Sh(u) sh Sh(v) for u, v = {(u, v)}", count
     return None, len(pairs)
+
+
+def multilinear_det_matches_elimination(cases):
+    """The closed form of a multilinear block's determinant against Bareiss
+    elimination of its Sh block, on each (datum, deg) case. Elimination
+    gives 0 exactly below full rank, so equal determinants also mean the
+    closed form is nonzero exactly when the block has full rank."""
+    for count, (datum, deg) in enumerate(cases, 1):
+        got = multilinear_determinant(datum, deg)
+        mat = symmetrizer(datum, deg)
+        r, want = determinant_by_elimination(mat)
+        if got != want:
+            render = datum.field.render
+            return (f"multidegree {deg}: closed form {render(got)}, "
+                    f"elimination {render(want)} at rank {r} of "
+                    f"{len(mat.words)}"), count
+    return None, len(cases)
+
+
+def lusztig_totals(heights, order, max_total):
+    """Coefficients of prod_h (1 - t^(order h)) / (1 - t^h) up to max_total,
+    the Hilbert series of the small quantum group at a primitive order-th
+    root of unity (Lusztig, Quantum groups at roots of 1, 1990), with h
+    running over the heights of the positive roots; each factor is
+    1 + t^h + ... + t^((order-1)h)."""
+    series = [1] + [0] * max_total
+    for h in heights:
+        out = [0] * (max_total + 1)
+        for i, c in enumerate(series):
+            for k in range(order):
+                if i + k * h <= max_total:
+                    out[i + k * h] += c
+        series = out
+    return series

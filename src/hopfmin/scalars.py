@@ -274,7 +274,9 @@ def _canonical_pair(num, den):
     if c > 1:
         num = Poly(tuple(x // c for x in num.coeffs))
         den = Poly(tuple(x // c for x in den.coeffs))
-    if den.degree > 0 and num.degree > 0:
+    # after the strip a monomial c*t**d (d > 0) faces a nonzero constant
+    # term, so only two non-monomials can share a factor
+    if any(num.coeffs[:-1]) and any(den.coeffs[:-1]):
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)

@@ -39,6 +39,13 @@ on the minors of Sh (its entries are integer polynomials in the braiding
 entries). Given symbolic RatFunc rows (rank(mat), rank_rows), the rows are
 cleared to integer polynomials and evaluated, with B taken from their
 heights and degrees. Both share one pass loop, _certified_rank.
+
+Determinants of multilinear blocks (every letter count 0 or 1) skip the
+matrix: Varchenko's formula for the bilinear form of a hyperplane
+configuration gives det Sh as a product of powers of 1 - q_S over subsets
+S of the letters (multilinear_determinant). When that product is nonzero
+the block has full rank; when it is zero, gram_determinant falls back to
+building and eliminating the block for its rank, as for every other block.
 """
 
 from __future__ import annotations
@@ -587,27 +594,93 @@ def rank_symbolic(mat):
     return _eliminate([clear(r)[0] for r in mat.entries], div)[0]
 
 
-def gram_determinant(datum, deg, factor_bound=24,
-                     block_limit=DEFAULT_BLOCK_LIMIT):
-    """Determinant of the block matrix, with cyclotomic factors split off.
+def _varchenko_exponent(n, k):
+    """Multiplicity of the factor of a k-letter subset in the determinant
+    of a multilinear block of n letters."""
+    return factorial(k - 2) * factorial(n - k + 1)
+
+
+def multilinear_determinant(datum, deg):
+    """Determinant of a multilinear block (every letter count 0 or 1) by
+    Varchenko's formula for the bilinear form of a hyperplane configuration
+    (Adv. Math. 97, 1993), without building the matrix.
+
+    With n letters present, det Sh is the product over subsets S of those
+    letters with k = |S| >= 2 of (1 - q_S)**((k-2)! (n-k+1)!), where q_S is
+    the product of b_ij over the ordered pairs i != j in S. The result is a
+    scalar of the datum's field (a Fraction over QQ), zero when some q_S is
+    1. Over QQ(t) the numerators and denominators of the factors multiply
+    as integer polynomials into one RatFunc, which normalises once instead
+    of after every factor.
+    """
+    if any(d > 1 for d in deg):
+        raise ValueError(f"multidegree {tuple(deg)} is not multilinear")
+    b = datum.braiding_matrix
+    field = datum.field
+    letters = [i for i, d in enumerate(deg) if d]
+    n = len(letters)
+    qt = field == QT
+    one = _P_ONE if qt else field.one()
+    num = den = one
+    for k in range(2, n + 1):
+        e = _varchenko_exponent(n, k)
+        for subset in itertools.combinations(letters, k):
+            q = [b[i][j] for i in subset for j in subset if i != j]
+            if qt:
+                bottom = prod((x.den for x in q), start=_P_ONE)
+                factor = bottom - prod((x.num for x in q), start=_P_ONE)
+            else:
+                bottom, factor = one, one - prod(q, start=one)
+            if not factor:
+                return field.zero()
+            for _ in range(e):
+                num, den = num * factor, den * bottom
+    return RatFunc(num, den) if qt else num
+
+
+def determinant_by_elimination(mat):
+    """(rank, determinant) of a square SymMatrix by Bareiss elimination.
 
     Rows are cleared by the field's _clearing rule; the determinant is the
-    signed last Bareiss pivot over the product of the row multipliers. Over
-    QQ(t) the numerator is probed by trial exact division against
-    Phi_k(t**j) for k*j up to factor_bound, in ascending (j, k) order; the
-    unfactored remainder keeps whatever is left, including the denominator.
-    Symbolic elimination over QQ(t), so intended for moderate blocks.
+    signed last pivot over the product of the row multipliers, or the
+    field's zero below full rank.
     """
-    mat = symmetrizer(datum, deg, block_limit=block_limit)
-    n = len(mat.words)
     field = mat.field
     clear, div = _clearing(field)
     rows, scales = zip(*map(clear, mat.entries))
     r, sign, last = _eliminate(list(rows), div)
-    if r < n:
-        det = field.zero()
+    if r < len(rows):
+        return r, field.zero()
+    return r, field.coerce(sign * last) / field.coerce(prod(scales))
+
+
+def gram_determinant(datum, deg, factor_bound=24,
+                     block_limit=DEFAULT_BLOCK_LIMIT):
+    """Determinant of the block matrix, with cyclotomic factors split off.
+
+    A multilinear block (every letter count 0 or 1) takes its determinant
+    from the closed form of multilinear_determinant and, when that is
+    nonzero, has full rank; the matrix is never built. Every other block,
+    and a multilinear one whose closed form vanishes (some q_S = 1), is
+    built and eliminated by determinant_by_elimination, which gives the
+    rank and the field's zero. Over QQ(t) the numerator is then probed by
+    trial exact division against Phi_k(t**j) for k*j up to factor_bound,
+    in ascending (j, k) order; the unfactored remainder keeps whatever is
+    left, including the denominator. Elimination over QQ(t) is symbolic,
+    so intended for moderate blocks.
+    """
+    deg = tuple(deg)
+    check_block_sizes([deg], block_limit)
+    n = block_size(deg)
+    det = None
+    if all(d <= 1 for d in deg):
+        det = multilinear_determinant(datum, deg)
+    if det:
+        r = n
     else:
-        det = field.coerce(sign * last) / field.coerce(prod(scales))
+        r, det = determinant_by_elimination(
+            symmetrizer(datum, deg, block_limit=None))
+    field = datum.field
     factors_out = ()
     remainder = det
     if field == QT and det:
@@ -627,4 +700,4 @@ def gram_determinant(datum, deg, factor_bound=24,
                     found.append((k, j, mult))
         factors_out = tuple(found)
         remainder = RatFunc(num, det.den)
-    return DetReport(tuple(deg), n, r, det, factors_out, remainder)
+    return DetReport(deg, n, r, det, factors_out, remainder)

@@ -121,7 +121,8 @@ def test_usage_error_exits_one(capsys):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--max-total", "-1"), ("--window", "0"), ("--jobs", "0"), ("--jobs", "-3"),
+    ("--max-total", "-1"), ("--window", "0"), ("--window", "1"), ("--jobs", "0"),
+    ("--jobs", "-3"),
 ])
 def test_analyze_bad_numbers_exit_one(capsys, option, value):
     # the later --max-total wins, so the first case runs with -1
@@ -315,7 +316,7 @@ def test_selftest(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--quick"])

@@ -9,6 +9,7 @@ from hopfmin.datum import (
     positive_roots,
     preset_cartan,
     preset_reductive,
+    specialize_datum,
 )
 from hopfmin.growth import (
     EXPONENTIAL_SUSPECTED,
@@ -22,6 +23,7 @@ from hopfmin.growth import (
     hilbert_table,
     kostant_dims,
 )
+from hopfmin.oracles import lusztig_totals
 from hopfmin.scalars import QQ
 from hopfmin.shapovalov import BlockSizeError
 from hopfmin.words import multidegrees_up_to
@@ -215,6 +217,22 @@ def test_growth_inconclusive():
 def test_growth_window_validation():
     with pytest.raises(ValueError):
         growth_classify((1, 1, 1), window=0)
+    # a one-term window is constant in every sequence
+    with pytest.raises(ValueError, match="at least 2"):
+        growth_classify((1, 2, 4, 7, 11), window=1)
+
+
+def test_growth_exponential_needs_window_ratios():
+    # the window (1, 2, 3) has only two ratios, 2 and 3/2; the third, over
+    # the total before the window, is 1/2
+    v = growth_classify((5, 4, 3, 2, 1, 2, 3))
+    assert v.kind == INCONCLUSIVE
+    v = growth_classify((1, 2, 4, 8, 16, 32, 64), window=3)
+    assert v.kind == EXPONENTIAL_SUSPECTED
+    assert v.evidence["ratios"] == ["2", "2", "2"]
+    # a jump into the window is one of its ratios
+    assert growth_classify((1, 1, 1, 1, 3, 6, 12)).kind == EXPONENTIAL_SUSPECTED
+    assert growth_classify((1, 1, 1, 1, 1, 3, 6)).kind != EXPONENTIAL_SUSPECTED
 
 
 def test_dominance_labels():
@@ -254,3 +272,14 @@ def test_growth_constant_and_rising_tails_still_settle():
     assert growth_classify((3, 2, 1, 1, 1, 1, 1)).kind == POLYNOMIAL
     v = growth_classify((9, 1, 2, 3, 4, 5, 6))
     assert (v.kind, v.degree) == (POLYNOMIAL, 1)
+
+
+@pytest.mark.parametrize("name, order, max_total", [
+    ("A2", 3, 7), ("B2", 3, 6), ("G2", 5, 4),
+])
+def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
+    # Lusztig's small quantum group at a primitive order-th root of unity
+    heights = [sum(root) for root in positive_roots(name)]
+    datum = specialize_datum(preset_cartan(name), order)
+    assert hilbert_table(datum, max_total).totals() == tuple(
+        lusztig_totals(heights, order, max_total))

@@ -6,12 +6,14 @@ expects a mismatch, after a clean run of the same check that agrees.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
-from hopfmin import oracles
-from hopfmin.datum import preset_cartan
+from hopfmin import oracles, shapovalov
+from hopfmin.datum import datum_from_q_matrix, preset_cartan
+from hopfmin.scalars import QQ
 
 A2 = preset_cartan("A2")
 
@@ -58,6 +60,19 @@ def _corrupt_braiding(monkeypatch):
                         lambda braiding: real(oracles.corrupted(braiding)))
 
 
+def _mutate_exponent(monkeypatch):
+    real = shapovalov._varchenko_exponent
+    monkeypatch.setattr(shapovalov, "_varchenko_exponent",
+                        lambda n, k: real(n, k) + (k == 3))
+
+
+def _multilinear_blocks():
+    rng = random.Random(11)
+    data = [datum_from_q_matrix(oracles.random_q(rng, m), QQ) for m in (3, 4)]
+    return oracles.multilinear_det_matches_elimination(
+        [(d, deg) for d in data for deg in itertools.product((0, 1), repeat=d.m)])
+
+
 def _morphism_on_a2():
     rng = random.Random(7)
     pairs = [oracles.random_word_pair(rng, A2.m, 5) for _ in range(25)]
@@ -72,7 +87,8 @@ def _morphism_on_a2():
     (lambda: oracles.transposition_invariant(
         [oracles.random_q(random.Random(5), 2)], 3), _change_second_table),
     (_morphism_on_a2, _corrupt_braiding),
-], ids=["symmetrizer", "kostant", "transposition", "shuffle"])
+    (_multilinear_blocks, _mutate_exponent),
+], ids=["symmetrizer", "kostant", "transposition", "shuffle", "multilinear"])
 def test_planted_fault_is_reported(monkeypatch, check, plant):
     detail, count = check()
     assert detail is None and count > 0

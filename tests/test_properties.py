@@ -1,5 +1,6 @@
 """Property tests against symbolic elimination: small random QQ(t)
-braidings ranked at integer points, and QQ rows ranked as integer rows."""
+braidings ranked at integer points, QQ rows ranked as integer rows, and
+multilinear block determinants from their closed form."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,10 +9,13 @@ import pytest
 
 from hopfmin.datum import datum_from_q_matrix
 from hopfmin.growth import hilbert_table
+from hopfmin.oracles import planted_q, random_q
 from hopfmin.scalars import QQ, QT
 from hopfmin.shapovalov import (
     SymMatrix,
     _int_row,
+    determinant_by_elimination,
+    gram_determinant,
     rank_rows,
     rank_symbolic,
     symmetrizer,
@@ -82,3 +86,26 @@ def test_qq_integer_rows_match_fraction_elimination(rows):
         assert ints == [x * mult for x in row]
     mat = SymMatrix((), (), tuple(tuple(map(Fraction, r)) for r in rows), QQ)
     assert rank_rows(QQ, rows) == rank_symbolic(mat)
+
+
+@st.composite
+def _multilinear_blocks(draw):
+    """A rational braiding on two to four letters, half of them with a
+    planted q_S = 1 (so the blocks holding S have determinant 0), and a
+    0/1 multidegree."""
+    m = draw(st.integers(2, 4))
+    braiding = draw(st.sampled_from((random_q, planted_q)))
+    q = braiding(draw(st.randoms(use_true_random=False)), m)
+    deg = draw(st.lists(st.sampled_from((1, 0)), min_size=m, max_size=m))
+    return q, tuple(deg)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_multilinear_blocks())
+def test_multilinear_determinant_matches_elimination(case):
+    q, deg = case
+    datum = datum_from_q_matrix(q, QQ)
+    report = gram_determinant(datum, deg)
+    r, det = determinant_by_elimination(symmetrizer(datum, deg))
+    assert type(report.determinant) is Fraction
+    assert (report.rank, report.determinant) == (r, det)

@@ -250,7 +250,14 @@ def _emit_json(doc):
 def cmd_analyze(args):
     t0 = time.monotonic()
     datum = _load_datum(args)
-    degs = multidegrees_up_to(datum.m, args.max_total)
+    # the widest block of a total degree is its most even multidegree;
+    # enumerate no total past the first one where that is over the limit,
+    # so the guard below fails fast however large --max-total is
+    m = datum.m
+    top = next((n for n in range(args.max_total + 1) if block_size(
+        tuple(n // m + (i < n % m) for i in range(m))) > args.block_limit),
+        args.max_total)
+    degs = multidegrees_up_to(m, top)
     check_block_sizes(degs, args.block_limit)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = _Cache.open(cache_path) if cache_path else None

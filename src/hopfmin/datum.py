@@ -278,8 +278,15 @@ def parse_datum(text):
             errors.append(f"missing key {key!r}")
     if errors:
         raise DatumValidationError(errors)
-    if not isinstance(doc["rank"], int):
-        raise DatumValidationError(["rank must be an integer"])
+    if type(doc["rank"]) is not int:
+        errors.append("rank must be an integer")
+    if not isinstance(doc["field"], str):
+        errors.append("field must be a string such as \"rational\"")
+    for key in ("alphas", "gammas"):
+        if not isinstance(doc[key], list):
+            errors.append(f"{key} must be a list")
+    if errors:
+        raise DatumValidationError(errors)
     try:
         field = field_from_name(doc["field"])
     except ValueError as exc:

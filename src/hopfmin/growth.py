@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import QQ, QT
+from .scalars import QT
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
     IntegerPoints,
@@ -100,10 +100,9 @@ def _blocks(args):
     points = IntegerPoints(datum.braiding_matrix) if datum.field == QT else None
     engine = SymEngine(datum.braiding_matrix if points is None
                        else points.seed_braiding)
-    field = None if points is None else QQ
     out = []
     for deg in degs:
-        _, rows = matrix_rows(datum, deg, engine=engine, field=field)
+        _, rows = matrix_rows(datum, deg, engine=engine)
         out.append(BlockDim(deg, block_size(deg), rank_rows(
             datum.field, rows, points=points, deg=deg)))
         engine.trim()

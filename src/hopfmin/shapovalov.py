@@ -19,13 +19,13 @@ whose j-th term moves letter w[j] to the front across everything before it,
 picking up prod_{i<j} b(w[i], w[j]). The permutation-sum definition is kept
 alongside as an independent oracle and the two are compared in the tests.
 
-Ranks and determinants come from one fraction-free Bareiss elimination,
-run by each field with its own exact division after scaling every row to
-make it exact: over QQ to coprime Python ints with floor division (exact by
-Sylvester's identity), over QQ(t) to integer polynomials with exact
-polynomial division; cyclotomic rows divide in the field. Row scalings
-leave the rank unchanged and divide out of the determinant. The QQ rule,
-_int_row, is the one integer-row rule: every integer rank, including each
+Ranks and determinants come from one fraction-free Bareiss elimination.
+Its divisions only have to be exact in the ring the rows live in (Sylvester's
+identity), so each field's clearing rule, _clearing, takes raw symmetrizer
+scalars into that ring once per row: coprime ints with floor division over
+QQ, integer polynomials with exact division (Bareiss over ZZ[t]) over QQ(t),
+field scalars over a cyclotomic field. Row scalings leave the rank unchanged
+and divide out of the determinant. Every integer rank, including each
 evaluation below, is rank_rows over QQ.
 
 A rank over QQ(t) is the integer rank at one integer point B above every
@@ -34,11 +34,11 @@ nonzero at t = B; B is sized from a certified lower bound on the rank, the
 rank at a small seed point, so one evaluation usually decides. The rows
 come from one of two sources. Tables (growth.compute_blocks) never build
 symbolic blocks: IntegerPoints evaluates the braiding at the seed and at B
-and builds each block there over QQ, with B taken from an a-priori bound
-on the minors of Sh (its entries are integer polynomials in the braiding
-entries). Given symbolic RatFunc rows (rank(mat), rank_rows), the rows are
-cleared to integer polynomials and evaluated, with B taken from their
-heights and degrees. Both share one pass loop, _certified_rank.
+and builds each block there over QQ, with an a-priori bound on the entries
+of Sh (integer polynomials in the braiding entries). Symbolic rows (rank(mat),
+rank_rows) are cleared to integer polynomials and evaluated, bounded by their
+largest entry. Both bound the minors by one formula in one pass loop,
+_certified_rank.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -56,7 +56,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import floordiv, truediv
 
-from .scalars import QQ, QT, _P_ONE, RatFunc, cyclotomic_polynomial, poly_gcd
+from .scalars import (
+    QQ, QT, _P_ONE, Poly, RatFunc, cyclotomic_polynomial, poly_gcd)
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
@@ -174,33 +175,19 @@ def _raw_rows(engine, words):
     return [[col.get(u, 0) for col in cols] for u in words]
 
 
-def matrix_rows(datum, deg, engine=None, field=None):
+def matrix_rows(datum, deg, engine=None):
     """Words of the block and the Sh matrix as row lists for rank_rows.
 
-    field is the field the engine computes in, by default the datum's. Over
-    QQ the entries are the symmetrizer's own ints and Fractions, which
-    rank_rows clears to integer rows; other fields get field scalars. A
-    QQ(t) block built at an integer point passes QQ and an engine over the
+    The entries are the engine's raw scalars (ints where a coefficient is
+    absent or integral), by default from an engine over the datum's
+    braiding; rank_rows clears them into its field's elimination ring. A
+    QQ(t) block built at an integer point passes an engine over the
     evaluated braiding (IntegerPoints.seed_braiding).
     """
     words = words_of_multidegree(deg)
     if engine is None:
         engine = SymEngine(datum.braiding_matrix)
-    if field is None:
-        field = datum.field
-    if field == QQ:
-        return words, _raw_rows(engine, words)
-    cols = [engine.sym(w) for w in words]
-    coerce = field.coerce
-    zero = field.zero()
-    rows = []
-    for u in words:
-        row = []
-        for col in cols:
-            c = col.get(u)
-            row.append(zero if c is None else coerce(c))
-        rows.append(row)
-    return words, rows
+    return words, _raw_rows(engine, words)
 
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
@@ -350,17 +337,6 @@ def _eliminate(rows, div):
 _div_generic = truediv
 
 
-def _div_qt(v, p):
-    # Bareiss guarantees divisibility in ZZ[t]; skip the gcd of a general
-    # rational-function division when both operands sit over denominator 1
-    if v.den.coeffs == (1,) and p.den.coeffs == (1,):
-        try:
-            return RatFunc(v.num.exact_div(p.num), _P_ONE)
-        except ValueError:
-            pass
-    return v / p
-
-
 def _int_row(row):
     """A row of ints and Fractions as coprime ints (times the lcm den of its
     denominators, over the gcd g of the result, which keeps Bareiss pivots
@@ -387,68 +363,64 @@ def _den_lcm(row):
 
 
 def _qt_row(row):
-    """A RatFunc row times the lcm of its denominators; returns the row, now
-    over denominator 1, and that multiplier."""
+    """A row of QQ(t) scalars times the lcm of its denominators, as integer
+    Poly entries; returns them and that lcm, a Poly."""
+    row = [QT.coerce(e) for e in row]
     den = _den_lcm(row)
     if den.coeffs == (1,):
-        return list(row), 1
-    scale = RatFunc(den, _P_ONE)
-    return [e * scale if e else e for e in row], scale
+        return [e.num for e in row], den
+    return [e.num * den.exact_div(e.den) for e in row], den
 
 
-def _field_row(row):
-    """A row over a field, which needs no clearing, and multiplier 1."""
-    return list(row), 1
+def _field_clearing(field):
+    """The Bareiss rule of a field that needs no clearing: its own scalars,
+    every zero one shared object, multiplier 1, and field division."""
+    coerce = field.coerce
+    zero = field.zero()
+
+    def clear(row):
+        return [coerce(x) if x else zero for x in row], 1
+
+    return clear, _div_generic
 
 
 def _clearing(field):
-    """The Bareiss rule of a field as (clear_row, div): clear_row scales a
-    row so that div is an exact division on its entries and returns the new
-    row with its multiplier."""
+    """The Bareiss rule of a field as (clear_row, div): clear_row takes a
+    row of raw symmetrizer scalars into the ring the elimination runs on,
+    where div is an exact division, and returns it with its multiplier.
+    QQ rows become coprime ints (floor division), QQ(t) rows integer
+    polynomials (Poly.exact_div), cyclotomic rows field scalars."""
     if field == QQ:
         return _int_row, floordiv
     if field == QT:
-        return _qt_row, _div_qt
-    return _field_row, _div_generic
+        return _qt_row, Poly.exact_div
+    return _field_clearing(field)
 
 
-def _row_to_int_polys(row):
-    """Clear the denominators of a RatFunc row; returns coefficient tuples."""
-    return [e.num.coeffs for e in _qt_row(row)[0]]
+def _certified_rank(seed_rows, norm, rows_at):
+    """The evaluation certificate's pass loop; returns (rank over QQ(t),
+    passes).
 
-
-def _evaluate(polys, point):
-    """The integer matrix of coefficient-tuple rows at t = point."""
-    out = []
-    for prow in polys:
-        row = []
-        for coeffs in prow:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * point + c
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _certified_rank(seed, dim, bound, rank_at):
-    """The evaluation certificate's pass loop; returns (rank, passes).
-
-    seed is a certified lower bound on the rank over QQ(t) of a matrix with
-    smaller dimension dim, bound(s) bounds the coefficients of each of its
-    s x s minors (as integer polynomials in t, up to a factor that does not
-    vanish at the points used), and rank_at(x) is the integer rank at t = x.
-    At B = bound(s) + 2 every nonzero minor of size at most s stays nonzero
-    (no integer root exceeds 1 + the height), while evaluation never raises
-    rank. So a rank r < s at B is the rank over QQ(t), and r >= s grows s to
-    r + 1 for another pass. A seed equal to dim needs no pass.
+    seed_rows are the integer rows of a matrix over ZZ[t] at some integer
+    point, so their rank is a certified lower bound; norm bounds the
+    coefficient 1-norm of every entry (up to a common factor that does not
+    vanish at the points used), and rows_at(x) gives the rows at t = x. An
+    s x s minor is a sum of s! products of s entries, so its 1-norm is at
+    most s! * norm**s, and no integer root of a nonzero one exceeds 1 + its
+    height, which is at most that 1-norm. So at
+    B = s! * norm**s + 2 every nonzero minor of size at most s stays
+    nonzero, while evaluation never raises rank: a rank r < s at B is the
+    rank over QQ(t), and r >= s grows s to r + 1 for another pass. A seed of
+    full rank needs no pass.
     """
+    seed = rank_rows(QQ, seed_rows)
+    dim = min(len(seed_rows), len(seed_rows[0]))
     if seed == dim:
         return seed, 0
     s = seed + 1
     passes = 0
     while True:
-        r = rank_at(bound(s) + 2)
+        r = rank_rows(QQ, rows_at(factorial(s) * norm ** s + 2))
         passes += 1
         if r == dim or r < s:
             return r, passes
@@ -460,37 +432,26 @@ def _certified_rank(seed, dim, bound, rank_at):
 _SEED_POINT = 2
 
 
-def _rank_qt_certified(rows):
-    """Exact rank over QQ(t) of symbolic RatFunc rows by integer evaluation
-    with a height certificate; returns (rank, number of certificate passes).
-
-    After clearing each row to integer polynomials, let H bound the
-    coefficients and D the degrees. An s x s minor is then a polynomial of
-    height at most s! * H**s * (D+1)**(s-1), the bound _certified_rank
-    evaluates above. Its seed is the integer rank at _SEED_POINT, so one pass
-    decides unless the seed point is a root of every minor of full rank.
-    """
-    polys = [_row_to_int_polys(row) for row in rows]
-    height = 0
-    degree = 0
-    for prow in polys:
-        for coeffs in prow:
-            if coeffs:
-                degree = max(degree, len(coeffs) - 1)
-                h = max(abs(c) for c in coeffs)
-                if h > height:
-                    height = h
-    if height == 0:
-        return 0, 0
-    return _certified_rank(
-        rank_rows(QQ, _evaluate(polys, _SEED_POINT)),
-        min(len(polys), len(polys[0])),
-        lambda s: factorial(s) * height ** s * (degree + 1) ** (s - 1),
-        lambda x: rank_rows(QQ, _evaluate(polys, x)))
-
-
 def _norm1(poly):
     return sum(abs(c) for c in poly.coeffs)
+
+
+def _rank_qt_certified(rows):
+    """Exact rank over QQ(t) of symbolic rows by integer evaluation; returns
+    (rank, number of certificate passes).
+
+    Each row is cleared to integer polynomials by _qt_row, and the largest
+    1-norm of their entries is the norm of _certified_rank. The seed is the
+    rank at _SEED_POINT, so one pass decides unless the seed point is a root
+    of every minor of full rank.
+    """
+    polys = [_qt_row(row)[0] for row in rows]
+
+    def rows_at(x):
+        return [[p.eval_at(x) for p in prow] for prow in polys]
+
+    norm = max(_norm1(p) for prow in polys for p in prow)
+    return _certified_rank(rows_at(_SEED_POINT), norm, rows_at)
 
 
 class IntegerPoints:
@@ -503,15 +464,15 @@ class IntegerPoints:
     largest coefficient 1-norm among Q and the P_ij. On a block of
     multidegree d and total n, with K = n(n-1)/2, each entry of Q**K * Sh
     sums prod(d_i!) braided lifts of at most K braiding factors, so it is an
-    integer polynomial of 1-norm at most N = prod(d_i!) * c**K, and an
-    s x s minor one of 1-norm at most s! * N**s (minor_bound). For n >= 2,
-    Q has 1-norm at most c <= N, so it does not vanish at minor_bound + 2
+    integer polynomial of 1-norm at most N = prod(d_i!) * c**K (block_norm),
+    the norm _certified_rank bounds the minors with. For n >= 2, Q has
+    1-norm at most c <= N, so it does not vanish at the certificate points
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
     The seed is the least integer x >= 2 with Q(x) != 0; the table's blocks
     are built there by one engine over seed_braiding (one per pool worker),
     and their ranks are certified lower bounds. rank certifies a block by
-    rebuilding it at points above minor_bound with a fresh engine; every
+    rebuilding it at the certificate points with a fresh engine; every
     rank, at the seed and at those points, is rank_rows over QQ.
     """
 
@@ -531,10 +492,9 @@ class IntegerPoints:
         return tuple(tuple(Fraction(b.num.eval_at(x), b.den.eval_at(x))
                            for b in row) for row in self.braiding)
 
-    def minor_bound(self, deg, s):
+    def block_norm(self, deg):
         n = sum(deg)
-        block_norm = prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
-        return factorial(s) * block_norm ** s
+        return prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
 
     def rows_at(self, deg, x):
         """The block of multidegree deg at t = x, by a fresh engine."""
@@ -544,26 +504,24 @@ class IntegerPoints:
     def rank(self, deg, seed_rows):
         """Rank over QQ(t) of block deg from its rows at the seed point;
         returns (rank, certificate passes)."""
-        return _certified_rank(
-            rank_rows(QQ, seed_rows),
-            min(len(seed_rows), len(seed_rows[0])),
-            lambda s: self.minor_bound(deg, s),
-            lambda x: rank_rows(QQ, self.rows_at(deg, x)))
+        return _certified_rank(seed_rows, self.block_norm(deg),
+                               lambda x: self.rows_at(deg, x))
 
 
 def rank_rows(field, rows, points=None, deg=None):
-    """Exact rank of a block given as lists of field scalars (over QQ, ints
-    and Fractions).
+    """Exact rank of a block given as rows of raw symmetrizer scalars (or
+    field scalars).
 
     Over QQ(t) rows come from one of two sources. Given points (the
     IntegerPoints of the datum's braiding) and the block's multidegree deg,
     rows are the block's QQ rows at points.seed, whose rank is a certified
-    lower bound; the block is rebuilt at a point above the a-priori minor
-    bound until the rank is certified (IntegerPoints.rank). Otherwise rows
-    hold RatFunc scalars, cleared to integer polynomials and ranked by the
-    evaluation certificate of _rank_qt_certified. Other fields clear and
-    eliminate their rows by their _clearing rule: integer Bareiss over QQ,
-    Bareiss on the scalars over a cyclotomic field.
+    lower bound; the block is rebuilt at certificate points until the rank
+    is certified (IntegerPoints.rank). Otherwise rows hold QQ(t) scalars,
+    cleared to integer polynomials and ranked by the evaluation certificate
+    of _rank_qt_certified. Both certificates share the bound of
+    _certified_rank. Other fields clear and eliminate their rows by their
+    _clearing rule: integer Bareiss over QQ, Bareiss on the scalars over a
+    cyclotomic field.
     """
     if not rows:
         return 0
@@ -584,13 +542,13 @@ def rank_symbolic(mat):
     """Rank by symbolic fraction-free elimination, for any field.
 
     Slower than rank() over QQ and QQ(t); kept as the independent second
-    route and used by the tests to cross-check the integer paths. QQ(t)
-    rows are scaled to denominator 1 by _qt_row first, so each Bareiss
-    division is an exact polynomial division; a row scaling keeps the rank
-    and shares nothing with the evaluation routes.
+    route and used by the tests to cross-check the integer paths. Over QQ
+    it eliminates Fractions by field division; over QQ(t) it runs Bareiss
+    over ZZ[t] on the rows _qt_row clears, with exact polynomial division,
+    and shares no evaluation with the certificate routes.
     """
-    clear, div = ((_qt_row, _div_qt) if mat.field == QT
-                  else (_field_row, _div_generic))
+    field = mat.field
+    clear, div = _field_clearing(QQ) if field == QQ else _clearing(field)
     return _eliminate([clear(r)[0] for r in mat.entries], div)[0]
 
 
@@ -651,6 +609,8 @@ def determinant_by_elimination(mat):
     r, sign, last = _eliminate(list(rows), div)
     if r < len(rows):
         return r, field.zero()
+    if field == QT:
+        return r, RatFunc(last if sign > 0 else -last, prod(scales, start=_P_ONE))
     return r, field.coerce(sign * last) / field.coerce(prod(scales))
 
 

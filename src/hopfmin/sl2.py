@@ -19,14 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def e_action_on_f_power(lam, k):
-    """E applied to F**k v in the Verma module of highest weight lam.
-
-    Returned as a dict {j: coefficient} meaning sum_j coeff * F**j v.
-    Built by the commutation E F**k = F (E F**(k-1)) + H F**(k-1) together
-    with E v = 0 and H F**j v = (lam - 2j) F**j v.
-    """
-    lam = Fraction(lam)
+def _e_on_f_powers(lam, k):
+    """E F**i v for i = 1..k in the Verma module of highest weight lam,
+    each built from the one before by the commutation
+    E F**i = F (E F**(i-1)) + H F**(i-1), with E v = 0 and
+    H F**j v = (lam - 2j) F**j v; yields dicts {j: coefficient} meaning
+    sum_j coeff * F**j v."""
     vec = {}
     for i in range(1, k + 1):
         vec = {j + 1: c for j, c in vec.items()}
@@ -36,6 +34,15 @@ def e_action_on_f_power(lam, k):
             vec[i - 1] = merged
         else:
             vec.pop(i - 1, None)
+        yield vec
+
+
+def e_action_on_f_power(lam, k):
+    """E applied to F**k v in the Verma module of highest weight lam, as a
+    dict {j: coefficient} meaning sum_j coeff * F**j v."""
+    vec = {}
+    for vec in _e_on_f_powers(Fraction(lam), k):
+        pass
     return vec
 
 
@@ -50,11 +57,9 @@ def shapovalov_value(lam, k):
 
 def shapovalov_values(lam, kmax):
     """Pairing values for k = 0..kmax as a list."""
-    lam = Fraction(lam)
     out = [Fraction(1)]
-    for i in range(1, kmax + 1):
-        c = e_action_on_f_power(lam, i).get(i - 1, Fraction(0))
-        out.append(out[-1] * c)
+    for i, vec in enumerate(_e_on_f_powers(Fraction(lam), kmax), start=1):
+        out.append(out[-1] * vec.get(i - 1, Fraction(0)))
     return out
 
 

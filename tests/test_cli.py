@@ -332,6 +332,22 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["totals"] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("doc", [
+    {"rank": 1, "field": "rational", "alphas": 5, "gammas": [["2"]]},
+    {"rank": 1, "field": 7, "alphas": [[1]], "gammas": [["2"]]},
+    {"rank": True, "field": "rational", "alphas": [[1]], "gammas": [["2"]]},
+])
+def test_wrong_json_types_in_datum_file_exit_one(tmp_path, doc):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--datum", str(path),
+         "--max-total", "2"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_block_limit_applies_to_cached_blocks(tmp_path, capsys):
     # every block comes from the cache on the rerun, so only the front-end
     # guard can refuse the (2, 2) block of six words
@@ -343,6 +359,17 @@ def test_block_limit_applies_to_cached_blocks(tmp_path, capsys):
     code, out, err = run(capsys, *args, "--block-limit", "5")
     assert code == 2
     assert "block (2, 2) has 6 words" in err
+
+
+def test_block_limit_fails_fast_on_huge_max_total():
+    # the guard stops at the first oversized total degree instead of
+    # enumerating every multidegree up to a million first
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--preset", "cartan:A2",
+         "--max-total", "1000000"], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: block (6, 8) has 3003 words, over the limit of 3000\n")
 
 
 @pytest.mark.parametrize("argv, option", [

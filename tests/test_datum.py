@@ -170,6 +170,24 @@ def test_parse_datum_rejects_bad_input():
                                 "alphas": [[1]], "gammas": [[2]]}))
 
 
+_GOOD_DOC = {"rank": 1, "field": "rational", "alphas": [[1]], "gammas": [["2"]]}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alphas", 5, "alphas must be a list"),
+    ("alphas", {"1": 1}, "alphas must be a list"),
+    ("gammas", "x", "gammas must be a list"),
+    ("field", 7, "field must be a string"),
+    ("field", None, "field must be a string"),
+    ("rank", True, "rank must be an integer"),
+])
+def test_parse_datum_rejects_wrong_json_types(key, value, message):
+    with pytest.raises(DatumValidationError) as exc:
+        parse_datum(json.dumps(dict(_GOOD_DOC, **{key: value})))
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith(message)
+
+
 def test_parse_datum_scalar_literals():
     doc = {"rank": 1, "field": "rational_function",
            "alphas": [[2]], "gammas": [["(t+1)/t"]]}

@@ -1,6 +1,8 @@
 """Hilbert tables, root-multiset dimension counts, growth verdicts."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +25,7 @@ from hopfmin.growth import (
     hilbert_table,
     kostant_dims,
 )
-from hopfmin.oracles import lusztig_totals
+from hopfmin.oracles import lusztig_totals, random_q
 from hopfmin.scalars import QQ
 from hopfmin.shapovalov import BlockSizeError
 from hopfmin.words import multidegrees_up_to
@@ -283,3 +285,46 @@ def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
     datum = specialize_datum(preset_cartan(name), order)
     assert hilbert_table(datum, max_total).totals() == tuple(
         lusztig_totals(heights, order, max_total))
+
+
+_SPECIALIZED_ORDERS = range(2, 7)
+
+
+@lru_cache(maxsize=None)
+def _cartan_tables(name, max_total):
+    """The generic table of a Cartan preset and its tables at zeta_N."""
+    generic = preset_cartan(name)
+    return hilbert_table(generic, max_total), {
+        n: hilbert_table(specialize_datum(generic, n), max_total)
+        for n in _SPECIALIZED_ORDERS}
+
+
+def _generated_in_degree_one(totals):
+    return all(totals[n] <= totals[k] * totals[n - k]
+               for n in range(len(totals)) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("name, max_total", [("A2", 6), ("B2", 5), ("G2", 5)])
+def test_cartan_tables_are_generated_in_degree_one(name, max_total):
+    # the quotient is generated by the letters, so degree n is spanned by
+    # products of degree k and degree n - k
+    generic, specialized = _cartan_tables(name, max_total)
+    for table in (generic, *specialized.values()):
+        assert _generated_in_degree_one(table.totals())
+
+
+def test_random_rational_tables_are_generated_in_degree_one():
+    rng = random.Random(811)
+    for _ in range(4):
+        datum = datum_from_q_matrix(random_q(rng, 3), QQ)
+        assert _generated_in_degree_one(hilbert_table(datum, 4).totals())
+
+
+@pytest.mark.parametrize("name, max_total", [("A2", 6), ("B2", 5), ("G2", 5)])
+def test_specialization_never_raises_a_block_rank(name, max_total):
+    # a minor that is nonzero at t = zeta_N is nonzero over QQ(t)
+    generic, specialized = _cartan_tables(name, max_total)
+    for n, table in specialized.items():
+        for low, high in zip(table.blocks, generic.blocks):
+            assert low.deg == high.deg
+            assert low.rank <= high.rank, (n, low.deg)

@@ -180,6 +180,16 @@ def test_rank_certificate_second_pass_after_seed_drop():
     assert rank(mat) == rank_symbolic(mat) == 3
 
 
+def test_rank_certificate_point_clears_minor_roots_above_the_norm():
+    # det [[t - 5, 3], [3, t - 5]] = (t - 2)(t - 8): the seed point 2 and
+    # t = 8, just above the entries' 1-norm 6, are both roots, so only a
+    # point sized for 2 x 2 minors (2! * 6**2 + 2) sees the full rank
+    rows = [[RatFunc(Poly((-5, 1)), Poly((1,))), RatFunc(Poly((3,)), Poly((1,)))],
+            [RatFunc(Poly((3,)), Poly((1,))), RatFunc(Poly((-5, 1)), Poly((1,)))]]
+    assert _rank_qt_certified(rows) == (2, 1)
+    assert rank_symbolic(_qt_matrix(rows)) == 2
+
+
 def test_rank_certificate_one_pass_on_g2():
     mat = symmetrizer(preset_cartan("G2"), (3, 3))
     got, passes = _rank_qt_certified(mat.entries)

@@ -1,5 +1,6 @@
 """The classical rank-one mirror: Verma pairing values and simple dimensions."""
 
+import time
 from fractions import Fraction
 
 from hopfmin.sl2 import (
@@ -46,6 +47,20 @@ def test_dim_L():
     assert dim_L(Fraction(-1)) == float("inf")
     assert dim_L(Fraction(1, 2)) == float("inf")
     assert dim_L(Fraction(-7, 3)) == float("inf")
+
+
+def test_values_build_each_e_action_once():
+    for lam in (Fraction(4), Fraction(-5, 2), Fraction(9)):
+        expected = [Fraction(1)]
+        for i in range(1, 13):
+            c = e_action_on_f_power(lam, i).get(i - 1, Fraction(0))
+            expected.append(expected[-1] * c)
+        assert shapovalov_values(lam, 12) == expected
+    # lam + 2 values, each one step from the last: milliseconds, where
+    # rebuilding E F**i v for every i took over ten seconds
+    start = time.monotonic()
+    assert dim_L(3000) == 3001
+    assert time.monotonic() - start < 5
 
 
 def test_parallel_report_integer_weight():

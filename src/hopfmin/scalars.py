@@ -6,8 +6,10 @@ that equal values compare equal structurally and render to identical strings:
 * rational numbers, taken directly from ``fractions.Fraction``;
 * rational functions QQ(t), stored as a reduced pair of integer-coefficient
   polynomials (``RatFunc``);
-* cyclotomic fields QQ(zeta_N), stored as coordinate vectors modulo the N-th
-  cyclotomic polynomial (``Cyclotomic``).
+* cyclotomic fields QQ(zeta_N), stored as integer coordinate vectors modulo
+  the N-th cyclotomic polynomial over one positive denominator
+  (``Cyclotomic``); the denominator is 1 on Z[zeta_N], where +, - and *
+  are int arithmetic.
 
 Every scalar supports +, -, *, ** with integer exponents (negative allowed
 for invertible values), division, exact equality, hashing, and a falsy zero.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 
 class FieldMismatchError(TypeError):
@@ -422,22 +424,26 @@ _RF_ONE = RatFunc(_P_ONE, _P_ONE)
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic fields, coordinates modulo Phi_N
+# cyclotomic fields, integer coordinates modulo Phi_N
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Reduce a Fraction-coefficient coordinate list modulo Phi_n."""
-    phi = cyclotomic_polynomial(n).coeffs
-    d = len(phi) - 1
-    rem = list(coeffs)
-    for k in range(len(rem) - 1, d - 1, -1):
-        head = rem[k]
+@functools.lru_cache(maxsize=None)
+def _phi_tail(n):
+    """The coefficients of Phi_n below its leading 1, as ints; since
+    Phi_n is monic, zeta**d = -sum(tail[i] * zeta**i) for d = phi(n)."""
+    return cyclotomic_polynomial(n).coeffs[:-1]
+
+
+def _reduce_mod_phi(coeffs, tail):
+    """Reduce an int coefficient list, at least len(tail) long, in place
+    modulo the monic polynomial with low coefficients tail (_phi_tail)."""
+    d = len(tail)
+    for k in range(len(coeffs) - 1, d - 1, -1):
+        head = coeffs.pop()
         if head:
-            for i in range(d):
-                rem[k - d + i] -= head * phi[i]
-        rem.pop()
-    rem += [Fraction(0)] * (d - len(rem))
-    return tuple(Fraction(c) for c in rem)
+            for i, c in enumerate(tail, k - d):
+                coeffs[i] -= head * c
+    return tuple(coeffs)
 
 
 def _frac_poly_divmod(a, b):
@@ -463,16 +469,39 @@ def _frac_poly_divmod(a, b):
     return q, rem
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
-    """Element of QQ(zeta_N): Fraction coordinates in the power basis of zeta."""
+    """Element of QQ(zeta_N) as num / den, in the power basis of zeta.
 
-    order: int
-    coords: tuple[Fraction, ...]
+    num holds the phi(N) int coordinates of 1, zeta, ..., zeta**(phi(N)-1)
+    and den is a positive int prime to their content, so each value has
+    one form. den is 1 on Z[zeta_N], which holds every specialized preset,
+    and since Phi_N is monic, +, -, * and truth tests are int arithmetic;
+    an int factor only scales num. coords is the Fraction view that
+    rendering reads.
+    """
+
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order, num, den=1):
+        """num: phi(order) int coordinates, already reduced; den > 0."""
+        if den != 1:
+            g = _int_gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
+        self.order = order
+        self.num = num
+        self.den = den
 
     @classmethod
     def of(cls, order, coeffs):
-        return cls(order, _reduce_mod_phi([Fraction(c) for c in coeffs], order))
+        """sum(coeffs[k] * zeta**k) for int or Fraction coeffs of any length."""
+        tail = _phi_tail(order)
+        fracs = [Fraction(c) for c in coeffs]
+        fracs += [Fraction(0)] * (len(tail) - len(fracs))
+        den = lcm(*[c.denominator for c in fracs])
+        return cls(order, _reduce_mod_phi(
+            [c.numerator * (den // c.denominator) for c in fracs], tail), den)
 
     @classmethod
     def zeta(cls, order):
@@ -480,7 +509,15 @@ class Cyclotomic:
 
     @classmethod
     def const(cls, order, q):
-        return cls.of(order, [Fraction(q)])
+        return cls.of(order, [q])
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    def __reduce__(self):
+        return Cyclotomic, (self.order, self.num, self.den)
 
     def _coerce(self, x):
         if isinstance(x, Cyclotomic):
@@ -489,29 +526,36 @@ class Cyclotomic:
                     f"cannot mix cyclotomic orders {self.order} and {x.order}")
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic.const(self.order, x)
+            return Cyclotomic(self.order,
+                              (x.numerator,) + (0,) * (len(self.num) - 1),
+                              x.denominator)
         if isinstance(x, RatFunc):
             raise FieldMismatchError(
                 "cannot mix cyclotomic values with rational functions in t")
         return None
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order,
-                          tuple(a + b for a, b in zip(self.coords, o.coords)))
+        d1, d2 = self.den, o.den
+        if d1 == d2 == 1:
+            return Cyclotomic(self.order,
+                              tuple(a + b for a, b in zip(self.num, o.num)))
+        return Cyclotomic(
+            self.order,
+            tuple(a * d2 + b * d1 for a, b in zip(self.num, o.num)), d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coords))
+        return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -526,26 +570,51 @@ class Cyclotomic:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            return Cyclotomic(self.order, tuple(a * other for a in self.num),
+                              self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        out = [Fraction(0)] * (2 * len(a) - 1)
+        a, b = self.num, o.num
+        out = [0] * (2 * len(a) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Cyclotomic(self.order, _reduce_mod_phi(out, self.order))
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return Cyclotomic(self.order,
+                          _reduce_mod_phi(out, _phi_tail(self.order)),
+                          self.den * o.den)
 
     __rmul__ = __mul__
+
+    def matrix(self):
+        """The phi(N) x phi(N) matrix of multiplication by this value on
+        the power basis, as rows of ints (Fractions where den > 1): entry
+        (k, l) is coordinate k of self * zeta**l."""
+        tail = _phi_tail(self.order)
+        d = len(tail)
+        cols = []
+        v = list(self.num)
+        for _ in range(d):
+            cols.append(v)
+            top = v[-1]
+            v = [0] + v[:-1]
+            if top:
+                v = [a - top * c for a, c in zip(v, tail)]
+        den = self.den
+        if den == 1:
+            return list(zip(*cols))
+        return [[Fraction(a, den) for a in row] for row in zip(*cols)]
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("zero cyclotomic value has no inverse")
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs]
         # extended Euclid: s*self + t*phi = gcd = const
-        r0, r1 = phi, [c for c in self.coords]
+        r0, r1 = phi, list(self.coords)
         while r1 and not r1[-1]:
             r1.pop()
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -559,8 +628,7 @@ class Cyclotomic:
                         s2[i + j] -= qc * sc
             r0, r1, s0, s1 = r1, r2, s1, s2
         unit = r0[-1]
-        inv = [c / unit for c in s0]
-        return Cyclotomic(self.order, _reduce_mod_phi(inv, self.order))
+        return Cyclotomic.of(self.order, [c / unit for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -579,7 +647,7 @@ class Cyclotomic:
             raise TypeError("scalar exponents must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        out = Cyclotomic.const(self.order, 1)
+        out = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -590,16 +658,19 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coords == other.coords
+            return (self.order == other.order and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return (self.coords[0] == other
-                    and not any(self.coords[1:]))
+            # both sides are in lowest terms
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.coords[1:]):
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __str__(self):
         return poly_str(self.coords)

@@ -28,6 +28,12 @@ field scalars over a cyclotomic field. Row scalings leave the rank unchanged
 and divide out of the determinant. Every integer rank, including each
 evaluation below, is rank_rows over QQ.
 
+A rank over QQ(zeta_N) is an integer rank too (_rank_regular): each entry
+becomes its phi(N) x phi(N) integer multiplication matrix (the regular
+representation), the block read as a QQ-linear map has phi(N) times the
+rank, and all-zero rows, most rows of a specialized table, are dropped
+first. Determinants, and rank_symbolic, keep Bareiss on the field scalars.
+
 A rank over QQ(t) is the integer rank at one integer point B above every
 coefficient a relevant minor can have, so that a nonzero minor stays
 nonzero at t = B; B is sized from a certified lower bound on the rank, the
@@ -57,7 +63,8 @@ from math import factorial, gcd, lcm, prod
 from operator import floordiv, truediv
 
 from .scalars import (
-    QQ, QT, _P_ONE, Poly, RatFunc, cyclotomic_polynomial, poly_gcd)
+    QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, cyclotomic_polynomial,
+    poly_gcd)
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
@@ -389,7 +396,8 @@ def _clearing(field):
     row of raw symmetrizer scalars into the ring the elimination runs on,
     where div is an exact division, and returns it with its multiplier.
     QQ rows become coprime ints (floor division), QQ(t) rows integer
-    polynomials (Poly.exact_div), cyclotomic rows field scalars."""
+    polynomials (Poly.exact_div), cyclotomic rows field scalars, for
+    determinants: rank_rows takes cyclotomic rows to _rank_regular."""
     if field == QQ:
         return _int_row, floordiv
     if field == QT:
@@ -519,9 +527,9 @@ def rank_rows(field, rows, points=None, deg=None):
     is certified (IntegerPoints.rank). Otherwise rows hold QQ(t) scalars,
     cleared to integer polynomials and ranked by the evaluation certificate
     of _rank_qt_certified. Both certificates share the bound of
-    _certified_rank. Other fields clear and eliminate their rows by their
-    _clearing rule: integer Bareiss over QQ, Bareiss on the scalars over a
-    cyclotomic field.
+    _certified_rank. QQ rows are cleared to coprime ints by _int_row for
+    the integer Bareiss, and QQ(zeta_N) rows are ranked by that Bareiss on
+    their regular representation (_rank_regular).
     """
     if not rows:
         return 0
@@ -529,8 +537,41 @@ def rank_rows(field, rows, points=None, deg=None):
         return points.rank(deg, rows)[0]
     if field == QT:
         return _rank_qt_certified(rows)[0]
-    clear, div = _clearing(field)
-    return _eliminate([clear(r)[0] for r in rows], div)[0]
+    if isinstance(field, CyclotomicField):
+        return _rank_regular(field, rows)
+    return _eliminate([_int_row(r)[0] for r in rows], floordiv)[0]
+
+
+def _rank_regular(field, rows):
+    """Rank over QQ(zeta_N) of rows of raw symmetrizer scalars (or field
+    scalars), by the integer Bareiss on the regular representation.
+
+    Each entry x becomes the d x d matrix of multiplication by x on the
+    power basis (Cyclotomic.matrix), d = phi(N), and all-zero rows are
+    dropped. The block read as a QQ-linear map has rank d times its rank
+    over QQ(zeta_N), since its image is a QQ(zeta_N)-subspace; that QQ
+    rank is rank_rows over QQ, so Fraction entries are cleared there.
+    """
+    d = cyclotomic_polynomial(field.order).degree
+    zeros = [0] * d
+    expanded = []
+    for row in rows:
+        if not any(row):
+            continue
+        sub = [[] for _ in range(d)]
+        for x in row:
+            if x:
+                for part, mrow in zip(sub, field.coerce(x).matrix()):
+                    part += mrow
+            else:
+                for part in sub:
+                    part += zeros
+        expanded += sub
+    r, rest = divmod(rank_rows(QQ, expanded), d)
+    if rest:
+        raise ArithmeticError(
+            f"rank {d * r + rest} over QQ is not a multiple of phi(N) = {d}")
+    return r
 
 
 def rank(mat):
@@ -541,11 +582,13 @@ def rank(mat):
 def rank_symbolic(mat):
     """Rank by symbolic fraction-free elimination, for any field.
 
-    Slower than rank() over QQ and QQ(t); kept as the independent second
+    Slower than rank() over every field; kept as the independent second
     route and used by the tests to cross-check the integer paths. Over QQ
     it eliminates Fractions by field division; over QQ(t) it runs Bareiss
     over ZZ[t] on the rows _qt_row clears, with exact polynomial division,
-    and shares no evaluation with the certificate routes.
+    and shares no evaluation with the certificate routes; over QQ(zeta_N)
+    it runs Bareiss on the field scalars, with field division, and builds
+    no regular representation.
     """
     field = mat.field
     clear, div = _field_clearing(QQ) if field == QQ else _clearing(field)

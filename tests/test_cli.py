@@ -286,6 +286,25 @@ def test_det_json(capsys):
     assert doc["remainder"] == "1"
 
 
+def test_det_cyclotomic_string_with_fraction_coordinates(tmp_path, capsys):
+    # points t/2 and 1/3 give a cyclotomic block whose determinant has
+    # coordinates that are not integers; the string is the one the
+    # Fraction-coordinate representation printed
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "rank": 2, "field": "cyclotomic(3)", "alphas": [[1, 0], [0, 1]],
+        "gammas": [["t/2", "t"], ["1 + t", "1/3"]],
+    }))
+    code, out, err = run(capsys, "det", "--datum", str(path),
+                         "--deg", "2,2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["datum"]["gammas"] == [["1/2*t", "t"], ["t + 1", "1/3"]]
+    assert (doc["rank"], doc["size"]) == (6, 6)
+    assert doc["determinant"] == "4096/81*t - 7168/81"
+    assert doc["remainder"] == doc["determinant"]
+
+
 def test_det_table_and_bad_deg(capsys):
     code, out, err = run(capsys, "det", "--preset", "cartan:A2",
                          "--deg", "1,1")

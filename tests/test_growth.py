@@ -277,7 +277,7 @@ def test_growth_constant_and_rising_tails_still_settle():
 
 
 @pytest.mark.parametrize("name, order, max_total", [
-    ("A2", 3, 7), ("B2", 3, 6), ("G2", 5, 4),
+    ("A2", 3, 10), ("B2", 3, 7), ("G2", 5, 5),
 ])
 def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
     # Lusztig's small quantum group at a primitive order-th root of unity
@@ -285,6 +285,28 @@ def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
     datum = specialize_datum(preset_cartan(name), order)
     assert hilbert_table(datum, max_total).totals() == tuple(
         lusztig_totals(heights, order, max_total))
+
+
+def _palindromic(totals):
+    """Whether the totals up to the last nonzero one read the same backwards."""
+    top = max(i for i, x in enumerate(totals) if x)
+    return totals[:top + 1] == totals[top::-1]
+
+
+def test_finite_tables_satisfy_poincare_duality():
+    # Poincare duality: the Hilbert series of a finite-dimensional minimal
+    # quotient is a palindromic polynomial
+    small_a2 = hilbert_table(specialize_datum(preset_cartan("A2"), 3), 10)
+    assert small_a2.totals() == (1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0)
+    # q_ii = -1 and q_ij q_ji = 1: the exterior algebra on three letters
+    q = ((-1, Fraction(2), Fraction(-3)),
+         (Fraction(1, 2), -1, Fraction(5, 7)),
+         (Fraction(-1, 3), Fraction(7, 5), -1))
+    exterior = hilbert_table(datum_from_q_matrix(q, QQ), 5)
+    assert exterior.totals() == (1, 3, 3, 1, 0, 0)
+    assert _palindromic(small_a2.totals())
+    assert _palindromic(exterior.totals())
+    assert not _palindromic((1, 2, 1, 1, 0))
 
 
 _SPECIALIZED_ORDERS = range(2, 7)

@@ -1,6 +1,9 @@
-"""Property tests against symbolic elimination: small random QQ(t)
-braidings ranked at integer points, QQ rows ranked as integer rows, and
-multilinear block determinants from their closed form."""
+"""Property tests against independent routes: small random QQ(t)
+braidings ranked at integer points and cyclotomic data ranked through the
+regular representation, both against symbolic elimination; QQ rows ranked
+as integer rows; multilinear block determinants from their closed form;
+and cyclotomic arithmetic on integer coordinates against Fraction
+coordinates."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,19 +13,22 @@ import pytest
 from hopfmin.datum import datum_from_q_matrix
 from hopfmin.growth import hilbert_table
 from hopfmin.oracles import planted_q, random_q
-from hopfmin.scalars import QQ, QT
+from hopfmin.scalars import (
+    QQ, QT, Cyclotomic, CyclotomicField, cyclotomic_polynomial, poly_str)
 from hopfmin.shapovalov import (
     SymMatrix,
     _int_row,
     determinant_by_elimination,
     gram_determinant,
+    matrix_rows,
     rank_rows,
     rank_symbolic,
     symmetrizer,
 )
+from hopfmin.words import multidegrees_up_to
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 # Braiding entries: Laurent monomials, and non-monomial entries with zeros
@@ -47,6 +53,106 @@ def test_integer_points_match_symbolic_rank(case):
         tuple(tuple(QT.parse(x) for x in row) for row in q), QT)
     for b in hilbert_table(datum, max_total).blocks:
         assert b.rank == rank_symbolic(symmetrizer(datum, b.deg)), b.deg
+
+
+_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+# Roots of unity, whose powers make blocks lose rank, beside points whose
+# coordinates are not integers (none of them vanishes at a root of unity).
+_CYCLOTOMIC_ENTRIES = ("t", "-t", "t^2", "-1", "1", "t/2", "1/3", "(t+2)/3",
+                       "2t^3")
+
+
+@st.composite
+def _small_cyclotomic_data(draw):
+    m = draw(st.integers(1, 3))
+    q = tuple(tuple(draw(st.sampled_from(_CYCLOTOMIC_ENTRIES))
+                    for _ in range(m)) for _ in range(m))
+    return draw(st.sampled_from(_ORDERS)), q
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_small_cyclotomic_data())
+@example((3, (("t", "t/2"), ("t^2", "t"))))
+@example((12, (("t", "t/2", "-1"), ("1/3", "-t", "t^2"), ("t", "1", "t"))))
+def test_regular_representation_matches_symbolic_rank(case):
+    order, q = case
+    field = CyclotomicField(order)
+    datum = datum_from_q_matrix(
+        tuple(tuple(field.parse(x) for x in row) for row in q), field)
+    for deg in multidegrees_up_to(datum.m, 4):
+        mat = symmetrizer(datum, deg)
+        expected = rank_symbolic(mat)
+        assert rank_rows(field, matrix_rows(datum, deg)[1]) == expected, deg
+        assert rank_rows(field, mat.entries) == expected, deg
+
+
+def _reference_coords(coeffs, order):
+    """Fraction coordinates of sum(coeffs[k] * zeta**k) by long division
+    by Phi_order over QQ."""
+    phi = cyclotomic_polynomial(order).coeffs
+    d = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs] + [Fraction(0)] * d
+    for k in range(len(rem) - 1, d - 1, -1):
+        head = rem[k]
+        for i, c in enumerate(phi):
+            rem[k - d + i] -= head * c
+    return tuple(rem[:d])
+
+
+def _reference_product(a, b, order):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _reference_coords(out, order)
+
+
+_COORDS = st.builds(Fraction, st.integers(-5, 5),
+                    st.sampled_from((1, 1, 1, 2, 3, 4)))
+
+
+@st.composite
+def _cyclotomic_operands(draw):
+    """An order, two coefficient lists of any length (the first sometimes
+    a constant), and a Fraction constant."""
+    order = draw(st.sampled_from(_ORDERS))
+    c = draw(_COORDS)
+    if draw(st.booleans()):
+        a = [c] + [0] * draw(st.integers(0, 2))
+    else:
+        a = draw(st.lists(_COORDS, min_size=1, max_size=9))
+    return order, a, draw(st.lists(_COORDS, min_size=1, max_size=9)), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cyclotomic_operands())
+def test_cyclotomic_arithmetic_matches_fraction_coordinates(case):
+    order, a, b, c = case
+    x, y = Cyclotomic.of(order, a), Cyclotomic.of(order, b)
+    ra, rb = _reference_coords(a, order), _reference_coords(b, order)
+    assert (x.coords, y.coords) == (ra, rb)
+    assert (x + y).coords == tuple(u + v for u, v in zip(ra, rb))
+    assert (x - y).coords == tuple(u - v for u, v in zip(ra, rb))
+    assert (x * y).coords == _reference_product(ra, rb, order)
+    assert (x * c).coords == (c * x).coords == tuple(u * c for u in ra)
+    n = c.numerator
+    assert (x * n).coords == (n * x).coords == tuple(u * n for u in ra)
+    assert (x + c).coords == (ra[0] + c,) + ra[1:]
+    if x:
+        one = (Fraction(1),) + (Fraction(0),) * (len(ra) - 1)
+        assert _reference_product(x.inverse().coords, ra, order) == one
+    zeros = (Fraction(0),) * (len(ra) - 1)
+    for k in (c, n):
+        assert (x == k) == (ra == (k,) + zeros)
+        assert (x != k) == (ra != (k,) + zeros)
+        if x == k:
+            assert hash(x) == hash(k)
+    assert (x == y) == (ra == rb)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert str(x) == poly_str(ra)
+    assert bool(x) == any(ra)
 
 
 # raw symmetrizer rows mix ints with Fractions, integral ones among them

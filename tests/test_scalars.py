@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: integer polynomials, QQ(t), cyclotomic values."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -194,6 +195,18 @@ def test_cyclotomic_constant_hash_matches_fraction():
     x = Cyclotomic.const(7, Fraction(2, 3))
     assert x == Fraction(2, 3)
     assert hash(x) == hash(Fraction(2, 3))
+
+
+def test_cyclotomic_integer_coordinates_and_pickle():
+    z = Cyclotomic.zeta(5)
+    x = z * z + Fraction(3, 2) * z
+    # one form: coordinates over the least positive denominator
+    assert (x.num, x.den) == ((0, 3, 2, 0), 2)
+    assert (2 * x).den == 1 and 2 * x == 2 * z * z + 3 * z
+    assert all(type(a) is int for a in (z * z * z * z).num)
+    for v in (x, z, Cyclotomic.const(5, 0), Cyclotomic.const(3, Fraction(-4, 6))):
+        back = pickle.loads(pickle.dumps(v))
+        assert (back, hash(back), str(back)) == (v, hash(v), str(v))
 
 
 def test_specialize():

@@ -9,7 +9,8 @@ that equal values compare equal structurally and render to identical strings:
 * cyclotomic fields QQ(zeta_N), stored as integer coordinate vectors modulo
   the N-th cyclotomic polynomial over one positive denominator
   (``Cyclotomic``); the denominator is 1 on Z[zeta_N], where +, - and *
-  are int arithmetic.
+  are int arithmetic, and an inverse is the product of the other Galois
+  conjugates over the norm, an int.
 
 Every scalar supports +, -, *, ** with integer exponents (negative allowed
 for invertible values), division, exact equality, hashing, and a falsy zero.
@@ -446,29 +447,6 @@ def _reduce_mod_phi(coeffs, tail):
     return tuple(coeffs)
 
 
-def _frac_poly_divmod(a, b):
-    """Quotient and remainder of Fraction-coefficient polynomial lists."""
-    rem = list(a)
-    while rem and not rem[-1]:
-        rem.pop()
-    db = len(b) - 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db:
-        head = rem[-1]
-        k = len(rem) - 1 - db
-        f = head / b[db]
-        q[k] = f
-        for i in range(db + 1):
-            rem[k + i] -= f * b[i]
-        while rem and not rem[-1]:
-            rem.pop()
-    return q, rem
-
-
 class Cyclotomic:
     """Element of QQ(zeta_N) as num / den, in the power basis of zeta.
 
@@ -476,8 +454,9 @@ class Cyclotomic:
     and den is a positive int prime to their content, so each value has
     one form. den is 1 on Z[zeta_N], which holds every specialized preset,
     and since Phi_N is monic, +, -, * and truth tests are int arithmetic;
-    an int factor only scales num. coords is the Fraction view that
-    rendering reads.
+    an int factor only scales num. The inverse is int arithmetic as well:
+    the other Galois conjugates of num over their product with num, the
+    norm, an int. coords is the Fraction view that rendering reads.
     """
 
     __slots__ = ("order", "num", "den")
@@ -610,25 +589,26 @@ class Cyclotomic:
         return [[Fraction(a, den) for a in row] for row in zip(*cols)]
 
     def inverse(self):
+        """1 / self by the Galois norm: adj, the product of the conjugates
+        sigma_k(num) (zeta -> zeta**k) over the units k != 1 mod N, makes
+        num * adj = N(num) an int, so 1 / self = den * adj / N(num)."""
         if self.is_zero():
             raise ZeroDivisionError("zero cyclotomic value has no inverse")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs]
-        # extended Euclid: s*self + t*phi = gcd = const
-        r0, r1 = phi, list(self.coords)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r2 = _frac_poly_divmod(r0, r1)
-            s2 = list(s0)
-            s2 += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s2))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s2[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r2, s1, s2
-        unit = r0[-1]
-        return Cyclotomic.of(self.order, [c / unit for c in s0])
+        order, num = self.order, self.num
+        tail = _phi_tail(order)
+        adj = self._coerce(1)
+        for k in range(2, order):
+            if _int_gcd(k, order) == 1:
+                conj = [0] * order
+                for i, a in enumerate(num):
+                    conj[i * k % order] = a
+                adj = adj * Cyclotomic(order, _reduce_mod_phi(conj, tail))
+        norm = (adj * Cyclotomic(order, num)).num
+        if any(norm[1:]):
+            raise ArithmeticError("cyclotomic norm is not rational")
+        scale = self.den if norm[0] > 0 else -self.den
+        return Cyclotomic(order, tuple(a * scale for a in adj.num),
+                          abs(norm[0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -640,7 +620,7 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other  # an int numerator only scales
 
     def __pow__(self, n):
         if not isinstance(n, int):

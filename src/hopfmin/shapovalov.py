@@ -24,7 +24,8 @@ Its divisions only have to be exact in the ring the rows live in (Sylvester's
 identity), so each field's clearing rule, _clearing, takes raw symmetrizer
 scalars into that ring once per row: coprime ints with floor division over
 QQ, integer polynomials with exact division (Bareiss over ZZ[t]) over QQ(t),
-field scalars over a cyclotomic field. Row scalings leave the rank unchanged
+field scalars over a cyclotomic field, where each step's pivot is inverted
+once, by its Galois norm. Row scalings leave the rank unchanged
 and divide out of the determinant. Every integer rank, including each
 evaluation below, is rank_rows over QQ.
 
@@ -60,7 +61,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from operator import floordiv, truediv
+from operator import floordiv
 
 from .scalars import (
     QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, cyclotomic_polynomial,
@@ -297,7 +298,7 @@ def _eliminate(rows, div):
     minor of the input (Sylvester's identity) divided by the previous pivot,
     itself a minor, so div only has to divide exactly in the ring the rows
     live in: floor division on ints, polynomial division on QQ(t) rows over
-    denominator 1, truediv in a field. On a square matrix of full rank,
+    denominator 1, division in a field. On a square matrix of full rank,
     sign * last_pivot is the determinant. Entries of finished rows are left
     stale but are never read again.
     """
@@ -341,9 +342,6 @@ def _eliminate(rows, div):
     return rank, sign, prev
 
 
-_div_generic = truediv
-
-
 def _int_row(row):
     """A row of ints and Fractions as coprime ints (times the lcm den of its
     denominators, over the gcd g of the result, which keeps Bareiss pivots
@@ -381,14 +379,25 @@ def _qt_row(row):
 
 def _field_clearing(field):
     """The Bareiss rule of a field that needs no clearing: its own scalars,
-    every zero one shared object, multiplier 1, and field division."""
+    every zero one shared object, multiplier 1, and field division that
+    inverts each divisor once. A Bareiss step divides every entry by the
+    same previous pivot, so div keeps the last divisor, by identity, with
+    its inverse and multiplies; a cyclotomic inverse is one Galois norm in
+    int arithmetic (Cyclotomic.inverse)."""
     coerce = field.coerce
     zero = field.zero()
+    pivot = inverse = None
 
     def clear(row):
         return [coerce(x) if x else zero for x in row], 1
 
-    return clear, _div_generic
+    def div(a, b):
+        nonlocal pivot, inverse
+        if b is not pivot:
+            pivot, inverse = b, 1 / b
+        return a * inverse
+
+    return clear, div
 
 
 def _clearing(field):

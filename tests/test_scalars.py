@@ -177,7 +177,9 @@ def test_cyclotomic_arithmetic():
 
 def test_cyclotomic_inverse_random():
     rng = random.Random(31)
-    for order in (1, 2, 3, 4, 5, 6, 8, 12):
+    # every order to 16: primes with phi >= 6, odd composites (9, 15) and
+    # twice an odd number (10, 14) besides the powers of two
+    for order in range(1, 17):
         dim = max(1, cyclotomic_polynomial(order).degree)
         for _ in range(8):
             coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -186,7 +188,9 @@ def test_cyclotomic_inverse_random():
             if not x:
                 continue
             assert x * x.inverse() == 1
+            assert x.inverse().den > 0
             assert x / x == 1
+            assert x ** -2 * x * x == 1
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.const(5, 0).inverse()
 

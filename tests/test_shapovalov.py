@@ -14,20 +14,22 @@ from hopfmin.datum import (
     positive_roots,
     preset_cartan,
     preset_doubled,
+    specialize_datum,
 )
 from hopfmin.growth import kostant_dims
 from hopfmin.oracles import symmetrizer_matches_permutation_sum
-from hopfmin.scalars import QQ, QT, Poly, RatFunc, cyclotomic_polynomial
+from hopfmin.scalars import (
+    QQ, QT, Cyclotomic, Poly, RatFunc, cyclotomic_polynomial)
 from hopfmin.shapovalov import (
     _SEED_POINT,
     BlockSizeError,
     SymMatrix,
-    _div_generic,
     _eliminate,
     _rank_qt_certified,
     all_reduced_words,
     apply_braid_word,
     bubble_word,
+    determinant_by_elimination,
     gram_determinant,
     matrix_rows,
     permutation_sum_oracle,
@@ -209,11 +211,28 @@ def test_gram_determinant_rational_matches_fraction_elimination():
             report = gram_determinant(d, deg)
             mat = symmetrizer(d, deg)
             r, sign, last = _eliminate([list(row) for row in mat.entries],
-                                       _div_generic)
+                                       truediv)
             expected = sign * last if r == len(mat.words) else Fraction(0)
             assert report.rank == r
             assert type(report.determinant) is Fraction
             assert report.determinant == expected
+
+
+def test_cyclotomic_determinant_inverts_each_pivot_once(monkeypatch):
+    # a Bareiss step divides every entry by the same previous pivot, so
+    # field division inverts it once, not once per entry
+    mat = symmetrizer(specialize_datum(preset_doubled("A2"), 5), (2, 1, 1, 0))
+    assert len(mat.words) == 12
+    r = _eliminate([list(row) for row in mat.entries], truediv)[0]
+    inverse, calls = Cyclotomic.inverse, []
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    assert determinant_by_elimination(mat) == (r, 0)
+    assert 0 < len(calls) <= r == 10
 
 
 def test_rank_handles_large_coefficients():

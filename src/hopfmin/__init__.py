@@ -19,8 +19,8 @@ from .growth import (
     dominance_verdict,
     growth_classify,
     hilbert_table,
-    kostant_dims,
 )
+from .oracles import pbw_dims
 from .scalars import (
     QQ,
     QT,

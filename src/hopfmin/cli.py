@@ -24,6 +24,7 @@ from .datum import (
     datum_hash,
     emit_datum,
     parse_datum,
+    positive_roots,
     preset_cartan,
     preset_doubled,
     preset_reductive,
@@ -77,13 +78,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_datum(args):
-    specialize_to = getattr(args, "specialize", None)
-    base = getattr(args, "base", None)
-    if base is not None and base != "t":
-        base = QQ.parse(base)
-    else:
-        base = None
-    if getattr(args, "preset", None):
+    base = None if args.base == "t" else QQ.parse(args.base)
+    if args.preset:
         kind, _, type_name = args.preset.partition(":")
         kind = kind.lower()
         if kind not in PRESET_KINDS or not type_name:
@@ -114,8 +110,8 @@ def _load_datum(args):
         datum = parse_datum(text)
         if base is not None:
             raise DatumValidationError(["--base applies to presets only"])
-    if specialize_to is not None:
-        datum = specialize_datum(datum, specialize_to)
+    if args.specialize is not None:
+        datum = specialize_datum(datum, args.specialize)
     return datum
 
 
@@ -190,7 +186,8 @@ class _Cache:
     def save(self):
         """Write this process's entries over a fresh read of the file, so
         entries another process saved since open() are kept. A file written
-        by a newer rank algorithm is left as it is."""
+        by a newer rank algorithm is left as it is, and a path that cannot be
+        written only gets a warning."""
         if not self.written:
             return
         try:
@@ -211,18 +208,19 @@ class _Cache:
         doc = {"rank_algorithm": RANK_ALGORITHM,
                "schema_version": SCHEMA_VERSION, "ranks": ranks}
         directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(prefix=".hopfmin-cache-", dir=directory)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
+            fd, tmp = tempfile.mkstemp(prefix=".hopfmin-cache-", dir=directory)
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError as exc:
+            print(f"warning: not saving cache {self.path}: {exc}",
+                  file=sys.stderr)
 
 
 def _datum_doc(datum):
@@ -413,8 +411,10 @@ def cmd_selftest(args):
         ("symmetrizer matches permutation sum",
          [oracles.symmetrizer_matches_permutation_sum(
              [a2, rational(2), rational(3)], 4)]),
-        ("rank tables match root multiset counts",
-         [oracles.ranks_match_kostant(name, 5) for name in ("A2", "B2")]),
+        ("block ranks match the PBW product",
+         [oracles.ranks_match_pbw(datum, roots, 5) for datum, roots in
+          [(preset_cartan(n), positive_roots(n)) for n in ("A2", "B2")]
+          + oracles.rank_two_braidings()]),
         ("transposition invariance of dimensions",
          [oracles.transposition_invariant(
              [oracles.random_q(rng, m) for m in (2, 3)], 4)]),
@@ -472,7 +472,7 @@ def _int_at_least(low):
     return parse
 
 
-def _add_datum_options(sub, with_specialize=True):
+def _add_datum_options(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset",
                        help="cartan:TYPE, reductive:TYPE or doubled:TYPE "
@@ -481,9 +481,8 @@ def _add_datum_options(sub, with_specialize=True):
     sub.add_argument("--base", default="t",
                      help="evaluate cartan/doubled presets at this nonzero "
                           "rational instead of the formal t")
-    if with_specialize:
-        sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
-                         help="send t to a primitive N-th root of unity")
+    sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
+                     help="send t to a primitive N-th root of unity")
     sub.add_argument("--block-limit", type=_int_at_least(1),
                      default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "

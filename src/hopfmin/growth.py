@@ -32,7 +32,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .scalars import QT
 from .shapovalov import (
@@ -141,31 +140,6 @@ def hilbert_table(datum, max_total, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
     degs = multidegrees_up_to(datum.m, max_total)
     return HilbertTable(max_total, compute_blocks(
         datum, degs, block_limit=block_limit, jobs=jobs))
-
-
-def kostant_dims(roots, deg):
-    """Number of multisets of the given roots summing to the multidegree.
-
-    Exhaustive recursion over the root list; the classical prediction for
-    block ranks of a Cartan-type braiding with these positive roots.
-    """
-    roots = tuple(tuple(r) for r in roots)
-
-    @lru_cache(maxsize=None)
-    def count(i, rem):
-        if not any(rem):
-            return 1
-        if i == len(roots):
-            return 0
-        total = count(i + 1, rem)
-        root = roots[i]
-        if all(a >= b for a, b in zip(rem, root)):
-            total += count(i, tuple(a - b for a, b in zip(rem, root)))
-        return total
-
-    result = count(0, tuple(int(d) for d in deg))
-    count.cache_clear()
-    return result
 
 
 def _differences(seq):

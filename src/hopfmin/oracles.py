@@ -9,9 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .datum import datum_from_q_matrix, positive_roots, preset_cartan
-from .growth import hilbert_table, kostant_dims
-from .scalars import QQ
+from .datum import datum_from_q_matrix
+from .growth import hilbert_table
+from .scalars import QQ, QT, Cyclotomic
 from .shapovalov import (
     SymEngine,
     determinant_by_elimination,
@@ -73,15 +73,63 @@ def symmetrizer_matches_permutation_sum(data, bound):
     return None, len(cases)
 
 
-def ranks_match_kostant(name, bound):
-    """Block ranks of the cartan preset against root-multiset counts."""
-    roots = positive_roots(name)
-    blocks = hilbert_table(preset_cartan(name), bound).blocks
+def root_order(q, beta):
+    """N_beta: the least k >= 2 with q_beta ** k = 1, for q_beta the product
+    of q[i][j] ** (beta_i beta_j), else None (infinite). Roots of unity in
+    QQ(zeta_N) have orders dividing lcm(2, N); in QQ and QQ(t), 1 or 2."""
+    q_beta = prod(x ** (a * b) for row, a in zip(q, beta)
+                  for x, b in zip(row, beta))
+    if q_beta == 1:
+        return None
+    top = 2 * q_beta.order if isinstance(q_beta, Cyclotomic) else 2
+    return next((k for k in range(2, top + 1) if q_beta ** k == 1), None)
+
+
+def pbw_dims(roots, q, deg):
+    """Coefficient of x^deg in prod_beta (1 - x^(N_beta beta)) / (1 - x^beta)
+    over the roots, N_beta = root_order(q, beta): the ways to write deg as
+    sum k_beta beta with 0 <= k_beta < N_beta. By Kharchenko's PBW theorem
+    (Algebra and Logic 38, 1999) it is the rank of the Sh block of deg when
+    roots are the braiding's positive roots, as in Heckenberger's rank-two
+    list (Algebr. Represent. Theory 11, 2008).
+
+    >>> from hopfmin.datum import positive_roots, preset_cartan
+    >>> a2 = positive_roots("A2")
+    >>> pbw_dims(a2, preset_cartan("A2").q_matrix, (2, 2))  # generic t
+    3
+    >>> pbw_dims(a2, ((-1, -1), (1, -1)), (2, 2))  # every N_beta is 2
+    1
+    """
+    series = {(0,) * len(deg): 1}
+    for beta in roots:
+        n = root_order(q, beta) or sum(deg) + 1  # k_beta <= sum(deg) anyway
+        out = {}
+        for d, c in series.items():
+            for _ in range(n):
+                if any(a > b for a, b in zip(d, deg)):
+                    break
+                out[d] = out.get(d, 0) + c
+                d = tuple(a + b for a, b in zip(d, beta))
+        series = out
+    return series.get(deg, 0)
+
+
+def rank_two_braidings():
+    """Non-Cartan rank-two QQ(t) data of Heckenberger's list with their roots:
+    q21 = 1, (q11, q12, q22) = (t, 1/t, -1), (-1, t, -1) or (t, t^-2, -1)."""
+    t, one, roots = QT.gen(), QT.one(), ((1, 0), (0, 1), (1, 1))
+    return [(datum_from_q_matrix(((q11, q12), (one, -one)), QT), roots + more)
+            for q11, q12, more in ((t, 1 / t, ()), (-one, t, ()),
+                                   (t, t ** -2, ((2, 1),)))]
+
+
+def ranks_match_pbw(datum, roots, bound):
+    """Block ranks of the datum against pbw_dims over the given roots."""
+    blocks = hilbert_table(datum, bound).blocks
     for count, b in enumerate(blocks, 1):
-        expected = kostant_dims(roots, b.deg)
+        expected = pbw_dims(roots, datum.q_matrix, b.deg)
         if b.rank != expected:
-            return (f"{name} block {b.deg}: rank {b.rank}, "
-                    f"expected {expected}"), count
+            return f"block {b.deg}: rank {b.rank}, expected {expected}", count
     return None, len(blocks)
 
 
@@ -127,20 +175,3 @@ def multilinear_det_matches_elimination(cases):
                     f"elimination {render(want)} at rank {r} of "
                     f"{len(mat.words)}"), count
     return None, len(cases)
-
-
-def lusztig_totals(heights, order, max_total):
-    """Coefficients of prod_h (1 - t^(order h)) / (1 - t^h) up to max_total,
-    the Hilbert series of the small quantum group at a primitive order-th
-    root of unity (Lusztig, Quantum groups at roots of 1, 1990), with h
-    running over the heights of the positive roots; each factor is
-    1 + t^h + ... + t^((order-1)h)."""
-    series = [1] + [0] * max_total
-    for h in heights:
-        out = [0] * (max_total + 1)
-        for i, c in enumerate(series):
-            for k in range(order):
-                if i + k * h <= max_total:
-                    out[i + k * h] += c
-        series = out
-    return series

@@ -49,26 +49,21 @@ def words_of_multidegree(deg):
     >>> words_of_multidegree((1, 2))
     ((1, 2, 2), (2, 1, 2), (2, 2, 1))
     """
-    m = len(deg)
-    total = sum(deg)
-    counts = list(deg)
-    word = []
-    out = []
-
-    def rec():
-        if len(word) == total:
-            out.append(tuple(word))
-            return
-        for i in range(m):
-            if counts[i]:
-                counts[i] -= 1
-                word.append(i + 1)
-                rec()
-                word.pop()
-                counts[i] += 1
-
-    rec()
-    return tuple(out)
+    word = [i + 1 for i, d in enumerate(deg) for _ in range(d)]
+    out = [tuple(word)]
+    # next permutation: bump the last ascent, reverse the tail after it
+    while True:
+        k = len(word) - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        j = len(word) - 1
+        while word[j] <= word[k]:
+            j -= 1
+        word[k], word[j] = word[j], word[k]
+        word[k + 1:] = word[:k:-1]
+        out.append(tuple(word))
 
 
 def multidegrees_up_to(m, max_total):

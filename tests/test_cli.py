@@ -276,6 +276,22 @@ def test_cache_save_merges_entries_of_other_writers(tmp_path):
     assert ranks["datum-a"] == {"1,0": [1, 0], "0,1": [1, 1]}
 
 
+@pytest.mark.parametrize("target", ["missing-dir/c.json", "a-dir"])
+def test_unsavable_cache_warns_and_still_prints(tmp_path, capsys, target):
+    (tmp_path / "a-dir").mkdir()
+    cache = tmp_path / target
+    args = ("analyze", "--preset", "cartan:A2", "--max-total", "2",
+            "--format", "json")
+    _, plain, _ = run(capsys, *args)
+    code, out, err = run(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    assert f"warning: not saving cache {cache}: " in err
+    a, b = json.loads(plain), json.loads(out)
+    del a["timings"], b["timings"]
+    assert a == b
+    assert not list(tmp_path.rglob(".hopfmin-cache-*"))
+
+
 def test_det_json(capsys):
     code, out, err = run(capsys, "det", "--preset", "cartan:A1",
                          "--deg", "3", "--format", "json")

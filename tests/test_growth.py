@@ -1,5 +1,6 @@
 """Hilbert tables, root-multiset dimension counts, growth verdicts."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -23,25 +24,33 @@ from hopfmin.growth import (
     dominance_verdict,
     growth_classify,
     hilbert_table,
-    kostant_dims,
 )
-from hopfmin.oracles import lusztig_totals, random_q
-from hopfmin.scalars import QQ
+from hopfmin.oracles import (
+    pbw_dims,
+    random_q,
+    rank_two_braidings,
+    ranks_match_pbw,
+)
+from hopfmin.scalars import QQ, QT, CyclotomicField
 from hopfmin.shapovalov import BlockSizeError
 from hopfmin.words import multidegrees_up_to
 
 
-def test_kostant_dims_by_hand():
-    roots = positive_roots("A2")
-    assert kostant_dims(roots, (0, 0)) == 1
-    assert kostant_dims(roots, (1, 0)) == 1
-    assert kostant_dims(roots, (1, 1)) == 2
-    assert kostant_dims(roots, (2, 1)) == 2
-    assert kostant_dims(roots, (2, 2)) == 3
-    b2 = positive_roots("B2")
-    assert kostant_dims(b2, (1, 1)) == 2
-    assert kostant_dims(b2, (2, 1)) == 3
-    assert kostant_dims(b2, (2, 2)) == 4
+def test_pbw_dims_by_hand():
+    # at generic t every N_beta is infinite: root-multiset counts
+    roots, q = positive_roots("A2"), preset_cartan("A2").q_matrix
+    assert pbw_dims(roots, q, (0, 0)) == 1
+    assert pbw_dims(roots, q, (1, 0)) == 1
+    assert pbw_dims(roots, q, (1, 1)) == 2
+    assert pbw_dims(roots, q, (2, 1)) == 2
+    assert pbw_dims(roots, q, (2, 2)) == 3
+    b2, q = positive_roots("B2"), preset_cartan("B2").q_matrix
+    assert pbw_dims(b2, q, (1, 1)) == 2
+    assert pbw_dims(b2, q, (2, 1)) == 3
+    assert pbw_dims(b2, q, (2, 2)) == 4
+    # with q_beta = -1 for every root, each root appears at most once
+    assert pbw_dims(roots, ((-1, -1), (1, -1)), (1, 1)) == 2
+    assert pbw_dims(roots, ((-1, -1), (1, -1)), (2, 2)) == 1
 
 
 def test_hilbert_table_reductive():
@@ -57,7 +66,7 @@ def test_hilbert_table_matches_kostant_a2():
     roots = positive_roots("A2")
     table = hilbert_table(d, 5)
     for b in table.blocks:
-        assert b.rank == kostant_dims(roots, b.deg)
+        assert b.rank == pbw_dims(roots, d.q_matrix, b.deg)
     assert table.totals() == (1, 2, 4, 6, 9, 12)
 
 
@@ -280,11 +289,35 @@ def test_growth_constant_and_rising_tails_still_settle():
     ("A2", 3, 10), ("B2", 3, 7), ("G2", 5, 5),
 ])
 def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
-    # Lusztig's small quantum group at a primitive order-th root of unity
-    heights = [sum(root) for root in positive_roots(name)]
+    # Lusztig's small quantum group at a primitive order-th root of unity,
+    # block by block: every N_beta is the order
     datum = specialize_datum(preset_cartan(name), order)
-    assert hilbert_table(datum, max_total).totals() == tuple(
-        lusztig_totals(heights, order, max_total))
+    assert ranks_match_pbw(datum, positive_roots(name), max_total) == (
+        None, math.comb(max_total + 2, 2))
+
+
+@pytest.mark.parametrize("k, totals", [
+    (0, (1, 2, 3, 4, 4, 4, 4)),
+    (1, (1, 2, 2, 2, 2, 2, 2)),
+    (2, (1, 2, 3, 5, 7, 9, 11)),
+])
+def test_rank_two_braidings_match_pbw(k, totals):
+    datum, roots = rank_two_braidings()[k]
+    assert ranks_match_pbw(datum, roots, 6) == (None, 28)
+    assert hilbert_table(datum, 6).totals() == totals
+    for n in (3, 4, 5, 6):
+        assert ranks_match_pbw(specialize_datum(datum, n), roots, 7) == (
+            None, 36), n
+
+
+@pytest.mark.parametrize("field, q", [
+    *((CyclotomicField(n), CyclotomicField(n).zeta()) for n in (2, 3, 4, 5)),
+    (QT, QT.gen()),
+    *((QQ, Fraction(x)) for x in (1, -1, 2)),
+], ids=["zeta2", "zeta3", "zeta4", "zeta5", "t", "1", "-1", "2"])
+def test_one_letter_matches_pbw(field, q):
+    datum = datum_from_q_matrix(((q,),), field)
+    assert ranks_match_pbw(datum, ((1,),), 7) == (None, 8)
 
 
 def _palindromic(totals):

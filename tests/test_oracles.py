@@ -12,7 +12,12 @@ import random
 import pytest
 
 from hopfmin import oracles, shapovalov
-from hopfmin.datum import datum_from_q_matrix, preset_cartan
+from hopfmin.datum import (
+    datum_from_q_matrix,
+    positive_roots,
+    preset_cartan,
+    specialize_datum,
+)
 from hopfmin.scalars import QQ
 
 A2 = preset_cartan("A2")
@@ -30,12 +35,6 @@ def _perturb_symmetrizer(monkeypatch):
         return dataclasses.replace(mat, entries=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(oracles, "symmetrizer", fake)
-
-
-def _shift_kostant(monkeypatch):
-    real = oracles.kostant_dims
-    monkeypatch.setattr(oracles, "kostant_dims",
-                        lambda roots, deg: real(roots, deg) + 1)
 
 
 def _change_second_table(monkeypatch):
@@ -83,15 +82,45 @@ def _morphism_on_a2():
 @pytest.mark.parametrize("check, plant", [
     (lambda: oracles.symmetrizer_matches_permutation_sum([A2], 3),
      _perturb_symmetrizer),
-    (lambda: oracles.ranks_match_kostant("A2", 3), _shift_kostant),
     (lambda: oracles.transposition_invariant(
         [oracles.random_q(random.Random(5), 2)], 3), _change_second_table),
     (_morphism_on_a2, _corrupt_braiding),
     (_multilinear_blocks, _mutate_exponent),
-], ids=["symmetrizer", "kostant", "transposition", "shuffle", "multilinear"])
+], ids=["symmetrizer", "transposition", "shuffle", "multilinear"])
 def test_planted_fault_is_reported(monkeypatch, check, plant):
     detail, count = check()
     assert detail is None and count > 0
     plant(monkeypatch)
     detail, _ = check()
     assert detail is not None
+
+
+def _shift_pbw(monkeypatch):
+    real = oracles.pbw_dims
+    monkeypatch.setattr(oracles, "pbw_dims",
+                        lambda roots, q, deg: real(roots, q, deg) + 1)
+
+
+def _bump_order(monkeypatch):
+    real = oracles.root_order
+
+    def fake(q, beta):
+        n = real(q, beta)
+        return n + 1 if beta == (1, 0) and n is not None else n
+
+    monkeypatch.setattr(oracles, "root_order", fake)
+
+
+@pytest.mark.parametrize("plant, first, count", [
+    (_shift_pbw, (0, 0), 1),
+    # A2 at zeta_3: alpha1 at order 4 first allows the block (3, 0), the
+    # last of total 3 and the tenth block
+    (_bump_order, (3, 0), 10),
+], ids=["shift", "order"])
+def test_planted_pbw_fault_is_reported(monkeypatch, plant, first, count):
+    datum = specialize_datum(A2, 3)
+    roots = positive_roots("A2")
+    assert oracles.ranks_match_pbw(datum, roots, 4) == (None, 15)
+    plant(monkeypatch)
+    detail, at = oracles.ranks_match_pbw(datum, roots, 4)
+    assert detail.startswith(f"block {first}: ") and at == count

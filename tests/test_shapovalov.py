@@ -16,8 +16,7 @@ from hopfmin.datum import (
     preset_doubled,
     specialize_datum,
 )
-from hopfmin.growth import kostant_dims
-from hopfmin.oracles import symmetrizer_matches_permutation_sum
+from hopfmin.oracles import pbw_dims, symmetrizer_matches_permutation_sum
 from hopfmin.scalars import (
     QQ, QT, Cyclotomic, Poly, RatFunc, cyclotomic_polynomial)
 from hopfmin.shapovalov import (
@@ -196,7 +195,8 @@ def test_rank_certificate_one_pass_on_g2():
     mat = symmetrizer(preset_cartan("G2"), (3, 3))
     got, passes = _rank_qt_certified(mat.entries)
     assert passes == 1
-    assert got == kostant_dims(positive_roots("G2"), (3, 3))
+    assert got == pbw_dims(positive_roots("G2"), preset_cartan("G2").q_matrix,
+                           (3, 3))
 
 
 def test_gram_determinant_rational_matches_fraction_elimination():

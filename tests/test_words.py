@@ -49,6 +49,14 @@ def test_words_of_multidegree():
         assert all(multidegree(w, len(deg)) == deg for w in ws)
 
 
+def test_words_of_long_multidegrees():
+    # words longer than the interpreter's recursion limit
+    assert words_of_multidegree((1500,)) == ((1,) * 1500,)
+    ws = words_of_multidegree((1500, 1))
+    assert ws == tuple((1,) * k + (2,) + (1,) * (1500 - k)
+                       for k in range(1500, -1, -1))
+
+
 def test_multidegrees_up_to_order_and_count():
     degs = multidegrees_up_to(2, 3)
     assert degs[0] == (0, 0)

@@ -6,6 +6,7 @@ from .datum import (
     datum_from_q_matrix,
     datum_hash,
     emit_datum,
+    make_datum,
     parse_datum,
     preset_cartan,
     preset_doubled,
@@ -41,6 +42,7 @@ from .shapovalov import (
     gram_determinant,
     permutation_sum_oracle,
     rank,
+    rank_symbolic,
     symmetrizer,
 )
 from .sl2 import dim_L, parallel_report, shapovalov_value

@@ -36,6 +36,7 @@ from .growth import (
     compute_blocks,
     dominance_label,
     growth_classify,
+    guarded_total,
 )
 from .scalars import (
     QQ,
@@ -45,6 +46,7 @@ from .scalars import (
 )
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
+    LETTER_LIMIT,
     BlockSizeError,
     check_block_sizes,
     gram_determinant,
@@ -248,14 +250,10 @@ def _emit_json(doc):
 def cmd_analyze(args):
     t0 = time.monotonic()
     datum = _load_datum(args)
-    # the widest block of a total degree is its most even multidegree;
-    # enumerate no total past the first one where that is over the limit,
-    # so the guard below fails fast however large --max-total is
-    m = datum.m
-    top = next((n for n in range(args.max_total + 1) if block_size(
-        tuple(n // m + (i < n % m) for i in range(m))) > args.block_limit),
-        args.max_total)
-    degs = multidegrees_up_to(m, top)
+    # enumerate no total past the first one the guard refuses; the guard
+    # runs before the cache lookup, so it refuses cached blocks too
+    degs = multidegrees_up_to(
+        datum.m, guarded_total(datum.m, args.max_total, args.block_limit))
     check_block_sizes(degs, args.block_limit)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = _Cache.open(cache_path) if cache_path else None
@@ -486,7 +484,8 @@ def _add_datum_options(sub):
     sub.add_argument("--block-limit", type=_int_at_least(1),
                      default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "
-                          f"(default {DEFAULT_BLOCK_LIMIT})")
+                          f"(default {DEFAULT_BLOCK_LIMIT}); blocks of more "
+                          f"than {LETTER_LIMIT} letters are always refused")
 
 
 def _build_parser():

@@ -16,7 +16,7 @@ Classification inspects a trailing window of the totals:
   catches period-two quasi-polynomial dimension counts such as graded
   root-system tables): Polynomial(k) for the least such k < window;
 * the window's ratios (each total over the one before, over the last
-  window + 1 totals) all at least the threshold: ExponentialSuspected;
+  window + 1 totals) all at least EXPONENTIAL_RATIO: ExponentialSuspected;
 * anything else, or a history shorter than twice the window: Inconclusive.
 
 The stride-two clause is deliberate: totals of a free-to-shuffle table over
@@ -36,6 +36,7 @@ from fractions import Fraction
 from .scalars import QT
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
+    LETTER_LIMIT,
     IntegerPoints,
     SymEngine,
     check_block_sizes,
@@ -48,6 +49,8 @@ FINITE = "finite"
 POLYNOMIAL = "polynomial"
 EXPONENTIAL_SUSPECTED = "exponential_suspected"
 INCONCLUSIVE = "inconclusive"
+
+EXPONENTIAL_RATIO = Fraction(3, 2)  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,25 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
     return tuple(out)
 
 
-def hilbert_table(datum, max_total, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
+def guarded_total(m, max_total, block_limit):
+    """The total degree to enumerate blocks up to: max_total, unless a lower
+    total holds a block that check_block_sizes refuses, and then the first
+    such total, so a huge max_total fails fast. A total is refused when it
+    is over LETTER_LIMIT, or when its widest block, the most even
+    multidegree, has more than block_limit words (None: no word limit)."""
+    for n in range(min(max_total, LETTER_LIMIT) + 1):
+        widest = tuple(n // m + (i < n % m) for i in range(m))
+        if block_limit is not None and block_size(widest) > block_limit:
+            return n
+    return min(max_total, LETTER_LIMIT + 1)
+
+
+def hilbert_table(datum, max_total, block_limit=DEFAULT_BLOCK_LIMIT):
     """Ranks of every block with total degree up to max_total."""
-    degs = multidegrees_up_to(datum.m, max_total)
+    degs = multidegrees_up_to(
+        datum.m, guarded_total(datum.m, max_total, block_limit))
     return HilbertTable(max_total, compute_blocks(
-        datum, degs, block_limit=block_limit, jobs=jobs))
+        datum, degs, block_limit=block_limit))
 
 
 def _differences(seq):
@@ -159,7 +176,7 @@ def _settled(diffs, window):
     return None
 
 
-def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
+def growth_classify(totals, window=3):
     """Growth verdict for a totals sequence indexed from degree 0."""
     totals = tuple(int(x) for x in totals)
     if window < 2:
@@ -198,11 +215,11 @@ def growth_classify(totals, window=3, ratio=Fraction(3, 2)):
     if all(totals[-window - 1:]):
         ratios = [Fraction(totals[i + 1], totals[i])
                   for i in range(len(totals) - window - 1, len(totals) - 1)]
-        if all(r >= ratio for r in ratios):
+        if all(r >= EXPONENTIAL_RATIO for r in ratios):
             return GrowthVerdict(EXPONENTIAL_SUSPECTED, None, {
                 "window": window,
                 "ratios": [str(r) for r in ratios],
-                "threshold": str(ratio),
+                "threshold": str(EXPONENTIAL_RATIO),
             })
     return GrowthVerdict(INCONCLUSIVE, None, {
         "reason": "trailing window neither settles nor grows steadily",
@@ -227,8 +244,8 @@ def dominance_label(verdict, max_total):
 
 
 def dominance_verdict(datum, max_total, window=3,
-                      block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
+                      block_limit=DEFAULT_BLOCK_LIMIT):
     """Hilbert table, growth verdict, and dominance line for a datum."""
-    table = hilbert_table(datum, max_total, block_limit=block_limit, jobs=jobs)
+    table = hilbert_table(datum, max_total, block_limit=block_limit)
     verdict = growth_classify(table.totals(), window=window)
     return DominanceReport(table, verdict, dominance_label(verdict, max_total))

@@ -14,9 +14,17 @@ that equal values compare equal structurally and render to identical strings:
 
 Every scalar supports +, -, *, ** with integer exponents (negative allowed
 for invertible values), division, exact equality, hashing, and a falsy zero.
-Python ints and Fractions mix freely with RatFunc and Cyclotomic values;
-mixing the t-function field with a cyclotomic field raises FieldMismatchError
-rather than guessing an embedding.
+RatFunc and Cyclotomic share one protocol (_Scalar): each supplies _coerce,
+which takes an int, a Fraction or a value of its own field to that field
+(None for anything else), +, unary -, * and inverse, and the base derives
+-, / and ** from those once. Python ints and Fractions mix freely with
+RatFunc and Cyclotomic values, and a constant compares and hashes like its
+Fraction; mixing the t-function field with a cyclotomic field raises
+FieldMismatchError rather than guessing an embedding.
+
+The field objects share one protocol too (_Field): equality and hashing by
+the name tag, one() and zero() as coerce(1) and coerce(0), and render(s) as
+str(coerce(s)), the form parse reads back.
 """
 
 from __future__ import annotations
@@ -257,6 +265,59 @@ def cyclotomic_polynomial(n):
 
 
 # ---------------------------------------------------------------------------
+# field scalars
+
+
+class _Scalar:
+    """The operations every field scalar derives from its subclass's
+    _coerce, +, unary -, * and inverse. The subclasses keep their own
+    +, *, their reflected aliases, truth, equality and hashing, which the
+    symmetrizer and elimination call on every entry."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        if self._coerce(other) is None:
+            return NotImplemented
+        return self.inverse() * other  # an int numerator only scales
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError("scalar exponents must be integers")
+        base = self
+        if n < 0:
+            base, n = self.inverse(), -n
+        out = self._coerce(1)
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+# ---------------------------------------------------------------------------
 # rational functions over QQ, canonical reduced pairs in ZZ[t]
 
 
@@ -290,7 +351,7 @@ def _canonical_pair(num, den):
 
 
 @dataclass(frozen=True)
-class RatFunc:
+class RatFunc(_Scalar):
     """Element of QQ(t) in canonical reduced form."""
 
     num: Poly = _P_ZERO
@@ -325,9 +386,6 @@ class RatFunc:
                 "cannot mix rational functions in t with cyclotomic values")
         return None
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -344,18 +402,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -364,37 +410,10 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("scalar exponents must be integers")
-        if n < 0:
-            if self.num.is_zero():
-                raise ZeroDivisionError("zero has no negative powers")
-            base = RatFunc(self.den, self.num)
-            n = -n
-        else:
-            base = self
-        out = _RF_ONE
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def inverse(self):
+        if self.num.is_zero():
+            raise ZeroDivisionError("zero rational function has no inverse")
+        return RatFunc(self.den, self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -420,10 +439,6 @@ class RatFunc:
     __repr__ = __str__
 
 
-_RF_ZERO = RatFunc(_P_ZERO, _P_ONE)
-_RF_ONE = RatFunc(_P_ONE, _P_ONE)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic fields, integer coordinates modulo Phi_N
 
@@ -447,7 +462,7 @@ def _reduce_mod_phi(coeffs, tail):
     return tuple(coeffs)
 
 
-class Cyclotomic:
+class Cyclotomic(_Scalar):
     """Element of QQ(zeta_N) as num / den, in the power basis of zeta.
 
     num holds the phi(N) int coordinates of 1, zeta, ..., zeta**(phi(N)-1)
@@ -513,9 +528,6 @@ class Cyclotomic:
                 "cannot mix cyclotomic values with rational functions in t")
         return None
 
-    def is_zero(self):
-        return not any(self.num)
-
     def __bool__(self):
         return any(self.num)
 
@@ -535,18 +547,6 @@ class Cyclotomic:
 
     def __neg__(self):
         return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if type(other) is int:
@@ -609,32 +609,6 @@ class Cyclotomic:
         scale = self.den if norm[0] > 0 else -self.den
         return Cyclotomic(order, tuple(a * scale for a in adj.num),
                           abs(norm[0]))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.inverse() * other  # an int numerator only scales
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("scalar exponents must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
@@ -863,16 +837,33 @@ def parse_scalar(text):
 # field objects
 
 
-class RationalField:
+class _Field:
+    """What every field object derives from its name tag, its coerce and
+    its class name."""
+
+    def one(self):
+        return self.coerce(1)
+
+    def zero(self):
+        return self.coerce(0)
+
+    def render(self, s):
+        return str(self.coerce(s))
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+class RationalField(_Field):
     """The rational numbers; scalars are fractions.Fraction."""
 
     name = "rational"
-
-    def one(self):
-        return Fraction(1)
-
-    def zero(self):
-        return Fraction(0)
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
@@ -890,29 +881,11 @@ class RationalField:
             raise ScalarParseError(f"{text!r} is not constant over the rational field")
         return q
 
-    def render(self, s):
-        return _coeff_str(Fraction(s))
 
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-
-class RationalFunctionField:
+class RationalFunctionField(_Field):
     """QQ(t); scalars are RatFunc values."""
 
     name = "rational_function"
-
-    def one(self):
-        return _RF_ONE
-
-    def zero(self):
-        return _RF_ZERO
 
     def gen(self):
         return RatFunc.t_power(1)
@@ -927,20 +900,8 @@ class RationalFunctionField:
     def parse(self, text):
         return parse_scalar(text)
 
-    def render(self, s):
-        return render_ratfunc(self.coerce(s))
 
-    def __eq__(self, other):
-        return type(other) is RationalFunctionField
-
-    def __hash__(self):
-        return hash("rational_function")
-
-    def __repr__(self):
-        return "RationalFunctionField()"
-
-
-class CyclotomicField:
+class CyclotomicField(_Field):
     """QQ(zeta_N); scalars are Cyclotomic values of order N.
 
     In literals for this field, t denotes zeta_N.
@@ -951,12 +912,6 @@ class CyclotomicField:
             raise ValueError("cyclotomic order must be positive")
         self.order = order
         self.name = f"cyclotomic({order})"
-
-    def one(self):
-        return Cyclotomic.const(self.order, 1)
-
-    def zero(self):
-        return Cyclotomic.const(self.order, 0)
 
     def zeta(self):
         return Cyclotomic.zeta(self.order)
@@ -977,15 +932,6 @@ class CyclotomicField:
             return specialize(val, self.order)
         except SpecializationPoleError as exc:
             raise ScalarParseError(f"{text!r} has a pole at zeta_{self.order}") from exc
-
-    def render(self, s):
-        return poly_str(self.coerce(s).coords)
-
-    def __eq__(self, other):
-        return type(other) is CyclotomicField and other.order == self.order
-
-    def __hash__(self):
-        return hash(("cyclotomic", self.order))
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"

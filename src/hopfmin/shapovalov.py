@@ -69,31 +69,35 @@ from .scalars import (
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
+# the most letters a block may have: SymEngine.sym recurses once per letter,
+# and this leaves room below CPython's default recursion limit of 1000 for
+# the frames of the callers (the CLI, a test runner, a tracer)
+LETTER_LIMIT = 800
 
 # SymEngine.trim drops the memo once it holds more coefficients than this
 _MEMO_COEFF_LIMIT = 400_000
 
 
 class BlockSizeError(RuntimeError):
-    """A multidegree block would exceed the configured word limit."""
+    """A multidegree block would exceed the word limit or LETTER_LIMIT."""
 
-    def __init__(self, deg, size, limit):
+    def __init__(self, deg, size, limit, unit="words"):
         self.multidegree = tuple(deg)
         self.size = size
         self.limit = limit
         super().__init__(
-            f"block {tuple(deg)} has {size} words, over the limit of {limit}")
+            f"block {tuple(deg)} has {size} {unit}, over the limit of {limit}")
 
 
 def check_block_sizes(degs, block_limit):
     """Raise BlockSizeError for the first multidegree whose block has more
-    than block_limit words; a limit of None allows every size."""
-    if block_limit is None:
-        return
+    than LETTER_LIMIT letters or more than block_limit words; a block_limit
+    of None allows every word count."""
     for deg in degs:
-        size = block_size(deg)
-        if size > block_limit:
-            raise BlockSizeError(deg, size, block_limit)
+        if sum(deg) > LETTER_LIMIT:
+            raise BlockSizeError(deg, sum(deg), LETTER_LIMIT, "letters")
+        if block_limit is not None and block_size(deg) > block_limit:
+            raise BlockSizeError(deg, block_size(deg), block_limit)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hopfmin.cli import RANK_ALGORITHM, _Cache, main
+from hopfmin.shapovalov import LETTER_LIMIT
 
 
 def run(capsys, *argv):
@@ -405,6 +406,24 @@ def test_block_limit_fails_fast_on_huge_max_total():
     assert proc.returncode == 2
     assert proc.stderr == (
         "error: block (6, 8) has 3003 words, over the limit of 3000\n")
+
+
+@pytest.mark.parametrize("argv, block", [
+    # the symmetrizer would recurse once per letter past the recursion limit
+    (("det", "--preset", "cartan:A1", "--deg", "1100"), (1100,)),
+    (("det", "--preset", "cartan:A2", "--deg", "1100,1"), (1100, 1)),
+    # every one-letter block has one word, so only the letter limit stops
+    # this table, at the first total over it
+    (("analyze", "--preset", "cartan:A1", "--max-total", "100000"),
+     (LETTER_LIMIT + 1,)),
+])
+def test_blocks_of_too_many_letters_exit_two(argv, block):
+    proc = subprocess.run([sys.executable, "-m", "hopfmin", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"error: block {block} has {sum(block)} letters, "
+                           f"over the limit of {LETTER_LIMIT}\n")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,6 +173,25 @@ def test_compute_blocks_guard_names_block():
     with pytest.raises(BlockSizeError) as exc:
         compute_blocks(d, degs, block_limit=100)
     assert exc.value.size > 100
+
+
+def test_hilbert_table_fails_fast_on_huge_max_total():
+    # the library stops at the first refused total degree, as the CLI does,
+    # instead of enumerating every multidegree up to a billion first; the
+    # child's address space is capped, so a regression fails this test
+    # rather than exhausting memory
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from hopfmin import BlockSizeError, hilbert_table, preset_cartan
+try:
+    hilbert_table(preset_cartan("A2"), 10 ** 9)
+except BlockSizeError as exc:
+    print(exc.multidegree)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.stdout == "(6, 8)\n"
 
 
 def test_growth_finite():

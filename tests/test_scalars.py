@@ -260,6 +260,31 @@ def test_rational_field():
         QQ.coerce(RatFunc.t_power(1))
 
 
+def test_fields_share_equality_hashing_and_rendering():
+    half = parse_scalar("1/2")  # a constant RatFunc, which QQ coerces
+    assert QQ.render(half) == "1/2"
+    assert QT.render(half) == str(half) == "(1)/(2)"
+    assert type(QQ.one()) is Fraction and QQ.zero() == 0
+    assert CyclotomicField(5).one() == Cyclotomic.const(5, 1)
+    fields = [QQ, QT, CyclotomicField(5), CyclotomicField(5),
+              CyclotomicField(7)]
+    assert len(set(fields)) == 4
+    assert all(field_from_name(f.name) == f for f in fields)
+
+
+def test_ratfunc_inverse_and_the_derived_operations():
+    t = RatFunc.t_power(1)
+    f = (t + 1) / (2 * t - 3)
+    assert f.inverse() == (2 * t - 3) / (t + 1)
+    assert f * f.inverse() == 1
+    assert 3 / f == 3 * f.inverse() and 1 - f == -(f - 1)
+    assert f ** -2 == f.inverse() * f.inverse()
+    with pytest.raises(ZeroDivisionError):
+        RatFunc().inverse()
+    # the shared base keeps Cyclotomic free of a per-instance dict
+    assert not hasattr(Cyclotomic.zeta(5), "__dict__")
+
+
 def test_rational_function_field():
     f = QT.parse("(t-1)/(t^2-1)")
     assert f == RatFunc(Poly((1,)), Poly((1, 1)))

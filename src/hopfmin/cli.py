@@ -40,13 +40,17 @@ from .growth import (
 )
 from .scalars import (
     QQ,
+    QT,
     FieldMismatchError,
     ScalarParseError,
     SpecializationPoleError,
 )
 from .shapovalov import (
+    BOUND,
     DEFAULT_BLOCK_LIMIT,
     LETTER_LIMIT,
+    POINT,
+    SEED,
     BlockSizeError,
     check_block_sizes,
     gram_determinant,
@@ -243,6 +247,19 @@ def _verdict_doc(verdict, max_total):
     }
 
 
+def _settled_doc(computed):
+    """How the computed QQ(t) blocks were certified (cached blocks are not
+    counted): how many by full seed rank, by the coideal bound and by an
+    evaluation point, and each block that paid for a point, with its
+    passes."""
+    hows = [b.settled[0] for b in computed]
+    return {
+        **{how: hows.count(how) for how in (SEED, BOUND, POINT)},
+        "points": [{"deg": list(b.deg), "passes": b.settled[1]}
+                   for b in computed if b.settled[0] == POINT],
+    }
+
+
 def _emit_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -300,6 +317,8 @@ def cmd_analyze(args):
             "cache_misses": len(missing),
         },
     }
+    if datum.field == QT:
+        doc["timings"]["settled"] = _settled_doc(computed)
     if args.format == "json":
         _emit_json(doc)
     elif args.format == "csv":

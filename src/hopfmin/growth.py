@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import QT
@@ -58,6 +58,9 @@ class BlockDim:
     deg: tuple[int, ...]
     size: int
     rank: int
+    # how a computed QQ(t) block's rank was certified, as (Settled.how,
+    # passes); None otherwise. A record of the run, not part of the result.
+    settled: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -95,18 +98,26 @@ def _blocks(args):
     """BlockDim for each multidegree of (datum, degs), in order.
 
     The one block loop: the serial path and every pool worker run it. One
-    engine serves all the blocks, over IntegerPoints.seed_braiding for QQ(t)
-    data, and is trimmed between blocks.
+    engine serves all the blocks, and is trimmed between blocks. For QQ(t)
+    data it is the seed engine of the IntegerPoints, which settles the
+    blocks in order and builds the lower blocks' vectors of its coideal
+    bound from the same engine.
     """
     datum, degs = args
-    points = IntegerPoints(datum.braiding_matrix) if datum.field == QT else None
-    engine = SymEngine(datum.braiding_matrix if points is None
-                       else points.seed_braiding)
+    if datum.field == QT:
+        points = IntegerPoints(datum.braiding_matrix, SymEngine)
+        engine = points.engine
+    else:
+        points, engine = None, SymEngine(datum.braiding_matrix)
     out = []
     for deg in degs:
         _, rows = matrix_rows(datum, deg, engine=engine)
-        out.append(BlockDim(deg, block_size(deg), rank_rows(
-            datum.field, rows, points=points, deg=deg)))
+        r = rank_rows(datum.field, rows, points=points, deg=deg)
+        settled = None
+        if points is not None:
+            got = points.settled[deg]
+            settled = (got.how, got.passes)
+        out.append(BlockDim(deg, block_size(deg), r, settled))
         engine.trim()
     return out
 

@@ -35,17 +35,20 @@ representation), the block read as a QQ-linear map has phi(N) times the
 rank, and all-zero rows, most rows of a specialized table, are dropped
 first. Determinants, and rank_symbolic, keep Bareiss on the field scalars.
 
-A rank over QQ(t) is the integer rank at one integer point B above every
-coefficient a relevant minor can have, so that a nonzero minor stays
-nonzero at t = B; B is sized from a certified lower bound on the rank, the
-rank at a small seed point, so one evaluation usually decides. The rows
-come from one of two sources. Tables (growth.compute_blocks) never build
-symbolic blocks: IntegerPoints evaluates the braiding at the seed and at B
-and builds each block there over QQ, with an a-priori bound on the entries
-of Sh (integer polynomials in the braiding entries). Symbolic rows (rank(mat),
-rank_rows) are cleared to integer polynomials and evaluated, bounded by their
-largest entry. Both bound the minors by one formula in one pass loop,
-_certified_rank.
+A rank over QQ(t) starts from the integer rank at a small seed point of t,
+a certified lower bound (evaluation never raises a rank). Tables
+(growth.compute_blocks) never build symbolic blocks: IntegerPoints builds
+each block at the seed over QQ, and settles its rank there when it is full
+or when it meets the coideal bound (IntegerPoints.coideal_bound), an upper
+bound from the lower blocks d - e_a. The other blocks (in the cartan
+presets, only the Serre blocks), and symbolic rows (rank(mat), rank_rows),
+pay for an evaluation at an integer point B above every coefficient a
+relevant minor can have, so that a nonzero minor stays nonzero at t = B.
+B is sized from the seed rank, so one evaluation usually decides. A table
+block is rebuilt at B, with an a-priori bound on the entries of Sh
+(integer polynomials in the braiding entries); symbolic rows are cleared
+to integer polynomials and bounded by their largest entry. Both bound the
+minors by one formula in one pass loop, _certified_rank.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -144,27 +147,44 @@ class SymEngine:
         self._load = 0
 
     def sym(self, w):
+        """Sh(w) as a word -> coefficient dict.
+
+        Deleting any letter of a run of equal adjacent letters leaves the
+        same subword, and each letter's scalar in the run is the one before
+        times b(a, a); so a run's scalars are summed and its subword merged
+        once.
+        """
         got = self.memo.get(w)
         if got is not None:
             return got
         b = self.b
         out = {}
-        for j in range(len(w)):
+        n = len(w)
+        j = 0
+        while j < n:
             head = w[j]
             hcol = head - 1
             scalar = 1
             for i in range(j):
                 scalar = scalar * b[w[i] - 1][hcol]
-            if not scalar:
+            start = j
+            j += 1
+            total = scalar
+            same = b[hcol][hcol]
+            while j < n and w[j] == head:
+                scalar = scalar * same
+                total = total + scalar
+                j += 1
+            if not total:
                 continue
-            sub = self.sym(w[:j] + w[j + 1:])
+            sub = self.sym(w[:start] + w[start + 1:])
             for u, c in sub.items():
                 key = (head,) + u
                 prev = out.get(key)
                 if prev is None:
-                    out[key] = scalar * c
+                    out[key] = total * c
                 else:
-                    merged = prev + scalar * c
+                    merged = prev + total * c
                     if merged:
                         out[key] = merged
                     else:
@@ -293,18 +313,20 @@ def permutation_sum_oracle(datum, deg, total_bound=5):
 # exact rank and determinant
 
 
-def _eliminate(rows, div):
+def _eliminate(rows, div, pivots=None):
     """Fraction-free Bareiss elimination in place; returns (rank, sign,
     last_pivot).
 
     Pivots are the first nonzero entry of each column scanning down from the
-    current row; columns without one are skipped. Each updated entry is a
-    minor of the input (Sylvester's identity) divided by the previous pivot,
-    itself a minor, so div only has to divide exactly in the ring the rows
-    live in: floor division on ints, polynomial division on QQ(t) rows over
-    denominator 1, division in a field. On a square matrix of full rank,
-    sign * last_pivot is the determinant. Entries of finished rows are left
-    stale but are never read again.
+    current row; columns without one are skipped. So the pivot columns are
+    the greedily independent columns; each is appended to the list pivots
+    when one is given. Each updated entry is a minor of the input
+    (Sylvester's identity) divided by the previous pivot, itself a minor, so
+    div only has to divide exactly in the ring the rows live in: floor
+    division on ints, polynomial division on QQ(t) rows over denominator 1,
+    division in a field. On a square matrix of full rank, sign * last_pivot
+    is the determinant. Entries of finished rows are left stale but are
+    never read again.
     """
     n = len(rows)
     if n == 0:
@@ -324,6 +346,8 @@ def _eliminate(rows, div):
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
+        if pivots is not None:
+            pivots.append(col)
         prow = rows[rank]
         p = prow[col]
         for i in range(rank + 1, n):
@@ -418,15 +442,15 @@ def _clearing(field):
     return _field_clearing(field)
 
 
-def _certified_rank(seed_rows, norm, rows_at):
+def _certified_rank(seed, dim, norm, rows_at):
     """The evaluation certificate's pass loop; returns (rank over QQ(t),
     passes).
 
-    seed_rows are the integer rows of a matrix over ZZ[t] at some integer
-    point, so their rank is a certified lower bound; norm bounds the
-    coefficient 1-norm of every entry (up to a common factor that does not
-    vanish at the points used), and rows_at(x) gives the rows at t = x. An
-    s x s minor is a sum of s! products of s entries, so its 1-norm is at
+    seed is the rank of a matrix over ZZ[t] at some integer point, so a
+    certified lower bound, and dim the lesser of its two sides; norm bounds
+    the coefficient 1-norm of every entry (up to a common factor that does
+    not vanish at the points used), and rows_at(x) gives the rows at t = x.
+    An s x s minor is a sum of s! products of s entries, so its 1-norm is at
     most s! * norm**s, and no integer root of a nonzero one exceeds 1 + its
     height, which is at most that 1-norm. So at
     B = s! * norm**s + 2 every nonzero minor of size at most s stays
@@ -434,8 +458,6 @@ def _certified_rank(seed_rows, norm, rows_at):
     rank over QQ(t), and r >= s grows s to r + 1 for another pass. A seed of
     full rank needs no pass.
     """
-    seed = rank_rows(QQ, seed_rows)
-    dim = min(len(seed_rows), len(seed_rows[0]))
     if seed == dim:
         return seed, 0
     s = seed + 1
@@ -472,7 +494,44 @@ def _rank_qt_certified(rows):
         return [[p.eval_at(x) for p in prow] for prow in polys]
 
     norm = max(_norm1(p) for prow in polys for p in prow)
-    return _certified_rank(rows_at(_SEED_POINT), norm, rows_at)
+    return _certified_rank(rank_rows(QQ, rows_at(_SEED_POINT)),
+                           min(len(rows), len(rows[0])), norm, rows_at)
+
+
+# How IntegerPoints settled the rank of a block (Settled.how)
+SEED = "seed"
+BOUND = "bound"
+POINT = "point"
+
+
+@dataclass(frozen=True)
+class Settled:
+    """The certified rank of one QQ(t) table block and how it was found:
+    SEED (full rank at the seed point), BOUND (the coideal bound meets the
+    seed rank) or POINT (by _certified_rank, in passes >= 1 evaluations).
+    pivots are the words of the seed pivot columns; when the rank is the
+    seed rank, their Sh vectors are a basis of the block's image over QQ(t).
+    """
+
+    rank: int
+    pivots: tuple
+    how: str
+    passes: int = 0
+
+
+def _seed_data(deg, rows):
+    """(words, seed rank, seed pivot words) of block deg from its rows at
+    the seed point, by one elimination."""
+    words = words_of_multidegree(deg)
+    cols = []
+    seed = _eliminate([_int_row(r)[0] for r in rows], floordiv, cols)[0]
+    return words, seed, tuple(words[j] for j in cols)
+
+
+def _lowers(deg):
+    """(letter a, deg - e_a) for each letter a present in deg."""
+    return [(a + 1, deg[:a] + (d - 1,) + deg[a + 1:])
+            for a, d in enumerate(deg) if d]
 
 
 class IntegerPoints:
@@ -490,14 +549,24 @@ class IntegerPoints:
     1-norm at most c <= N, so it does not vanish at the certificate points
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
-    The seed is the least integer x >= 2 with Q(x) != 0; the table's blocks
-    are built there by one engine over seed_braiding (one per pool worker),
-    and their ranks are certified lower bounds. rank certifies a block by
-    rebuilding it at the certificate points with a fresh engine; every
-    rank, at the seed and at those points, is rank_rows over QQ.
+    The seed is the least integer x >= 2 with Q(x) != 0. The table's blocks
+    are built there by one engine over seed_braiding (make_engine, one per
+    pool worker), and their ranks are certified lower bounds. rank settles
+    a block (Settled, kept in settled) by the first of:
+
+    * full rank at the seed;
+    * the coideal bound (coideal_bound), when it equals the seed rank;
+    * _certified_rank, which rebuilds the block at certificate points with
+      a fresh engine.
+
+    In the tables of the cartan presets only the Serre blocks, such as
+    (1, 2) and (2, 1) of A2, take the last route.
+
+    Every rank, at the seed and at those points, is an integer Bareiss
+    elimination over QQ.
     """
 
-    def __init__(self, braiding):
+    def __init__(self, braiding, make_engine=None):
         self.braiding = braiding
         den = _den_lcm([b for row in braiding for b in row])
         self.norm = max([_norm1(den)] + [
@@ -507,6 +576,8 @@ class IntegerPoints:
             seed += 1
         self.seed = seed
         self.seed_braiding = self.braiding_at(seed)
+        self.engine = (make_engine or SymEngine)(self.seed_braiding)
+        self.settled = {}
 
     def braiding_at(self, x):
         """The braiding at t = x as Fractions."""
@@ -524,9 +595,79 @@ class IntegerPoints:
 
     def rank(self, deg, seed_rows):
         """Rank over QQ(t) of block deg from its rows at the seed point;
-        returns (rank, certificate passes)."""
-        return _certified_rank(seed_rows, self.block_norm(deg),
-                               lambda x: self.rows_at(deg, x))
+        returns (rank, certificate passes), and keeps the block's Settled
+        record in settled.
+
+        A block below deg that the coideal bound needs and that is not
+        settled yet (a pool worker's share, a partly warm cache, a lone
+        block) is settled first, lowest first, from rows of the seed engine.
+        The walk keeps its own stack, so its depth does not grow with the
+        block's letters.
+        """
+        deg = tuple(deg)
+        if deg not in self.settled:
+            seeds = {deg: _seed_data(deg, seed_rows)}
+            stack = [deg]
+            while stack:
+                d = stack[-1]
+                if d not in seeds:
+                    seeds[d] = _seed_data(d, _raw_rows(
+                        self.engine, words_of_multidegree(d)))
+                words, seed, _ = seeds[d]
+                if seed < len(words):
+                    missing = [low for _, low in _lowers(d)
+                               if low not in self.settled]
+                    if missing:
+                        stack += missing
+                        continue
+                stack.pop()
+                self.settled[d] = self._certify(d, *seeds.pop(d))
+        got = self.settled[deg]
+        return got.rank, got.passes
+
+    def _certify(self, deg, words, seed, pivots):
+        """The Settled record of block deg, every lower block settled."""
+        if seed == len(words):
+            return Settled(seed, pivots, SEED)
+        if self.coideal_bound(deg, words) == seed:
+            return Settled(seed, pivots, BOUND)
+        r, passes = _certified_rank(seed, len(words), self.block_norm(deg),
+                                    lambda x: self.rows_at(deg, x))
+        return Settled(r, pivots, POINT, passes)
+
+    def coideal_bound(self, deg, words):
+        """An upper bound on the rank over QQ(t) of block deg, given its
+        words, from the settled lower blocks deg - e_a.
+
+        Sh factors as (sum_a id_a (x) Sh) o R and as its mirror
+        (sum_a Sh (x) id_a) o R', so its image lies in L and in R, where
+        L = sum_a a.Im Sh_{deg-e_a} and R = sum_a Im Sh_{deg-e_a}.a. Both
+        sums are direct (the first, or last, letters differ), so each has
+        dimension S = sum_a r(deg - e_a), over the certified ranks, and the
+        rank is at most dim(L meet R) = 2S - dim(L + R). The vectors a.Sh(w)
+        and Sh(w).a, for w a lower block's seed pivot word, lie in L + R,
+        so their rank k at the seed is at most dim(L + R), and 2S - k is the
+        bound. Since the bound is at least the rank, and the rank at least
+        the seed rank, a bound equal to the seed rank certifies it. It can
+        be that tight when the pivot vectors span L + R, as they do when
+        each lower block's rank is its seed rank: its seed pivot vectors are
+        then a basis of its image.
+        """
+        index = {u: i for i, u in enumerate(words)}
+        n = len(words)
+        vectors = []
+        total = 0
+        for a, low in _lowers(deg):
+            got = self.settled[low]
+            total += got.rank
+            for w in got.pivots:
+                left = [0] * n
+                right = [0] * n
+                for u, c in self.engine.sym(w).items():
+                    left[index[(a,) + u]] = c
+                    right[index[u + (a,)]] = c
+                vectors += (left, right)
+        return 2 * total - rank_rows(QQ, vectors)
 
 
 def rank_rows(field, rows, points=None, deg=None):
@@ -536,13 +677,14 @@ def rank_rows(field, rows, points=None, deg=None):
     Over QQ(t) rows come from one of two sources. Given points (the
     IntegerPoints of the datum's braiding) and the block's multidegree deg,
     rows are the block's QQ rows at points.seed, whose rank is a certified
-    lower bound; the block is rebuilt at certificate points until the rank
-    is certified (IntegerPoints.rank). Otherwise rows hold QQ(t) scalars,
-    cleared to integer polynomials and ranked by the evaluation certificate
-    of _rank_qt_certified. Both certificates share the bound of
-    _certified_rank. QQ rows are cleared to coprime ints by _int_row for
-    the integer Bareiss, and QQ(zeta_N) rows are ranked by that Bareiss on
-    their regular representation (_rank_regular).
+    lower bound; IntegerPoints.rank certifies it by full rank, by the
+    coideal bound, or by rebuilding the block at certificate points.
+    Otherwise rows hold QQ(t) scalars, cleared to integer polynomials and
+    ranked by the evaluation certificate of _rank_qt_certified. Both
+    evaluation certificates share the bound of _certified_rank. QQ rows are
+    cleared to coprime ints by _int_row for the integer Bareiss, and
+    QQ(zeta_N) rows are ranked by that Bareiss on their regular
+    representation (_rank_regular).
     """
     if not rows:
         return 0

@@ -28,9 +28,31 @@ def test_analyze_json_document(capsys):
     assert len(doc["blocks"]) == math.comb(6, 2)
     assert doc["totals"] == [1, 2, 4, 6, 9]
     assert doc["datum"]["field"] == "rational_function"
-    assert set(doc["timings"]) == {"total_ms", "cache_hits", "cache_misses"}
+    assert set(doc["timings"]) == {"total_ms", "cache_hits", "cache_misses",
+                                   "settled"}
     # run configuration must not leak outside the timings block
     assert "jobs" not in doc and "cache" not in doc
+
+
+def test_analyze_timings_show_how_blocks_were_settled(capsys, tmp_path):
+    cache = str(tmp_path / "ranks.json")
+    argv = ["analyze", "--preset", "cartan:A2", "--max-total", "8",
+            "--format", "json", "--cache", cache]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["timings"]["settled"] == {
+        "seed": 18, "bound": 25, "point": 2,
+        "points": [{"deg": [1, 2], "passes": 1},
+                   {"deg": [2, 1], "passes": 1}]}
+    # blocks read from the cache are not counted
+    code, out, err = run(capsys, *argv)
+    assert json.loads(out)["timings"]["settled"] == {
+        "seed": 0, "bound": 0, "point": 0, "points": []}
+    # only QQ(t) tables carry the record
+    code, out, err = run(capsys, "analyze", "--preset", "cartan:A2",
+                         "--specialize", "3", "--max-total", "4",
+                         "--format", "json")
+    assert "settled" not in json.loads(out)["timings"]
 
 
 def test_analyze_csv(capsys):

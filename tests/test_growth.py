@@ -144,6 +144,42 @@ def test_compute_blocks_builds_one_engine_per_worker(monkeypatch):
     assert [b.deg for b in got] == [tuple(g) for g in degs]
 
 
+def test_pool_shares_settle_their_missing_lower_blocks(monkeypatch):
+    from hopfmin import growth
+    from hopfmin.shapovalov import BOUND
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
+    _InlinePool.created.clear()
+    d = preset_cartan("A2")
+    full = {b.deg: b for b in compute_blocks(d, multidegrees_up_to(2, 8))}
+    # gaps, as left by a partly warm cache, in two interleaved shares
+    degs = [deg for i, deg in enumerate(multidegrees_up_to(2, 8)) if i % 3]
+    got = compute_blocks(d, degs, jobs=2)
+    assert _InlinePool.created == [2]
+    assert got == tuple(full[deg] for deg in degs)
+    assert [b.settled for b in got] == [full[deg].settled for deg in degs]
+    assert dict(zip(degs, got))[(4, 4)].settled == (BOUND, 0)
+
+
+def test_compute_blocks_ranks_each_requested_block_once(monkeypatch):
+    # perfbench sums the ranks growth.rank_rows returns; lower blocks that
+    # the coideal bound settles on demand must not pass through it
+    from hopfmin import growth
+
+    calls = []
+    real = growth.rank_rows
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["deg"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "rank_rows", counting)
+    got = compute_blocks(preset_cartan("A2"), [(4, 4), (2, 3)])
+    assert calls == [(4, 4), (2, 3)]
+    assert [b.rank for b in got] == [5, 3]
+
+
 def test_compute_blocks_pool_keeps_input_order(monkeypatch):
     from hopfmin import growth
 

@@ -1,14 +1,20 @@
 """QQ(t) blocks ranked at integer points of t: agreement with symbolic
-elimination, the seed point, extra certificate passes, and the guarantee
-that tables over QQ(t) never run the symmetrizer on RatFunc scalars."""
+elimination, the seed point, the coideal bound and which blocks it leaves
+to an evaluation point, extra certificate passes, and the guarantee that
+tables over QQ(t) never run the symmetrizer on RatFunc scalars."""
 
 import pytest
 
 from hopfmin import cli, growth, shapovalov
-from hopfmin.datum import datum_from_q_matrix, preset_cartan, preset_doubled
-from hopfmin.growth import hilbert_table
+from hopfmin.datum import (
+    datum_from_q_matrix, positive_roots, preset_cartan, preset_doubled)
+from hopfmin.growth import compute_blocks, hilbert_table
+from hopfmin.oracles import pbw_dims
 from hopfmin.scalars import QQ, QT, RatFunc
 from hopfmin.shapovalov import (
+    BOUND,
+    POINT,
+    SEED,
     IntegerPoints,
     SymEngine,
     matrix_rows,
@@ -16,6 +22,7 @@ from hopfmin.shapovalov import (
     rank_symbolic,
     symmetrizer,
 )
+from hopfmin.words import words_of_multidegree
 
 
 def _qt_datum(q):
@@ -62,6 +69,59 @@ def test_seed_rank_drop_takes_an_extra_pass():
     assert rank_rows(QQ, rows) == 0
     assert points.rank((2, 1), rows) == (1, 2)
     _assert_table_matches_symbolic(d, 5)
+
+
+def test_blocks_above_a_rank_jump_pay_for_a_point():
+    # the seed ranks of (2, 0) and (2, 1) are below their ranks, and so are
+    # those of every block above (2, 1); a bound is at least the rank, so it
+    # cannot meet their seed ranks, and a bound that counted the lower
+    # blocks' seed ranks instead of their ranks would settle them too low
+    d = _qt_datum((("1-t", "t"), ("t^-1", "t")))
+    table = hilbert_table(d, 5)
+    settled = {b.deg: b.settled for b in table.blocks}
+    assert settled[(2, 1)] == (POINT, 2)
+    above = [b.deg for b in table.blocks if b.deg[0] >= 2 and b.deg[1] >= 1]
+    assert above == [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
+    assert all(settled[deg][0] == POINT for deg in above)
+    assert settled[(1, 2)] == (BOUND, 0)
+    for b in table.blocks:
+        assert b.rank == rank_symbolic(symmetrizer(d, b.deg)), b.deg
+
+
+@pytest.mark.parametrize("name, max_total, serre", [
+    ("A2", 8, {(1, 2), (2, 1)}),
+    ("B2", 7, {(1, 2), (3, 1)}),
+    ("G2", 7, {(1, 2), (4, 1)}),
+])
+def test_only_serre_blocks_pay_for_a_point(name, max_total, serre):
+    # a weaker bound (one without R, or one that counts dependent vectors
+    # in L) sends more blocks to a point
+    d = preset_cartan(name)
+    roots = positive_roots(name)
+    table = hilbert_table(d, max_total)
+    for b in table.blocks:
+        assert b.rank == pbw_dims(roots, d.q_matrix, b.deg), b.deg
+        assert b.settled == ((POINT, 1) if b.deg in serre
+                             else (SEED if b.rank == b.size else BOUND, 0))
+
+
+def test_coideal_bound_of_a2_block_two_two():
+    # r(1, 2) = r(2, 1) = 2, so dim L = dim R = 4; L + R has dimension 5,
+    # and the bound 2 * 4 - 5 = 3 is the rank
+    d = preset_cartan("A2")
+    points = IntegerPoints(d.braiding_matrix)
+    assert points.rank((2, 2), _seed_rows(points, d, (2, 2))) == (3, 0)
+    assert points.settled[(2, 2)].how == BOUND
+    assert points.coideal_bound((2, 2), words_of_multidegree((2, 2))) == 3
+    assert len(points.settled[(2, 2)].pivots) == 3
+
+
+def test_lone_block_settles_its_lower_blocks():
+    d = preset_cartan("A2")
+    full = {b.deg: b for b in hilbert_table(d, 8).blocks}
+    (got,) = compute_blocks(d, [(4, 4)])
+    assert got == full[(4, 4)]
+    assert got.settled == full[(4, 4)].settled == (BOUND, 0)
 
 
 def test_full_seed_rank_needs_no_pass():

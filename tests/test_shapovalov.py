@@ -22,6 +22,7 @@ from hopfmin.scalars import (
 from hopfmin.shapovalov import (
     _SEED_POINT,
     BlockSizeError,
+    SymEngine,
     SymMatrix,
     _eliminate,
     _rank_qt_certified,
@@ -367,3 +368,25 @@ def test_eliminate_matches_leibniz_and_minor_rank(entry_kind):
     # the draw exercises rank drops and full-rank determinants, odd swap
     # parities included
     assert deficient >= 30 and full_square >= 50 and swapped >= 10
+
+
+def test_eliminate_reports_pivot_columns():
+    # column 1 is twice column 0, and column 3 is column 0 - 2 * column 2
+    rows = [[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 1]]
+    cols = []
+    assert _eliminate(rows, floordiv, cols)[0] == 2
+    assert cols == [0, 2]
+
+
+def test_one_letter_blocks_are_q_factorials():
+    # Sh(x^n) = (n)_q! x^n, with (n)_q! = prod_{k<=n} (1 + q + ... + q^(k-1))
+    # and q = b_11 = t^2 on cartan:A1; each run of equal letters is merged
+    # once, so the long words stay cheap
+    braiding = preset_cartan("A1").braiding_matrix
+    q = braiding[0][0]
+    engine = SymEngine(braiding)
+    factorial = QT.one()
+    for n in range(1, 41):
+        factorial = factorial * sum((q ** k for k in range(n)), QT.zero())
+        assert engine.sym((1,) * n) == {(1,) * n: factorial}
+    assert SymEngine(braiding).sym((1,) * 40) == {(1,) * 40: factorial}

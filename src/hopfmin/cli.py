@@ -457,6 +457,11 @@ def cmd_selftest(args):
     multilinear.append((specialize_datum(preset_doubled("A2"), 3), (1, 1, 1, 1)))
     checks.append(("closed-form multilinear determinants match elimination",
                    [oracles.multilinear_det_matches_elimination(multilinear)]))
+    qt = datum_from_q_matrix(tuple(tuple(QT.parse(x) for x in row)
+                                   for row in (("1-t", "t"), ("t^-1", "t"))), QT)
+    checks.append(("table ranks match full Sh blocks",
+                   [oracles.table_matches_blocks(
+                       [rational(3), specialize_datum(a2, 3), qt], 4)]))
     failed = False
     for name, results in checks:
         detail = next((d for d, _ in results if d is not None), None)

@@ -98,10 +98,11 @@ def _blocks(args):
     """BlockDim for each multidegree of (datum, degs), in order.
 
     The one block loop: the serial path and every pool worker run it. One
-    engine serves all the blocks, and is trimmed between blocks. For QQ(t)
-    data it is the seed engine of the IntegerPoints, which settles the
-    blocks in order and builds the lower blocks' vectors of its coideal
-    bound from the same engine.
+    engine serves all the blocks: matrix_rows builds each block from the
+    bases the engine keeps of the lower images, and rank_rows eliminates it
+    once and keeps its basis there. Lower blocks missing from degs are
+    built on demand. For QQ(t) data it is the seed engine of the
+    IntegerPoints, which settles the blocks in order from the same bases.
     """
     datum, degs = args
     if datum.field == QT:
@@ -112,13 +113,13 @@ def _blocks(args):
     out = []
     for deg in degs:
         _, rows = matrix_rows(datum, deg, engine=engine)
-        r = rank_rows(datum.field, rows, points=points, deg=deg)
+        r = rank_rows(datum.field, rows, deg=deg, engine=engine,
+                      points=points)
         settled = None
         if points is not None:
             got = points.settled[deg]
             settled = (got.how, got.passes)
         out.append(BlockDim(deg, block_size(deg), r, settled))
-        engine.trim()
     return out
 
 
@@ -130,9 +131,10 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
     one worker the blocks run in this process. With jobs > 1 they run in
     worker processes, at most one per block and per CPU: worker i runs the
     same block loop, with its own engine, on the interleaved share
-    degs[i::workers], and its results go back to those places, so the
-    output does not depend on scheduling. QQ(t) blocks are built and ranked
-    at integer points of t (IntegerPoints), never over RatFunc scalars.
+    degs[i::workers], building the lower blocks its share lacks, and its
+    results go back to those places, so the output does not depend on
+    scheduling. QQ(t) blocks are built and ranked at integer points of t
+    (IntegerPoints), never over RatFunc scalars.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")

@@ -17,6 +17,7 @@ from .shapovalov import (
     determinant_by_elimination,
     multilinear_determinant,
     permutation_sum_oracle,
+    rank,
     symmetrizer,
 )
 from .words import Element, multidegrees_up_to, shuffle
@@ -144,6 +145,21 @@ def transposition_invariant(qs, bound):
         count += len(t1.blocks)
         if t1.dims() != t2.dims():
             return f"transposed table differs for q = {q}", count
+    return None, count
+
+
+def table_matches_blocks(data, bound):
+    """Each block rank of hilbert_table, which builds a block from the
+    lower images, against the rank of the full Sh block from symmetrizer,
+    on each datum to total degree bound."""
+    count = 0
+    for k, datum in enumerate(data):
+        for b in hilbert_table(datum, bound).blocks:
+            count += 1
+            want = rank(symmetrizer(datum, b.deg))
+            if b.rank != want:
+                return (f"datum {k}: block {b.deg} has table rank {b.rank}, "
+                        f"full block rank {want}"), count
     return None, count
 
 

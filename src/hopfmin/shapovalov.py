@@ -16,8 +16,18 @@ Sh is computed by the recursion
     R_n = id + c_1 + c_1 c_2 + ... + c_1 c_2 ... c_{n-1},
 
 whose j-th term moves letter w[j] to the front across everything before it,
-picking up prod_{i<j} b(w[i], w[j]). The permutation-sum definition is kept
-alongside as an independent oracle and the two are compared in the tests.
+picking up prod_{i<j} b(w[i], w[j]) (SymEngine.sym). The permutation-sum
+definition is kept alongside as an independent oracle and the two are
+compared in the tests.
+
+Rank tables need only the image of Sh, and build no Sh matrix. Sh is a
+morphism from concatenation to the braided shuffle product (Rosso,
+Invent. Math. 133, 1998), so Sh((a,) + v) = a sh Sh(v), and Im Sh_d is
+spanned by the vectors a sh x, for each letter a of d and x over a basis
+of Im Sh_{d - e_a}. A table block is the matrix of those sum_a r(d - e_a)
+vectors, rows indexed by the block's words (SymEngine.image_rows); one
+elimination gives its rank, and its pivot columns are kept as the basis
+the blocks above build from.
 
 Ranks and determinants come from one fraction-free Bareiss elimination.
 Its divisions only have to be exact in the ring the rows live in (Sylvester's
@@ -37,18 +47,20 @@ first. Determinants, and rank_symbolic, keep Bareiss on the field scalars.
 
 A rank over QQ(t) starts from the integer rank at a small seed point of t,
 a certified lower bound (evaluation never raises a rank). Tables
-(growth.compute_blocks) never build symbolic blocks: IntegerPoints builds
-each block at the seed over QQ, and settles its rank there when it is full
-or when it meets the coideal bound (IntegerPoints.coideal_bound), an upper
-bound from the lower blocks d - e_a. The other blocks (in the cartan
-presets, only the Serre blocks), and symbolic rows (rank(mat), rank_rows),
-pay for an evaluation at an integer point B above every coefficient a
-relevant minor can have, so that a nonzero minor stays nonzero at t = B.
-B is sized from the seed rank, so one evaluation usually decides. A table
-block is rebuilt at B, with an a-priori bound on the entries of Sh
-(integer polynomials in the braiding entries); symbolic rows are cleared
-to integer polynomials and bounded by their largest entry. Both bound the
-minors by one formula in one pass loop, _certified_rank.
+(growth.compute_blocks) never build symbolic blocks: the table engine runs
+over the braiding at the seed, so each block's spanning vectors and its
+kept basis are over QQ there, and IntegerPoints settles the block's rank
+when its seed rank is full or meets the coideal bound
+(IntegerPoints.coideal_bound), an upper bound read from the kept bases of
+the lower blocks d - e_a. The other blocks (in the cartan presets, only
+the Serre blocks), and symbolic rows (rank(mat), rank_rows), pay for an
+evaluation at an integer point B above every coefficient a relevant minor
+can have, so that a nonzero minor stays nonzero at t = B. B is sized from
+the seed rank, so one evaluation usually decides. Such a table block
+builds its full Sh block at B, with an a-priori bound on the entries of
+Sh (integer polynomials in the braiding entries); symbolic rows are
+cleared to integer polynomials and bounded by their largest entry. Both
+bound the minors by one formula in one pass loop, _certified_rank.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -69,16 +81,15 @@ from operator import floordiv
 from .scalars import (
     QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, cyclotomic_polynomial,
     poly_gcd)
-from .words import block_size, braid_at, words_of_multidegree
+from .words import block_size, braid_at, multidegree, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
-# the most letters a block may have: SymEngine.sym recurses once per letter,
-# and this leaves room below CPython's default recursion limit of 1000 for
-# the frames of the callers (the CLI, a test runner, a tracer)
+# the most letters a block may have. Tables build blocks from the lower
+# images without recursion, but SymEngine.sym recurses once per letter, in
+# det, symmetrizer and the certificate points, and this leaves room below
+# CPython's default recursion limit of 1000 for the frames of the callers
+# (the CLI, a test runner, a tracer)
 LETTER_LIMIT = 800
-
-# SymEngine.trim drops the memo once it holds more coefficients than this
-_MEMO_COEFF_LIMIT = 400_000
 
 
 class BlockSizeError(RuntimeError):
@@ -128,12 +139,24 @@ class DetReport:
 
 
 class SymEngine:
-    """Memoized symmetrizer over one braiding matrix.
+    """Memoized symmetrizer over one braiding matrix, and the image bases of
+    the blocks a table has built.
 
-    Results are raw word -> coefficient dicts shared across calls, so all
-    sub-multidegrees of a block are computed once. Integer-valued Fraction
-    braidings are thinned to ints, which keeps coefficient arithmetic on
-    classical (all-ones) braidings in plain int.
+    sym results are raw word -> coefficient dicts shared across calls, so
+    all sub-multidegrees of a block are computed once. Integer-valued
+    Fraction braidings are thinned to ints, which keeps coefficient
+    arithmetic on classical (all-ones) braidings in plain int.
+
+    Tables never call sym. Since Sh((a,) + v) = a sh Sh(v) (the one-letter
+    case of the concatenation-to-shuffle morphism), Im Sh_d is spanned by
+    the vectors a sh x, for each letter a of d and x over a basis of
+    Im Sh_{d - e_a}. bases maps each multidegree built so far to such a
+    basis, as word -> coordinates (one per basis vector; words where all
+    are 0 left out): image_rows builds the spanning rows of a block from
+    the lower bases, and keep stores the pivot columns of their
+    elimination as the block's basis. Scaling a basis vector changes no
+    span, so each letter's insertion scalars are cleared of denominators
+    (_cleared) and QQ basis vectors are kept as primitive int vectors.
     """
 
     def __init__(self, braiding):
@@ -144,7 +167,8 @@ class SymEngine:
 
         self.b = tuple(tuple(slim(x) for x in row) for row in braiding)
         self.memo = {(): {(): 1}}
-        self._load = 0
+        self.bases = {}
+        self._last = None, ()  # the multidegree and words _spanning built last
 
     def sym(self, w):
         """Sh(w) as a word -> coefficient dict.
@@ -190,15 +214,144 @@ class SymEngine:
                     else:
                         del out[key]
         self.memo[w] = out
-        self._load += len(out)
         return out
 
-    def trim(self):
-        """Drop the memo when it holds too many coefficients; called between
-        blocks so in-flight recursions never lose entries they rely on."""
-        if self._load > _MEMO_COEFF_LIMIT:
-            self.memo = {(): {(): 1}}
-            self._load = 0
+    def image_rows(self, deg, field):
+        """Words of block deg and its spanning rows: the matrix, rows
+        indexed by the words, whose columns are a sh x for each letter a of
+        deg, in _lowers order, and x over the basis of block deg - e_a.
+        Lower blocks without a basis are built first (_build_lowers)."""
+        deg = tuple(deg)
+        self._build_lowers(deg, field)
+        return self._spanning(deg)
+
+    def _build_lowers(self, deg, field):
+        """Build and keep every block below deg that has no basis, its rows
+        eliminated over field, lowest first, on an explicit stack, so the
+        walk's depth does not grow with the letters."""
+        stack = [deg]
+        while stack:
+            d = stack[-1]
+            missing = [low for _, low in _lowers(d) if low not in self.bases]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if d != deg and d not in self.bases:
+                self.keep(d, self._spanning(d)[1], field)
+
+    def _spanning(self, deg):
+        """image_rows of block deg, every lower basis kept. The zero block
+        is spanned by Sh(()) = 1."""
+        words = words_of_multidegree(deg)
+        self._last = deg, words
+        if not any(deg):
+            return words, [[1]]
+        n = sum(deg)
+        parts = []
+        for a, low in _lowers(deg):
+            basis = self.bases[low]
+            if basis:
+                row, den = _cleared(self.b[a - 1])
+                parts.append((a, _rank_of(basis), basis, row,
+                              [den ** k for k in range(n - 1, -1, -1)]))
+        rows = []
+        for w in words:
+            out = []
+            for a, r, basis, row, scale in parts:
+                acc = [0] * r
+                for u, c in _deletions(w, a, row, scale):
+                    x = basis.get(u)
+                    if x is not None:
+                        acc = [s + c * v for s, v in zip(acc, x)]
+                out += acc
+            rows.append(out)
+        return words, rows
+
+    def keep(self, deg, rows, field):
+        """Rank over field of block deg's spanning rows (image_rows), by one
+        elimination whose pivot columns are kept as the block's basis, each
+        QQ vector as coprime ints (_int_row); returns the rank."""
+        deg = tuple(deg)
+        self._build_lowers(deg, field)  # built already, unless rows came
+        last, words = self._last        # from another engine
+        if last != deg:
+            words = words_of_multidegree(deg)
+        pivots = []
+        r = rank_rows(field, rows, pivots=pivots)
+        cols = [[row[p] for row in rows] for p in pivots]
+        if field == QQ:
+            cols = [_int_row(col)[0] for col in cols]
+        self.bases[deg] = {w: x for w, x in zip(words, zip(*cols)) if any(x)}
+        return r
+
+
+def _rank_of(basis):
+    """The number of vectors of a basis kept in SymEngine.bases."""
+    return len(next(iter(basis.values()), ()))
+
+
+def _cleared(row):
+    """A braiding row b(a, .) as (row times den, den), with den the lcm of
+    its Fraction denominators (1 when it has none), so a QQ row is ints."""
+    den = lcm(*[x.denominator for x in row if type(x) is Fraction])
+    if den == 1:
+        return row, 1
+    return [x.numerator * (den // x.denominator) if type(x) is Fraction
+            else x * den for x in row], den
+
+
+def _deletions(w, a, row, scale):
+    """The terms of (a sh x)[w], the braided shuffle of the letter a with a
+    vector x read at the word w:
+
+        (a sh x)[w] = sum over positions j with w[j] = a of
+                      prod_{i<j} b(a, w[i]) * x[w without position j],
+
+    as (w without position j, scalar) pairs, one per run of letters a:
+    every position of a run leaves the same word, so their scalars are
+    summed. row is b(a, .) and the scalar of position j is multiplied by
+    scale[j]; with row times den and scale[j] = den ** (n - 1 - j), every
+    scalar is multiplied by den ** (n - 1), so a cleared row gives the
+    scalars times one common factor.
+    """
+    n = len(w)
+    p = 1
+    j = 0
+    while j < n:
+        c = w[j]
+        if c != a:
+            p = p * row[c - 1]
+            j += 1
+            continue
+        start = j
+        total = 0
+        same = row[a - 1]
+        while j < n and w[j] == a:
+            total = total + p * scale[j]
+            p = p * same
+            j += 1
+        if total:
+            yield w[:start] + w[start + 1:], total
+
+
+def insert_letter(braiding, a, x):
+    """a sh x, for x a word -> scalar dict on one multidegree, as a word ->
+    scalar dict, by the rule tables build their blocks with (_deletions).
+    Sh((a,) + v) = insert_letter(braiding, a, Sh(v))."""
+    if not x:
+        return {}
+    deg = multidegree(next(iter(x)) + (a,), len(braiding))
+    out = {}
+    row = braiding[a - 1]
+    for w in words_of_multidegree(deg):
+        total = 0
+        for u, c in _deletions(w, a, row, [1] * len(w)):
+            if u in x:
+                total = total + c * x[u]
+        if total:
+            out[w] = total
+    return out
 
 
 def _raw_rows(engine, words):
@@ -208,24 +361,32 @@ def _raw_rows(engine, words):
 
 
 def matrix_rows(datum, deg, engine=None):
-    """Words of the block and the Sh matrix as row lists for rank_rows.
+    """Words of block deg and its spanning rows (SymEngine.image_rows) for
+    rank_rows: as rows indexed by the words, the vectors a sh x over bases
+    of the lower images, which span Im Sh_deg; the pivot columns of their
+    elimination are a basis of it. By default from a fresh engine over the
+    datum's braiding.
 
     The entries are the engine's raw scalars (ints where a coefficient is
-    absent or integral), by default from an engine over the datum's
-    braiding; rank_rows clears them into its field's elimination ring. A
-    QQ(t) block built at an integer point passes an engine over the
-    evaluated braiding (IntegerPoints.seed_braiding).
+    integral). A QQ(t) table passes the engine of its IntegerPoints, over
+    the braiding at the seed point, and its rows are over QQ.
     """
-    words = words_of_multidegree(deg)
+    field = datum.field
+    if field == QT:
+        if engine is None:
+            raise ValueError("QQ(t) blocks are built at integer points: "
+                             "pass the engine of an IntegerPoints")
+        field = QQ
     if engine is None:
         engine = SymEngine(datum.braiding_matrix)
-    return words, _raw_rows(engine, words)
+    return engine.image_rows(deg, field)
 
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
     """The Sh matrix of one multidegree block as a SymMatrix."""
     check_block_sizes([deg], block_limit)
-    words, rows = matrix_rows(datum, deg)
+    words = words_of_multidegree(deg)
+    rows = _raw_rows(SymEngine(datum.braiding_matrix), words)
     coerce = datum.field.coerce  # QQ rows still hold ints
     return SymMatrix(tuple(deg), words,
                      tuple(tuple(coerce(x) for x in r) for r in rows),
@@ -509,23 +670,11 @@ class Settled:
     """The certified rank of one QQ(t) table block and how it was found:
     SEED (full rank at the seed point), BOUND (the coideal bound meets the
     seed rank) or POINT (by _certified_rank, in passes >= 1 evaluations).
-    pivots are the words of the seed pivot columns; when the rank is the
-    seed rank, their Sh vectors are a basis of the block's image over QQ(t).
     """
 
     rank: int
-    pivots: tuple
     how: str
     passes: int = 0
-
-
-def _seed_data(deg, rows):
-    """(words, seed rank, seed pivot words) of block deg from its rows at
-    the seed point, by one elimination."""
-    words = words_of_multidegree(deg)
-    cols = []
-    seed = _eliminate([_int_row(r)[0] for r in rows], floordiv, cols)[0]
-    return words, seed, tuple(words[j] for j in cols)
 
 
 def _lowers(deg):
@@ -549,15 +698,17 @@ class IntegerPoints:
     1-norm at most c <= N, so it does not vanish at the certificate points
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
-    The seed is the least integer x >= 2 with Q(x) != 0. The table's blocks
-    are built there by one engine over seed_braiding (make_engine, one per
-    pool worker), and their ranks are certified lower bounds. rank settles
-    a block (Settled, kept in settled) by the first of:
+    The seed is the least integer x >= 2 with Q(x) != 0. One engine over
+    seed_braiding (make_engine, one per pool worker) builds the table's
+    blocks there from the lower images (SymEngine.image_rows) and keeps a
+    basis of each seed image; the seed ranks are certified lower bounds.
+    rank settles each kept block (Settled, kept in settled) by the first
+    of:
 
     * full rank at the seed;
     * the coideal bound (coideal_bound), when it equals the seed rank;
-    * _certified_rank, which rebuilds the block at certificate points with
-      a fresh engine.
+    * _certified_rank, which builds the full Sh block at certificate points
+      with a fresh engine.
 
     In the tables of the cartan presets only the Serre blocks, such as
     (1, 2) and (2, 1) of A2, take the last route.
@@ -594,46 +745,36 @@ class IntegerPoints:
                          words_of_multidegree(deg))
 
     def rank(self, deg, seed_rows):
-        """Rank over QQ(t) of block deg from its rows at the seed point;
-        returns (rank, certificate passes), and keeps the block's Settled
-        record in settled.
+        """Rank over QQ(t) of block deg from its spanning rows at the seed
+        (matrix_rows over the engine); returns (rank, certificate passes),
+        and keeps the block's Settled record in settled.
 
-        A block below deg that the coideal bound needs and that is not
-        settled yet (a pool worker's share, a partly warm cache, a lone
-        block) is settled first, lowest first, from rows of the seed engine.
-        The walk keeps its own stack, so its depth does not grow with the
-        block's letters.
+        The rows' pivot columns are kept as the block's seed basis. Then
+        every kept block not settled yet, lower blocks that the engine built
+        on demand among them (a pool worker's share, a partly warm cache, a
+        lone block), is settled in the order the engine kept them, which is
+        lowest first.
         """
         deg = tuple(deg)
-        if deg not in self.settled:
-            seeds = {deg: _seed_data(deg, seed_rows)}
-            stack = [deg]
-            while stack:
-                d = stack[-1]
-                if d not in seeds:
-                    seeds[d] = _seed_data(d, _raw_rows(
-                        self.engine, words_of_multidegree(d)))
-                words, seed, _ = seeds[d]
-                if seed < len(words):
-                    missing = [low for _, low in _lowers(d)
-                               if low not in self.settled]
-                    if missing:
-                        stack += missing
-                        continue
-                stack.pop()
-                self.settled[d] = self._certify(d, *seeds.pop(d))
+        if deg not in self.engine.bases:
+            self.engine.keep(deg, seed_rows, QQ)
+        for d in self.engine.bases:
+            if d not in self.settled:
+                self.settled[d] = self._certify(d)
         got = self.settled[deg]
         return got.rank, got.passes
 
-    def _certify(self, deg, words, seed, pivots):
-        """The Settled record of block deg, every lower block settled."""
-        if seed == len(words):
-            return Settled(seed, pivots, SEED)
-        if self.coideal_bound(deg, words) == seed:
-            return Settled(seed, pivots, BOUND)
-        r, passes = _certified_rank(seed, len(words), self.block_norm(deg),
+    def _certify(self, deg):
+        """The Settled record of kept block deg, every lower block settled."""
+        size = block_size(deg)
+        seed = _rank_of(self.engine.bases[deg])
+        if seed == size:
+            return Settled(seed, SEED)
+        if self.coideal_bound(deg, words_of_multidegree(deg)) == seed:
+            return Settled(seed, BOUND)
+        r, passes = _certified_rank(seed, size, self.block_norm(deg),
                                     lambda x: self.rows_at(deg, x))
-        return Settled(r, pivots, POINT, passes)
+        return Settled(r, POINT, passes)
 
     def coideal_bound(self, deg, words):
         """An upper bound on the rank over QQ(t) of block deg, given its
@@ -644,13 +785,13 @@ class IntegerPoints:
         L = sum_a a.Im Sh_{deg-e_a} and R = sum_a Im Sh_{deg-e_a}.a. Both
         sums are direct (the first, or last, letters differ), so each has
         dimension S = sum_a r(deg - e_a), over the certified ranks, and the
-        rank is at most dim(L meet R) = 2S - dim(L + R). The vectors a.Sh(w)
-        and Sh(w).a, for w a lower block's seed pivot word, lie in L + R,
-        so their rank k at the seed is at most dim(L + R), and 2S - k is the
-        bound. Since the bound is at least the rank, and the rank at least
-        the seed rank, a bound equal to the seed rank certifies it. It can
-        be that tight when the pivot vectors span L + R, as they do when
-        each lower block's rank is its seed rank: its seed pivot vectors are
+        rank is at most dim(L meet R) = 2S - dim(L + R). The vectors a.x and
+        x.a, for x over the kept seed basis of each lower block, lie in
+        L + R, so their rank k at the seed is at most dim(L + R), and 2S - k
+        is the bound. Since the bound is at least the rank, and the rank at
+        least the seed rank, a bound equal to the seed rank certifies it.
+        It can be that tight when the seed bases span L + R, as they do
+        when each lower block's rank is its seed rank: its seed basis is
         then a basis of its image.
         """
         index = {u: i for i, u in enumerate(words)}
@@ -658,46 +799,51 @@ class IntegerPoints:
         vectors = []
         total = 0
         for a, low in _lowers(deg):
-            got = self.settled[low]
-            total += got.rank
-            for w in got.pivots:
-                left = [0] * n
-                right = [0] * n
-                for u, c in self.engine.sym(w).items():
-                    left[index[(a,) + u]] = c
-                    right[index[u + (a,)]] = c
-                vectors += (left, right)
+            total += self.settled[low].rank
+            basis = self.engine.bases[low]
+            r = _rank_of(basis)
+            left = [[0] * n for _ in range(r)]
+            right = [[0] * n for _ in range(r)]
+            for u, x in basis.items():
+                i, j = index[(a,) + u], index[u + (a,)]
+                for k, c in enumerate(x):
+                    left[k][i] = right[k][j] = c
+            vectors += left + right
         return 2 * total - rank_rows(QQ, vectors)
 
 
-def rank_rows(field, rows, points=None, deg=None):
+def rank_rows(field, rows, pivots=None, deg=None, engine=None, points=None):
     """Exact rank of a block given as rows of raw symmetrizer scalars (or
     field scalars).
 
-    Over QQ(t) rows come from one of two sources. Given points (the
-    IntegerPoints of the datum's braiding) and the block's multidegree deg,
-    rows are the block's QQ rows at points.seed, whose rank is a certified
-    lower bound; IntegerPoints.rank certifies it by full rank, by the
-    coideal bound, or by rebuilding the block at certificate points.
-    Otherwise rows hold QQ(t) scalars, cleared to integer polynomials and
-    ranked by the evaluation certificate of _rank_qt_certified. Both
-    evaluation certificates share the bound of _certified_rank. QQ rows are
-    cleared to coprime ints by _int_row for the integer Bareiss, and
-    QQ(zeta_N) rows are ranked by that Bareiss on their regular
-    representation (_rank_regular).
+    QQ rows are cleared to coprime ints by _int_row for the integer
+    Bareiss, and QQ(zeta_N) rows are ranked by that Bareiss on their
+    regular representation (_rank_regular); either appends the pivot
+    columns, the greedily independent columns, to the list pivots when one
+    is given. QQ(t) rows hold QQ(t) scalars, cleared to integer polynomials
+    and ranked by the evaluation certificate of _rank_qt_certified.
+
+    A table block (growth) passes its multidegree deg and the engine whose
+    image_rows built its rows (matrix_rows), and the pivot columns become
+    the block's basis in the engine (SymEngine.keep). Over QQ(t) it also
+    passes points, the IntegerPoints of the datum's braiding: the rows are
+    then at points.seed, and IntegerPoints.rank certifies their rank by
+    full rank, by the coideal bound, or at certificate points.
     """
-    if not rows:
-        return 0
     if points is not None:
         return points.rank(deg, rows)[0]
+    if engine is not None:
+        return engine.keep(deg, rows, field)
+    if not rows:
+        return 0
     if field == QT:
         return _rank_qt_certified(rows)[0]
     if isinstance(field, CyclotomicField):
-        return _rank_regular(field, rows)
-    return _eliminate([_int_row(r)[0] for r in rows], floordiv)[0]
+        return _rank_regular(field, rows, pivots)
+    return _eliminate([_int_row(r)[0] for r in rows], floordiv, pivots)[0]
 
 
-def _rank_regular(field, rows):
+def _rank_regular(field, rows, pivots=None):
     """Rank over QQ(zeta_N) of rows of raw symmetrizer scalars (or field
     scalars), by the integer Bareiss on the regular representation.
 
@@ -706,6 +852,9 @@ def _rank_regular(field, rows):
     dropped. The block read as a QQ-linear map has rank d times its rank
     over QQ(zeta_N), since its image is a QQ(zeta_N)-subspace; that QQ
     rank is rank_rows over QQ, so Fraction entries are cleared there.
+    Column j becomes the d columns of column j times 1, zeta, ..., which
+    span a QQ(zeta_N)-line; so the QQ pivot columns come in whole groups,
+    and each group's first, over d, is a pivot column over QQ(zeta_N).
     """
     d = cyclotomic_polynomial(field.order).degree
     zeros = [0] * d
@@ -722,10 +871,13 @@ def _rank_regular(field, rows):
                 for part in sub:
                     part += zeros
         expanded += sub
-    r, rest = divmod(rank_rows(QQ, expanded), d)
+    cols = []
+    r, rest = divmod(rank_rows(QQ, expanded, pivots=cols), d)
     if rest:
         raise ArithmeticError(
             f"rank {d * r + rest} over QQ is not a multiple of phi(N) = {d}")
+    if pivots is not None:
+        pivots += [p // d for p in cols[::d]]
     return r
 
 

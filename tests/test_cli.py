@@ -374,7 +374,7 @@ def test_selftest(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(l.startswith("PASS") for l in lines)
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--quick"])

@@ -180,6 +180,60 @@ def test_compute_blocks_ranks_each_requested_block_once(monkeypatch):
     assert [b.rank for b in got] == [5, 3]
 
 
+_ZETA3_A2 = specialize_datum(preset_cartan("A2"), 3)
+_TRIVIAL3 = datum_from_q_matrix(((Fraction(1),) * 3,) * 3, QQ)
+_FIELD_CASES = [(_ZETA3_A2, 8), (_TRIVIAL3, 6),
+                (datum_from_q_matrix(random_q(random.Random(3), 2), QQ), 7)]
+
+
+def test_lone_cyclotomic_block_builds_its_lower_blocks():
+    full = {b.deg: b for b in hilbert_table(_ZETA3_A2, 8).blocks}
+    (got,) = compute_blocks(_ZETA3_A2, [(4, 4)])
+    assert got == full[(4, 4)]
+    assert got.rank == 1
+
+
+@pytest.mark.parametrize("datum, max_total", _FIELD_CASES,
+                         ids=["zeta3", "trivial", "random"])
+def test_pool_shares_build_their_missing_lower_blocks(monkeypatch, datum,
+                                                      max_total):
+    from hopfmin import growth
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
+    _InlinePool.created.clear()
+    every = multidegrees_up_to(datum.m, max_total)
+    full = dict(zip(every, compute_blocks(datum, every)))
+    # gaps, as left by a partly warm cache, in two interleaved shares
+    degs = [deg for i, deg in enumerate(every) if i % 3]
+    got = compute_blocks(datum, degs, jobs=2)
+    assert _InlinePool.created == [2]
+    assert got == tuple(full[deg] for deg in degs)
+
+
+@pytest.mark.parametrize("datum, max_total", _FIELD_CASES,
+                         ids=["zeta3", "trivial", "random"])
+def test_compute_blocks_ranks_each_requested_block_once_in_every_field(
+        monkeypatch, datum, max_total):
+    # the lower blocks built on demand do not pass through growth.rank_rows
+    from hopfmin import growth
+
+    calls = []
+    real = growth.rank_rows
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["deg"])
+        return real(*args, **kwargs)
+
+    every = multidegrees_up_to(datum.m, max_total)
+    full = dict(zip(every, compute_blocks(datum, every)))
+    monkeypatch.setattr(growth, "rank_rows", counting)
+    degs = [every[-1], every[len(every) // 2]]
+    got = compute_blocks(datum, degs)
+    assert calls == degs
+    assert list(got) == [full[deg] for deg in degs]
+
+
 def test_compute_blocks_pool_keeps_input_order(monkeypatch):
     from hopfmin import growth
 

@@ -2,30 +2,35 @@
 braidings ranked at integer points and cyclotomic data ranked through the
 regular representation, both against symbolic elimination; QQ rows ranked
 as integer rows; multilinear block determinants from their closed form;
-and cyclotomic arithmetic on integer coordinates against Fraction
-coordinates."""
+cyclotomic arithmetic on integer coordinates against Fraction
+coordinates; the letter insertion that tables build their blocks with,
+against the symmetrizer and the braided shuffle; and QQ and cyclotomic
+tables, built from the lower images, against their full Sh blocks."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from hopfmin.datum import datum_from_q_matrix
-from hopfmin.growth import hilbert_table
-from hopfmin.oracles import planted_q, random_q
+from hopfmin.growth import compute_blocks, hilbert_table
+from hopfmin.oracles import POOL, planted_q, random_q
 from hopfmin.scalars import (
     QQ, QT, Cyclotomic, CyclotomicField, cyclotomic_polynomial, poly_str)
 from hopfmin.shapovalov import (
+    SymEngine,
     SymMatrix,
     _int_row,
     determinant_by_elimination,
     gram_determinant,
+    insert_letter,
     matrix_rows,
     rank_rows,
     rank_symbolic,
     symmetrizer,
 )
-from hopfmin.words import multidegrees_up_to
+from hopfmin.words import Element, multidegrees_up_to, shuffle
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -215,3 +220,85 @@ def test_multilinear_determinant_matches_elimination(case):
     r, det = determinant_by_elimination(symmetrizer(datum, deg))
     assert type(report.determinant) is Fraction
     assert (report.rank, report.determinant) == (r, det)
+
+
+@st.composite
+def _letter_insertions(draw):
+    """A random braiding over QQ, a cyclotomic field or QQ(t), a word v of
+    at most four letters and a letter a."""
+    kind = draw(st.sampled_from(("rational", "cyclotomic", "function")))
+    if kind == "rational":
+        field, entries = QQ, [str(x) for x in POOL]
+    elif kind == "cyclotomic":
+        field = CyclotomicField(draw(st.sampled_from(_ORDERS)))
+        entries = _CYCLOTOMIC_ENTRIES
+    else:
+        field, entries = QT, _ENTRIES
+    m = draw(st.integers(1, 3))
+    braiding = tuple(tuple(field.parse(draw(st.sampled_from(entries)))
+                           for _ in range(m)) for _ in range(m))
+    v = tuple(draw(st.lists(st.integers(1, m), max_size=4)))
+    return braiding, draw(st.integers(1, m)), v
+
+
+def _insertion_mismatch(braiding, a, v, insertion_braiding):
+    """None when insert_letter over insertion_braiding takes Sh(v) to
+    Sh((a,) + v) and to the braided shuffle of a with Sh(v), else which
+    side differs."""
+    engine = SymEngine(braiding)
+    x = engine.sym(v)
+    got = Element(insert_letter(insertion_braiding, a, x))
+    if got != Element(engine.sym((a,) + v)):
+        return "symmetrizer"
+    if got != shuffle(braiding, Element.of_word((a,)), Element(x)):
+        return "shuffle"
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_letter_insertions())
+def test_letter_insertion_is_the_shuffle_by_a_letter(case):
+    # Sh((a,) + v) = a sh Sh(v), the identity table blocks are built by
+    braiding, a, v = case
+    assert _insertion_mismatch(braiding, a, v, braiding) is None
+
+
+def test_transposed_letter_insertion_is_caught():
+    # a planted fault: scalars b(w_i, a) in place of b(a, w_i), which is
+    # insertion over the transposed braiding
+    braiding = ((Fraction(2), Fraction(-1, 3)), (Fraction(3), Fraction(-1)))
+    transposed = tuple(zip(*braiding))
+    cases = [(a, v) for n in range(4) for v in itertools.product((1, 2), repeat=n)
+             for a in (1, 2)]
+    assert all(_insertion_mismatch(braiding, a, v, braiding) is None
+               for a, v in cases)
+    assert any(_insertion_mismatch(braiding, a, v, transposed) is not None
+               for a, v in cases)
+
+
+def _assert_table_matches_full_blocks(datum, max_total):
+    degs = multidegrees_up_to(datum.m, max_total)
+    for b in compute_blocks(datum, degs):
+        full = symmetrizer(datum, b.deg)
+        assert b.rank == rank_rows(datum.field, full.entries), b.deg
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.sampled_from((random_q, planted_q)),
+       st.randoms(use_true_random=False))
+def test_rational_tables_match_full_blocks(m, draw, rng):
+    if draw is planted_q and m < 2:
+        draw = random_q
+    datum = datum_from_q_matrix(draw(rng, m), QQ)
+    _assert_table_matches_full_blocks(datum, 5 if m < 3 else 4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_small_cyclotomic_data())
+@example((3, (("t", "1"), ("t^2", "t"))))
+def test_cyclotomic_tables_match_full_blocks(case):
+    order, q = case
+    field = CyclotomicField(order)
+    datum = datum_from_q_matrix(
+        tuple(tuple(field.parse(x) for x in row) for row in q), field)
+    _assert_table_matches_full_blocks(datum, 5 if datum.m < 3 else 4)

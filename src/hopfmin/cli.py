@@ -285,8 +285,7 @@ def cmd_analyze(args):
         else:
             found[deg] = got
             hits += 1
-    computed = compute_blocks(datum, missing,
-                              block_limit=args.block_limit, jobs=args.jobs)
+    computed = compute_blocks(datum, missing, block_limit=args.block_limit)
     for b in computed:
         found[b.deg] = (b.size, b.rank)
         if cache:
@@ -529,8 +528,8 @@ def _build_parser():
     p.add_argument("--cache", help="rank cache file "
                                    f"(default from ${CACHE_ENV})")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes for block computation, at most "
-                        "one per missing block and per CPU")
+                   help="at least 1; accepted for scripts that pass it, "
+                        "but blocks run serially in this process")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("det", help="block determinant with cyclotomic factors")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -109,7 +110,33 @@ def validate(datum):
                 continue
             if not value:
                 errors.append(f"gamma[{j}][{k}] is zero")
+            elif not _renders(datum.field, value):
+                errors.append(f"gamma[{j}][{k}] {_too_long()}")
+    if not errors:
+        for i, row in enumerate(datum.q_matrix, start=1):
+            for j, value in enumerate(row, start=1):
+                if not _renders(datum.field, value):
+                    errors.append(
+                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {_too_long()}")
     return errors
+
+
+def _renders(field, value):
+    """Whether value can be written out: no integer in it has more digits
+    than the interpreter converts to text (sys.get_int_max_str_digits(); 0
+    means no limit). Every output writes out the datum's points and q
+    entries, so a datum with one that cannot be written out is refused
+    before any block is computed."""
+    try:
+        field.render(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _too_long():
+    return (f"holds an integer of more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for writing one out")
 
 
 def require_valid(datum):
@@ -268,7 +295,7 @@ def parse_datum(text):
     """Parse and validate datum JSON; raises DatumValidationError on problems."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise DatumValidationError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise DatumValidationError(["datum file must be a JSON object"])

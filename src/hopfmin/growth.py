@@ -3,7 +3,10 @@
 The dimension of the minimal quotient in a multidegree is the rank of the
 Sh block there. Collecting every multidegree of total degree up to a bound
 gives a truncated Hilbert table; summing ranks along total degree gives the
-sequence the growth classifier looks at.
+sequence the growth classifier looks at. Every table runs in one serial
+block loop, compute_blocks, in this process: each block is built from the
+blocks below it, so splitting a table across processes would make each of
+them rebuild most of it.
 
 Classification inspects a trailing window of the totals:
 
@@ -28,8 +31,6 @@ cubic totals of B2 to degree 7.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -94,19 +95,23 @@ class DominanceReport:
     dominance: str
 
 
-def _blocks(args):
-    """BlockDim for each multidegree of (datum, degs), in order.
+def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
+    """BlockDim for each multidegree, in the order given.
 
-    The one block loop: the serial path and every pool worker run it. One
-    engine serves all the blocks: matrix_rows builds each block from the
-    bases the engine keeps of the lower images, and rank_rows eliminates it
-    once and keeps its basis there. Lower blocks missing from degs are
-    built on demand. For QQ(t) data it is the seed engine of the
-    IntegerPoints, which settles the blocks in order from the same bases.
+    The one block loop. The size guard runs over all requested blocks before
+    any work starts, so oversized inputs fail fast and name the offending
+    multidegree. Then one engine serves all the blocks: matrix_rows builds
+    each block from the bases the engine keeps of the lower images, and
+    rank_rows eliminates it once and keeps its basis there. Lower blocks
+    missing from degs (cache hits, a lone block) are built on demand. For
+    QQ(t) data it is the seed engine of an IntegerPoints, which settles the
+    blocks in order from the same bases, so QQ(t) blocks are built and
+    ranked at integer points of t, never over RatFunc scalars.
     """
-    datum, degs = args
+    degs = [tuple(d) for d in degs]
+    check_block_sizes(degs, block_limit)
     if datum.field == QT:
-        points = IntegerPoints(datum.braiding_matrix, SymEngine)
+        points = IntegerPoints(datum.braiding_matrix)
         engine = points.engine
     else:
         points, engine = None, SymEngine(datum.braiding_matrix)
@@ -120,34 +125,6 @@ def _blocks(args):
             got = points.settled[deg]
             settled = (got.how, got.passes)
         out.append(BlockDim(deg, block_size(deg), r, settled))
-    return out
-
-
-def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT, jobs=1):
-    """BlockDim for each multidegree, in the order given.
-
-    The size guard runs over all requested blocks before any work starts,
-    so oversized inputs fail fast and name the offending multidegree. With
-    one worker the blocks run in this process. With jobs > 1 they run in
-    worker processes, at most one per block and per CPU: worker i runs the
-    same block loop, with its own engine, on the interleaved share
-    degs[i::workers], building the lower blocks its share lacks, and its
-    results go back to those places, so the output does not depend on
-    scheduling. QQ(t) blocks are built and ranked at integer points of t
-    (IntegerPoints), never over RatFunc scalars.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    degs = [tuple(d) for d in degs]
-    check_block_sizes(degs, block_limit)
-    workers = min(jobs, len(degs), os.cpu_count() or 1)
-    if workers < 2:
-        return tuple(_blocks((datum, degs)))
-    out = [None] * len(degs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shares = [(datum, degs[i::workers]) for i in range(workers)]
-        for i, part in enumerate(pool.map(_blocks, shares)):
-            out[i::workers] = part
     return tuple(out)
 
 

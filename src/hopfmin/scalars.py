@@ -30,6 +30,7 @@ str(coerce(s)), the form parse reads back.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm
@@ -731,7 +732,14 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("INT", int(text[i:j])))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ScalarParseError(
+                    f"integer at position {i} has more than "
+                    f"{sys.get_int_max_str_digits()} digits, the "
+                    f"interpreter's limit for reading one") from None
+            toks.append(("INT", value))
             i = j
         elif ch == "t":
             toks.append(("T", None))

@@ -699,11 +699,10 @@ class IntegerPoints:
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
     The seed is the least integer x >= 2 with Q(x) != 0. One engine over
-    seed_braiding (make_engine, one per pool worker) builds the table's
-    blocks there from the lower images (SymEngine.image_rows) and keeps a
-    basis of each seed image; the seed ranks are certified lower bounds.
-    rank settles each kept block (Settled, kept in settled) by the first
-    of:
+    seed_braiding builds the table's blocks there from the lower images
+    (SymEngine.image_rows) and keeps a basis of each seed image; the seed
+    ranks are certified lower bounds. rank settles each kept block
+    (Settled, kept in settled) by the first of:
 
     * full rank at the seed;
     * the coideal bound (coideal_bound), when it equals the seed rank;
@@ -717,7 +716,7 @@ class IntegerPoints:
     elimination over QQ.
     """
 
-    def __init__(self, braiding, make_engine=None):
+    def __init__(self, braiding):
         self.braiding = braiding
         den = _den_lcm([b for row in braiding for b in row])
         self.norm = max([_norm1(den)] + [
@@ -727,7 +726,7 @@ class IntegerPoints:
             seed += 1
         self.seed = seed
         self.seed_braiding = self.braiding_at(seed)
-        self.engine = (make_engine or SymEngine)(self.seed_braiding)
+        self.engine = SymEngine(self.seed_braiding)
         self.settled = {}
 
     def braiding_at(self, x):
@@ -751,9 +750,8 @@ class IntegerPoints:
 
         The rows' pivot columns are kept as the block's seed basis. Then
         every kept block not settled yet, lower blocks that the engine built
-        on demand among them (a pool worker's share, a partly warm cache, a
-        lone block), is settled in the order the engine kept them, which is
-        lowest first.
+        on demand among them (a partly warm cache, a lone block), is settled
+        in the order the engine kept them, which is lowest first.
         """
         deg = tuple(deg)
         if deg not in self.engine.bases:

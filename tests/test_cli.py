@@ -472,3 +472,57 @@ def test_out_of_range_numbers_exit_one(capsys, argv, option):
     err = capsys.readouterr().err
     assert f"error: argument {option}: must be at least" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--max-total", "2", "--format", "json"),
+    ("analyze", "--max-total", "2", "--format", "csv"),
+    ("analyze", "--max-total", "2"),
+    ("det", "--deg", "2"),
+    ("det", "--deg", "2", "--format", "json"),
+])
+def test_datum_too_long_to_write_out_exits_one(tmp_path, capsys, argv,
+                                               digit_limit):
+    # q = 2**15000 has 4516 digits, past the limit of 4300 for writing an
+    # integer out; 2**14000 has 4215 and still works
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": "rational",
+                                "alphas": [[15000]], "gammas": [["2"]]}))
+    code, out, err = run(capsys, argv[0], "--datum", str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: q[1][1] = alpha[1](gamma[1]) holds an "
+                          "integer of more than")
+    path.write_text(json.dumps({"rank": 1, "field": "rational",
+                                "alphas": [[14000]], "gammas": [["2"]]}))
+    code, out, err = run(capsys, argv[0], "--datum", str(path), *argv[1:])
+    assert code == 0 and err == ""
+
+
+def test_jobs_does_not_change_the_document(capsys):
+    docs = []
+    for jobs in ("1", "2", "64"):
+        code, out, err = run(capsys, "analyze", "--preset", "cartan:A2",
+                             "--specialize", "3", "--max-total", "8",
+                             "--format", "json", "--jobs", jobs)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        del doc["timings"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_cli_loads_no_process_pool():
+    # blocks run serially, so a run imports no multiprocessing machinery,
+    # whatever --jobs says
+    code = """
+import sys
+from hopfmin import cli
+assert cli.main(["analyze", "--preset", "cartan:A2", "--max-total", "4",
+                 "--format", "csv", "--jobs", "2"]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

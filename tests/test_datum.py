@@ -1,6 +1,7 @@
 """Datum construction, validation, presets, serialization."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,40 @@ def test_validate_messages():
     assert any("length" in e for e in validate(short))
     empty = Datum(1, (), (), QQ)
     assert validate(empty) == ["datum has no characters"]
+
+
+def test_validate_refuses_entries_too_long_to_write_out(digit_limit):
+    # every output writes out the points and the q matrix, so an integer
+    # past the limit is refused up front
+    big = Fraction(2 ** 15000)
+    unused = Datum(2, ((1, 0), (1, 0)), ((Fraction(1), big),
+                                         (Fraction(2), Fraction(1))), QQ)
+    assert validate(unused) == [
+        "gamma[1][2] holds an integer of more than 4300 digits, the "
+        "interpreter's limit for writing one out"]
+    powered = make_datum(1, [(15000,)], [(2,)], QQ)
+    assert validate(powered) == [
+        "q[1][1] = alpha[1](gamma[1]) holds an integer of more than 4300 "
+        "digits, the interpreter's limit for writing one out"]
+    t_powered = make_datum(1, [(15000,)], [(2 * _tp(1),)], QT)
+    assert validate(t_powered)[0].startswith("q[1][1] ")
+    assert validate(make_datum(1, [(14000,)], [(2,)], QQ)) == []
+    # 0 lifts the limit
+    sys.set_int_max_str_digits(0)
+    assert validate(powered) == []
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('"' + "1" * 4400 + '"',
+     "gamma[1][1]: integer at position 0 has more than 4300 digits"),
+    ("1" * 4400, "not valid JSON"),
+], ids=["string", "number"])
+def test_parse_datum_refuses_literals_too_long_to_read(digit_limit, entry,
+                                                       message):
+    text = json.dumps(_GOOD_DOC).replace('"2"', entry)
+    with pytest.raises(DatumValidationError) as exc:
+        parse_datum(text)
+    assert exc.value.errors[0].startswith(message)
 
 
 def test_preset_reductive_has_trivial_braiding():

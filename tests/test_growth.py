@@ -72,91 +72,14 @@ def test_hilbert_table_matches_kostant_a2():
     assert table.totals() == (1, 2, 4, 6, 9, 12)
 
 
-def test_compute_blocks_parallel_matches_serial():
-    d = preset_cartan("A2")
-    degs = multidegrees_up_to(2, 5)
-    serial = compute_blocks(d, degs, jobs=1)
-    parallel = compute_blocks(d, degs, jobs=2)
-    assert serial == parallel
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and runs the tasks in this process."""
-
-    created = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus, jobs, blocks, workers", [
-    (2, 5, 3, 2),     # clamped to the CPU count
-    (4, 3, 2, 2),     # clamped to the block count
-    (4, 2, 3, 2),     # as asked
-    (1, 4, 3, None),  # one CPU: serial, no pool
-    (4, 4, 1, None),  # one block: serial, no pool
-])
-def test_compute_blocks_pool_is_bounded(monkeypatch, cpus, jobs, blocks,
-                                        workers):
-    from hopfmin import growth
-
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(growth.os, "cpu_count", lambda: cpus)
-    _InlinePool.created.clear()
-    d = preset_cartan("A2")
-    degs = multidegrees_up_to(2, 2)[:blocks]
-    got = compute_blocks(d, degs, jobs=jobs)
-    assert _InlinePool.created == ([] if workers is None else [workers])
-    assert got == compute_blocks(d, degs, jobs=1)
-
-
-def test_compute_blocks_builds_one_engine_per_worker(monkeypatch):
-    from hopfmin import growth
-
-    class CountingEngine(growth.SymEngine):
-        built = 0
-
-        def __init__(self, braiding):
-            type(self).built += 1
-            super().__init__(braiding)
-
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(growth, "SymEngine", CountingEngine)
-    _InlinePool.created.clear()
-    d = preset_cartan("A2")
-    degs = multidegrees_up_to(2, 4)
-    got = compute_blocks(d, degs, jobs=2)
-    assert _InlinePool.created == [2]
-    # one table engine per worker; certificate points build their own
-    # engines inside shapovalov, which this count leaves out
-    assert CountingEngine.built == 2
-    assert [b.deg for b in got] == [tuple(g) for g in degs]
-
-
-def test_pool_shares_settle_their_missing_lower_blocks(monkeypatch):
-    from hopfmin import growth
+def test_cache_gaps_settle_their_missing_lower_blocks():
     from hopfmin.shapovalov import BOUND
 
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
-    _InlinePool.created.clear()
     d = preset_cartan("A2")
     full = {b.deg: b for b in compute_blocks(d, multidegrees_up_to(2, 8))}
-    # gaps, as left by a partly warm cache, in two interleaved shares
+    # gaps, as left by a partly warm cache
     degs = [deg for i, deg in enumerate(multidegrees_up_to(2, 8)) if i % 3]
-    got = compute_blocks(d, degs, jobs=2)
-    assert _InlinePool.created == [2]
+    got = compute_blocks(d, degs)
     assert got == tuple(full[deg] for deg in degs)
     assert [b.settled for b in got] == [full[deg].settled for deg in degs]
     assert dict(zip(degs, got))[(4, 4)].settled == (BOUND, 0)
@@ -193,21 +116,32 @@ def test_lone_cyclotomic_block_builds_its_lower_blocks():
     assert got.rank == 1
 
 
-@pytest.mark.parametrize("datum, max_total", _FIELD_CASES,
-                         ids=["zeta3", "trivial", "random"])
-def test_pool_shares_build_their_missing_lower_blocks(monkeypatch, datum,
-                                                      max_total):
+def test_compute_blocks_builds_one_engine_per_call(monkeypatch):
     from hopfmin import growth
 
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
-    _InlinePool.created.clear()
+    class CountingEngine(growth.SymEngine):
+        built = 0
+
+        def __init__(self, braiding):
+            type(self).built += 1
+            super().__init__(braiding)
+
+    monkeypatch.setattr(growth, "SymEngine", CountingEngine)
+    degs = multidegrees_up_to(2, 6)
+    got = compute_blocks(_ZETA3_A2, degs)
+    # one table engine, which builds every block and its lower images
+    assert CountingEngine.built == 1
+    assert [b.deg for b in got] == [tuple(g) for g in degs]
+
+
+@pytest.mark.parametrize("datum, max_total", _FIELD_CASES,
+                         ids=["zeta3", "trivial", "random"])
+def test_cache_gaps_build_their_missing_lower_blocks(datum, max_total):
     every = multidegrees_up_to(datum.m, max_total)
     full = dict(zip(every, compute_blocks(datum, every)))
-    # gaps, as left by a partly warm cache, in two interleaved shares
+    # gaps, as left by a partly warm cache
     degs = [deg for i, deg in enumerate(every) if i % 3]
-    got = compute_blocks(datum, degs, jobs=2)
-    assert _InlinePool.created == [2]
+    got = compute_blocks(datum, degs)
     assert got == tuple(full[deg] for deg in degs)
 
 
@@ -234,27 +168,16 @@ def test_compute_blocks_ranks_each_requested_block_once_in_every_field(
     assert list(got) == [full[deg] for deg in degs]
 
 
-def test_compute_blocks_pool_keeps_input_order(monkeypatch):
-    from hopfmin import growth
-
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(growth.os, "cpu_count", lambda: 4)
-    _InlinePool.created.clear()
+def test_compute_blocks_keeps_input_order_across_cache_gaps():
     d = preset_cartan("A2")
+    every = multidegrees_up_to(2, 5)
+    full = dict(zip(every, compute_blocks(d, every)))
     # gaps, as left by cache hits, and one degree out of total order
-    degs = [deg for i, deg in enumerate(multidegrees_up_to(2, 5)) if i % 3]
+    degs = [deg for i, deg in enumerate(every) if i % 3]
     degs.append((1, 0))
-    got = compute_blocks(d, degs, jobs=3)
-    assert _InlinePool.created == [3]
+    got = compute_blocks(d, degs)
     assert [b.deg for b in got] == degs
-    assert got == compute_blocks(d, degs, jobs=1)
-
-
-def test_compute_blocks_rejects_nonpositive_jobs():
-    d = preset_cartan("A1")
-    for jobs in (0, -3):
-        with pytest.raises(ValueError):
-            compute_blocks(d, [(1,)], jobs=jobs)
+    assert got == tuple(full[deg] for deg in degs)
 
 
 def test_compute_blocks_guard_names_block():

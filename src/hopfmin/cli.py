@@ -2,22 +2,23 @@
 
 Exit codes: 0 success, 1 bad input, 2 block size guard, 3 specialization
 pole, 4 selftest failure.
+
+Most runs are short, so start-up counts: what only one command or format
+uses (the oracles and random for selftest, the sl2 mirror, csv, tempfile
+for a cache write) is imported inside it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
-import random
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-from . import __version__, oracles
+from . import __version__
 from .datum import (
     DatumValidationError,
     datum_from_q_matrix,
@@ -44,6 +45,7 @@ from .scalars import (
     FieldMismatchError,
     ScalarParseError,
     SpecializationPoleError,
+    too_long,
 )
 from .shapovalov import (
     BOUND,
@@ -55,7 +57,6 @@ from .shapovalov import (
     check_block_sizes,
     gram_determinant,
 )
-from .sl2 import parallel_report
 from .words import block_size, multidegrees_up_to
 
 EXIT_OK = 0
@@ -196,6 +197,8 @@ class _Cache:
         written only gets a warning."""
         if not self.written:
             return
+        import tempfile
+
         try:
             ranks = _read_cache(self.path)
         except _StaleCache as exc:
@@ -321,6 +324,8 @@ def cmd_analyze(args):
     if args.format == "json":
         _emit_json(doc)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         m = datum.m
         writer.writerow([f"deg_{i + 1}" for i in range(m)] + ["size", "rank"])
@@ -355,6 +360,13 @@ def cmd_det(args):
     report = gram_determinant(datum, deg, factor_bound=args.factor_bound,
                               block_limit=args.block_limit)
     render = datum.field.render
+    try:
+        determinant = render(report.determinant)
+        remainder = render(report.remainder)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        print(f"error: the determinant of block {deg} {too_long()}",
+              file=sys.stderr)
+        return EXIT_INPUT
     pretty = [f"Phi_{k}(t^{j})" + (f"^{mult}" if mult > 1 else "")
               for k, j, mult in report.factors]
     doc = {
@@ -366,10 +378,10 @@ def cmd_det(args):
         "deg": list(deg),
         "size": report.size,
         "rank": report.rank,
-        "determinant": render(report.determinant),
+        "determinant": determinant,
         "factors": [list(f) for f in report.factors],
         "factors_pretty": pretty,
-        "remainder": render(report.remainder),
+        "remainder": remainder,
         "timings": {"total_ms": int((time.monotonic() - t0) * 1000)},
     }
     if args.format == "json":
@@ -384,6 +396,8 @@ def cmd_det(args):
 
 
 def cmd_sl2(args):
+    from .sl2 import parallel_report
+
     try:
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError) as exc:
@@ -417,6 +431,10 @@ def cmd_sl2(args):
 
 def cmd_selftest(args):
     """Run the checks of hopfmin.oracles on fixed seeded inputs."""
+    import random
+
+    from . import oracles
+
     rng = random.Random(20240917)
     a2 = preset_cartan("A2")
 

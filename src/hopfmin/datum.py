@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,9 +24,12 @@ from .scalars import (
     QT,
     CyclotomicField,
     FieldMismatchError,
+    Record,
     ScalarParseError,
     field_from_name,
+    power_too_long,
     specialize,
+    too_long,
 )
 
 
@@ -40,12 +41,12 @@ class DatumValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class Datum:
-    rank: int
-    alphas: tuple[tuple[int, ...], ...]
-    gammas: tuple[tuple[object, ...], ...]
-    field: object
+class Datum(Record):
+    """rank: int; alphas: int tuples; gammas: tuples of field scalars;
+    field: a field object. No __slots__: the cached properties below keep
+    their values in the instance __dict__."""
+
+    _fields = ("rank", "alphas", "gammas", "field")
 
     @property
     def m(self):
@@ -111,13 +112,21 @@ def validate(datum):
             if not value:
                 errors.append(f"gamma[{j}][{k}] is zero")
             elif not _renders(datum.field, value):
-                errors.append(f"gamma[{j}][{k}] {_too_long()}")
+                errors.append(f"gamma[{j}][{k}] {too_long()}")
+    if not errors:
+        # a power too long to write out is refused before it is taken
+        for i, alpha in enumerate(datum.alphas, start=1):
+            for j, gamma in enumerate(datum.gammas, start=1):
+                reasons = [r for r in map(power_too_long, gamma, alpha) if r]
+                if reasons:
+                    errors.append(f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) "
+                                  f"{reasons[0]}")
     if not errors:
         for i, row in enumerate(datum.q_matrix, start=1):
             for j, value in enumerate(row, start=1):
                 if not _renders(datum.field, value):
                     errors.append(
-                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {_too_long()}")
+                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {too_long()}")
     return errors
 
 
@@ -132,11 +141,6 @@ def _renders(field, value):
     except ValueError:
         return False
     return True
-
-
-def _too_long():
-    return (f"holds an integer of more than {sys.get_int_max_str_digits()} "
-            f"digits, the interpreter's limit for writing one out")
 
 
 def require_valid(datum):

@@ -31,10 +31,9 @@ cubic totals of B2 to degree 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import QT
+from .scalars import QT, Record
 from .shapovalov import (
     DEFAULT_BLOCK_LIMIT,
     LETTER_LIMIT,
@@ -54,20 +53,21 @@ INCONCLUSIVE = "inconclusive"
 EXPONENTIAL_RATIO = Fraction(3, 2)  # see the module docstring
 
 
-@dataclass(frozen=True)
-class BlockDim:
-    deg: tuple[int, ...]
-    size: int
-    rank: int
-    # how a computed QQ(t) block's rank was certified, as (Settled.how,
-    # passes); None otherwise. A record of the run, not part of the result.
-    settled: tuple | None = field(default=None, compare=False, repr=False)
+class BlockDim(Record):
+    """deg: int tuple; size, rank: ints. settled is how a computed QQ(t)
+    block's rank was certified, as (Settled.how, passes), and None
+    otherwise: a record of the run, not part of the result, so equality,
+    hashing and the repr leave it out."""
+
+    __slots__ = _fields = ("deg", "size", "rank", "settled")
+    _defaults = {"settled": None}
+    _hidden = ("settled",)
 
 
-@dataclass(frozen=True)
-class HilbertTable:
-    max_total: int
-    blocks: tuple[BlockDim, ...]
+class HilbertTable(Record):
+    """max_total: int; blocks: a tuple of BlockDim."""
+
+    __slots__ = _fields = ("max_total", "blocks")
 
     def dims(self):
         """Multidegree -> rank mapping."""
@@ -81,18 +81,17 @@ class HilbertTable:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
-    kind: str
-    degree: object
-    evidence: dict
+class GrowthVerdict(Record):
+    """kind: one of the four verdicts; degree: the polynomial degree, or
+    None; evidence: a dict."""
+
+    __slots__ = _fields = ("kind", "degree", "evidence")
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    table: HilbertTable
-    verdict: GrowthVerdict
-    dominance: str
+class DominanceReport(Record):
+    """table: a HilbertTable; verdict: a GrowthVerdict; dominance: str."""
+
+    __slots__ = _fields = ("table", "verdict", "dominance")
 
 
 def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):

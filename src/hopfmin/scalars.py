@@ -25,15 +25,18 @@ FieldMismatchError rather than guessing an embedding.
 The field objects share one protocol too (_Field): equality and hashing by
 the name tag, one() and zero() as coerce(1) and coerce(0), and render(s) as
 str(coerce(s)), the form parse reads back.
+
+Record is the immutable base of the package's value types (Poly, RatFunc,
+Datum, the block and report types): fields named once, equality, hashing
+and a repr over them, and assignment refused.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd, lcm, log2
 
 
 class FieldMismatchError(TypeError):
@@ -49,6 +52,112 @@ class SpecializationPoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# bases: immutable records, and the field scalars' shared operations
+
+# records set their fields past their own __setattr__, which refuses
+_setattr = object.__setattr__
+
+
+class Record:
+    """Immutable record over the names in _fields, built from positional or
+    keyword values, with _defaults for the fields left out. Equality, hashing
+    and the repr read every field but those in _hidden, a record of the run
+    rather than of the value. A subclass sets __slots__ = _fields, or leaves
+    __slots__ out to keep an instance __dict__ (for cached_property)."""
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+    _hidden = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if (len(args) > len(names) or not given.keys().isdisjoint(kwargs)
+                or values.keys() != set(names)):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            _setattr(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, n) for n in self._fields
+                     if n not in self._hidden)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields
+                          if n not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+class _Scalar:
+    """The operations every field scalar derives from its subclass's
+    _coerce, +, unary -, * and inverse. The subclasses keep their own
+    +, *, their reflected aliases, truth, equality and hashing, which the
+    symmetrizer and elimination call on every entry."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        if self._coerce(other) is None:
+            return NotImplemented
+        return self.inverse() * other  # an int numerator only scales
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError("scalar exponents must be integers")
+        base = self
+        if n < 0:
+            base, n = self.inverse(), -n
+        out = self._coerce(1)
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+# ---------------------------------------------------------------------------
 # integer-coefficient polynomials
 
 
@@ -59,19 +168,26 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Polynomial in t over the integers, coefficients ascending, trimmed.
 
     The zero polynomial is the empty tuple and has degree -1.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        c = self.coeffs
-        if not isinstance(c, tuple) or (c and not c[-1]):
-            object.__setattr__(self, "coeffs", _trim(tuple(c)))
+    def __init__(self, coeffs=()):
+        if not isinstance(coeffs, tuple) or (coeffs and not coeffs[-1]):
+            coeffs = _trim(tuple(coeffs))
+        _setattr(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is Poly:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @classmethod
     def const(cls, n):
@@ -266,59 +382,6 @@ def cyclotomic_polynomial(n):
 
 
 # ---------------------------------------------------------------------------
-# field scalars
-
-
-class _Scalar:
-    """The operations every field scalar derives from its subclass's
-    _coerce, +, unary -, * and inverse. The subclasses keep their own
-    +, *, their reflected aliases, truth, equality and hashing, which the
-    symmetrizer and elimination call on every entry."""
-
-    __slots__ = ()
-
-    def is_zero(self):
-        return not self
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        if self._coerce(other) is None:
-            return NotImplemented
-        return self.inverse() * other  # an int numerator only scales
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("scalar exponents must be integers")
-        base = self
-        if n < 0:
-            base, n = self.inverse(), -n
-        out = self._coerce(1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-
-# ---------------------------------------------------------------------------
 # rational functions over QQ, canonical reduced pairs in ZZ[t]
 
 
@@ -351,18 +414,16 @@ def _canonical_pair(num, den):
     return num, den
 
 
-@dataclass(frozen=True)
-class RatFunc(_Scalar):
+class RatFunc(_Scalar, Record):
     """Element of QQ(t) in canonical reduced form."""
 
-    num: Poly = _P_ZERO
-    den: Poly = _P_ONE
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.coeffs != (1,):
-            n, d = _canonical_pair(self.num, self.den)
-            object.__setattr__(self, "num", n)
-            object.__setattr__(self, "den", d)
+    def __init__(self, num=_P_ZERO, den=_P_ONE):
+        if den.coeffs != (1,):
+            num, den = _canonical_pair(num, den)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     @classmethod
     def const(cls, q):
@@ -708,6 +769,37 @@ def render_ratfunc(f):
     return f"({poly_str(num.coeffs)})/({poly_str(den.coeffs)})"
 
 
+def too_long():
+    """The end of an error for a value with an integer too long to write."""
+    return (f"holds an integer of more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for writing one out")
+
+
+def power_too_long(base, n):
+    """Why base ** n (base an int, a Fraction or a RatFunc) could not be
+    written out, or None; decided before the power is taken, which could
+    take hours. With limit = sys.get_int_max_str_digits() (0: no limit), it
+    is refused when the n-th power of a leading coefficient of base has
+    more than limit digits, and when its degree in t passes limit. Powers
+    of Cyclotomic values are not checked."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(base, (int, Fraction)):
+        base = RatFunc.const(base)
+    if not limit or not isinstance(base, RatFunc):
+        return None
+    n = abs(n)
+    for p in (base.num, base.den):
+        # |lc| ** n >= 2 ** (n * (bits - 1)), which has more than limit
+        # digits once n * (bits - 1) >= limit * log2(10)
+        if n * (abs(p.lc).bit_length() - 1) >= limit * log2(10):
+            return too_long()
+    degree = n * max(base.num.degree, base.den.degree)
+    if degree > limit:
+        return (f"has degree {degree} in t, over the interpreter's limit of "
+                f"{limit} digits")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # scalar literal grammar
 #
@@ -816,6 +908,10 @@ class _Parser:
                 self.take()
                 sign = -1
             exp = sign * self.take("INT")[1]
+            reason = power_too_long(base, exp)
+            if reason:
+                raise ScalarParseError(
+                    f"the power ^{exp} in {self.text!r} {reason}")
             base = base ** exp
         return base
 

@@ -73,14 +73,13 @@ building and eliminating the block for its rank, as for every other block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import floordiv
 
 from .scalars import (
-    QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, cyclotomic_polynomial,
-    poly_gcd)
+    QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, Record,
+    cyclotomic_polynomial, poly_gcd)
 from .words import block_size, braid_at, multidegree, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
@@ -114,28 +113,22 @@ def check_block_sizes(degs, block_limit):
             raise BlockSizeError(deg, block_size(deg), block_limit)
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(Record):
     """Matrix of Sh on one multidegree block.
 
     entries[i][j] is the coefficient of words[i] in Sh(words[j]); all
     entries are scalars of the field.
     """
 
-    multidegree: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[object, ...], ...]
-    field: object
+    __slots__ = _fields = ("multidegree", "words", "entries", "field")
 
 
-@dataclass(frozen=True)
-class DetReport:
-    multidegree: tuple[int, ...]
-    size: int
-    rank: int
-    determinant: object
-    factors: tuple[tuple[int, int, int], ...]
-    remainder: object
+class DetReport(Record):
+    """The determinant of one block, its cyclotomic factors (k, j, mult)
+    and the unfactored remainder."""
+
+    __slots__ = _fields = ("multidegree", "size", "rank", "determinant",
+                           "factors", "remainder")
 
 
 class SymEngine:
@@ -665,16 +658,14 @@ BOUND = "bound"
 POINT = "point"
 
 
-@dataclass(frozen=True)
-class Settled:
+class Settled(Record):
     """The certified rank of one QQ(t) table block and how it was found:
     SEED (full rank at the seed point), BOUND (the coideal bound meets the
     seed rank) or POINT (by _certified_rank, in passes >= 1 evaluations).
     """
 
-    rank: int
-    how: str
-    passes: int = 0
+    __slots__ = _fields = ("rank", "how", "passes")
+    _defaults = {"passes": 0}
 
 
 def _lowers(deg):

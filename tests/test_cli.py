@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -498,6 +499,53 @@ def test_datum_too_long_to_write_out_exits_one(tmp_path, capsys, argv,
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_det_too_long_to_write_out_exits_one(tmp_path, capsys, fmt,
+                                              digit_limit):
+    # q = 2**14000 writes out, but the determinant of block (3,) holds
+    # 2**42000 and more, past the limit of 4300 digits
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": "rational",
+                                "alphas": [[14000]], "gammas": [["2"]]}))
+    code, out, err = run(capsys, "det", "--datum", str(path), "--deg", "3",
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == ("error: the determinant of block (3,) holds an integer "
+                   "of more than 4300 digits, the interpreter's limit for "
+                   "writing one out\n")
+
+
+def _one_gigabyte():
+    # a power that is taken after all fails with MemoryError rather than
+    # filling the machine's memory before the timeout
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("alphas, gamma, message", [
+    ([[1]], "3^1000000000", "error: gamma[1][1]: the power ^1000000000 in "
+                            "'3^1000000000' holds an integer of more than"),
+    ([[1000000000]], "3", "error: q[1][1] = alpha[1](gamma[1]) holds an "
+                          "integer of more than"),
+    ([[1]], "t^1000000000", "error: gamma[1][1]: the power ^1000000000 in "
+                            "'t^1000000000' has degree 1000000000 in t"),
+], ids=["literal", "character", "t-power"])
+def test_huge_exponent_exits_one_at_once(tmp_path, alphas, gamma, message):
+    # each power would take hours to compute; its exponent refuses it
+    field = "rational_function" if "t" in gamma else "rational"
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": field, "alphas": alphas,
+                                "gammas": [[gamma]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--datum", str(path)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+        preexec_fn=_one_gigabyte)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
 def test_jobs_does_not_change_the_document(capsys):
     docs = []
     for jobs in ("1", "2", "64"):
@@ -521,6 +569,26 @@ assert cli.main(["analyze", "--preset", "cartan:A2", "--max-total", "4",
                  "--format", "csv", "--jobs", "2"]) == 0
 print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_zero_work_runs_load_only_what_they_use():
+    # start-up is most of a short run: analyze and det import neither the
+    # oracles nor the sl2 mirror, nor csv, nor dataclasses and the inspect
+    # machinery it brings
+    code = """
+import sys
+from hopfmin import cli
+assert cli.main(["analyze", "--preset", "cartan:A2", "--max-total", "0",
+                 "--format", "json"]) == 0
+assert cli.main(["det", "--preset", "doubled:G2", "--deg", "0,0,0,0",
+                 "--format", "json"]) == 0
+print(sorted(m for m in ("dataclasses", "inspect", "csv", "hopfmin.oracles",
+                         "hopfmin.sl2") if m in sys.modules))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)

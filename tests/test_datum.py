@@ -68,6 +68,32 @@ def test_q_matrix_from_characters():
     assert d.q_matrix == ((Fraction(2, 9),),)
 
 
+def test_datum_is_an_immutable_record_with_cached_matrices():
+    d = preset_cartan("A1")
+    for name in ("rank", "alphas", "gammas", "field", "q_matrix"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+    assert d.q_matrix is d.q_matrix  # computed once, kept in __dict__
+    assert d == preset_cartan("A1") and hash(d) == hash(preset_cartan("A1"))
+    assert d != preset_cartan("A1", base=2)
+    assert repr(d) == ("Datum(rank=1, alphas=((1,),), gammas=((t^2,),), "
+                       "field=RationalFunctionField())")
+    assert repr(make_datum(1, [[1]], [[Fraction(1, 2)]], QQ)) == (
+        "Datum(rank=1, alphas=((1,),), gammas=((Fraction(1, 2),),), "
+        "field=RationalField())")
+
+
+def test_validate_refuses_a_power_too_long_before_taking_it(digit_limit):
+    # 3**(10**9) would take hours; the exponent alone refuses it
+    for gamma, field, reason in [(3, QQ, "holds an integer of more than 4300"),
+                                 (Fraction(1, 3), QQ, "holds an integer"),
+                                 (_tp(1), QT, "has degree 1000000000 in t")]:
+        d = make_datum(2, [(1, 10 ** 9)], [(Fraction(1), gamma)], field)
+        errors = validate(d)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"q[1][1] = alpha[1](gamma[1]) {reason}")
+
+
 def test_validate_messages():
     d = Datum(2, ((0, 0), (1, 0)), ((Fraction(1), Fraction(1)),
                                     (Fraction(1), Fraction(0))), QQ)

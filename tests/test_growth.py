@@ -21,6 +21,8 @@ from hopfmin.growth import (
     FINITE,
     INCONCLUSIVE,
     POLYNOMIAL,
+    BlockDim,
+    HilbertTable,
     compute_blocks,
     dominance_label,
     dominance_verdict,
@@ -34,8 +36,53 @@ from hopfmin.oracles import (
     ranks_match_pbw,
 )
 from hopfmin.scalars import QQ, QT, CyclotomicField
-from hopfmin.shapovalov import BlockSizeError
+from hopfmin.shapovalov import POINT, SEED, BlockSizeError, Settled
 from hopfmin.words import multidegrees_up_to
+
+
+def test_block_dim_equality_and_hash_ignore_settled():
+    # settled records how a run certified the rank, not the result
+    plain = BlockDim((1, 0), 1, 1)
+    seeded = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
+    pointed = BlockDim(deg=(1, 0), size=1, rank=1, settled=(POINT, 2))
+    assert plain == seeded == pointed
+    assert hash(plain) == hash(seeded) == hash(pointed)
+    assert len({plain, seeded, pointed}) == 1
+    assert plain.settled is None and pointed.settled == (POINT, 2)
+    assert plain != BlockDim((1, 0), 1, 0)
+    assert plain != BlockDim((0, 1), 1, 1)
+
+
+def test_records_refuse_assignment():
+    block = BlockDim((1, 0), 1, 1)
+    settled = Settled(3, SEED)
+    for record, name in [(block, "deg"), (block, "rank"),
+                         (block, "settled"), (settled, "rank"),
+                         (settled, "how"), (settled, "passes")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (block.rank, settled.how) == (1, SEED)
+
+
+def test_record_reprs_are_unchanged():
+    block = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
+    assert repr(block) == "BlockDim(deg=(1, 0), size=1, rank=1)"
+    assert repr(HilbertTable(1, (block,))) == (
+        "HilbertTable(max_total=1, blocks=(BlockDim(deg=(1, 0), size=1, "
+        "rank=1),))")
+    assert repr(Settled(3, SEED)) == "Settled(rank=3, how='seed', passes=0)"
+    assert repr(Settled(3, POINT, 2)) == (
+        "Settled(rank=3, how='point', passes=2)")
+
+
+def test_records_take_their_fields_by_position_or_name():
+    assert Settled(3, POINT, 2) == Settled(passes=2, how=POINT, rank=3)
+    for args, kwargs in [((3,), {}), ((3, SEED, 0, 1), {}),
+                         ((3, SEED), {"rank": 3}), ((3, SEED), {"pass": 1})]:
+        with pytest.raises(TypeError):
+            Settled(*args, **kwargs)
 
 
 def test_pbw_dims_by_hand():

@@ -5,7 +5,6 @@ that always agreed would pass both; each case here plants one fault and
 expects a mismatch, after a clean run of the same check that agrees.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -18,7 +17,9 @@ from hopfmin.datum import (
     preset_cartan,
     specialize_datum,
 )
+from hopfmin.growth import BlockDim, HilbertTable
 from hopfmin.scalars import QQ
+from hopfmin.shapovalov import SymMatrix
 
 A2 = preset_cartan("A2")
 
@@ -32,7 +33,8 @@ def _perturb_symmetrizer(monkeypatch):
             return mat
         rows = [list(r) for r in mat.entries]
         rows[1][0] = rows[1][0] + datum.field.one()
-        return dataclasses.replace(mat, entries=tuple(map(tuple, rows)))
+        return SymMatrix(mat.multidegree, mat.words,
+                         tuple(map(tuple, rows)), mat.field)
 
     monkeypatch.setattr(oracles, "symmetrizer", fake)
 
@@ -47,8 +49,8 @@ def _change_second_table(monkeypatch):
         if len(tables) % 2:
             return table
         *head, last = table.blocks
-        last = dataclasses.replace(last, rank=last.rank + 1)
-        return dataclasses.replace(table, blocks=(*head, last))
+        last = BlockDim(last.deg, last.size, last.rank + 1, last.settled)
+        return HilbertTable(table.max_total, (*head, last))
 
     monkeypatch.setattr(oracles, "hilbert_table", fake)
 

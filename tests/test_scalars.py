@@ -20,6 +20,7 @@ from hopfmin.scalars import (
     field_from_name,
     parse_scalar,
     poly_gcd,
+    power_too_long,
     render_ratfunc,
     specialize,
 )
@@ -211,6 +212,56 @@ def test_cyclotomic_integer_coordinates_and_pickle():
     for v in (x, z, Cyclotomic.const(5, 0), Cyclotomic.const(3, Fraction(-4, 6))):
         back = pickle.loads(pickle.dumps(v))
         assert (back, hash(back), str(back)) == (v, hash(v), str(v))
+
+
+def test_poly_and_ratfunc_refuse_assignment_and_pickle():
+    p = Poly((1, 2))
+    f = RatFunc(Poly((1,)), Poly((0, 1)))
+    for value, name in [(p, "coeffs"), (f, "num"), (f, "den")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, Poly((3,)))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(p, "__dict__") and not hasattr(f, "__dict__")
+    for v in (p, Poly(()), f, RatFunc.const(Fraction(-4, 6))):
+        back = pickle.loads(pickle.dumps(v))
+        assert (back, hash(back), str(back)) == (v, hash(v), str(v))
+
+
+def test_poly_and_ratfunc_reprs_and_canonical_form_are_unchanged():
+    assert repr(Poly((1, 2))) == "2*t + 1"
+    assert repr(Poly([1, 2, 0, 0])) == "2*t + 1"
+    assert Poly([1, 2, 0]).coeffs == (1, 2) and Poly((0, 0)).coeffs == ()
+    assert repr(RatFunc(Poly((1,)), Poly((0, 1)))) == "t^-1"
+    f = RatFunc(Poly((-2, 0, 2)), Poly((0, -4, -4)))  # (2t^2 - 2)/(-4t^2 - 4t)
+    assert (f.num, f.den) == (Poly((1, -1)), Poly((0, 2)))
+    assert repr(f) == "(-t + 1)/(2*t)"
+    assert RatFunc() == 0 and RatFunc(Poly((5,))) == 5
+    assert Poly((1, 2)) != (1, 2) and Poly((1, 2)) == Poly([1, 2])
+    assert hash(Poly((1, 2))) == hash(((1, 2),))
+
+
+def test_power_too_long_to_write_out_is_refused_before_it_is_taken(
+        digit_limit):
+    # 2**14284 has 4300 digits, 2**14285 has 4301; the check runs first, so
+    # an exponent of a billion is refused at once
+    assert parse_scalar("2^14284") == 2 ** 14284
+    assert parse_scalar("(1/2)^-14284") == 2 ** 14284
+    assert parse_scalar("t^4300") == RatFunc.t_power(4300)
+    for text, reason in [("2^14285", "holds an integer of more than 4300"),
+                         ("(1/2)^-14285", "holds an integer of more than"),
+                         ("3^1000000000", "holds an integer of more than"),
+                         ("(3t+1)^1000000000", "holds an integer of more"),
+                         ("t^4301", "has degree 4301 in t"),
+                         ("(t+1)^-1000000000", "has degree 1000000000"),
+                         ("(t^2)^2151", "has degree 4302 in t")]:
+        with pytest.raises(ScalarParseError) as exc:
+            parse_scalar(text)
+        assert reason in str(exc.value)
+    assert parse_scalar("1^1000000000") == 1
+    assert parse_scalar("(-1)^1000000001") == -1
+    assert power_too_long(Fraction(2, 3), 10 ** 9).startswith("holds")
+    assert power_too_long(Cyclotomic.zeta(5), 10 ** 9) is None
 
 
 def test_specialize():

@@ -51,6 +51,7 @@ from .shapovalov import (
     BOUND,
     DEFAULT_BLOCK_LIMIT,
     LETTER_LIMIT,
+    ORDER_LIMIT,
     POINT,
     SEED,
     BlockSizeError,
@@ -521,7 +522,8 @@ def _add_datum_options(sub):
                      help="evaluate cartan/doubled presets at this nonzero "
                           "rational instead of the formal t")
     sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
-                     help="send t to a primitive N-th root of unity")
+                     help="send t to a primitive N-th root of unity "
+                          f"(N at most {ORDER_LIMIT})")
     sub.add_argument("--block-limit", type=_int_at_least(1),
                      default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from functools import cached_property
 
 from .scalars import (
     QQ,
     QT,
+    Cyclotomic,
     CyclotomicField,
     FieldMismatchError,
     Record,
@@ -31,6 +33,7 @@ from .scalars import (
     specialize,
     too_long,
 )
+from .shapovalov import ORDER_LIMIT
 
 
 class DatumValidationError(ValueError):
@@ -55,16 +58,22 @@ class Datum(Record):
 
     @cached_property
     def q_matrix(self):
-        """q[i][j] = alpha_i(gamma_j), 0-indexed, computed once."""
-        one = self.field.one()
+        """q[i][j] = alpha_i(gamma_j), 0-indexed, computed once. A cyclotomic
+        power is bounded as it is taken: one too long to write out raises
+        DatumValidationError."""
+        digits = sys.get_int_max_str_digits()
         out = []
-        for alpha in self.alphas:
+        for i, alpha in enumerate(self.alphas, start=1):
             row = []
-            for gamma in self.gammas:
-                acc = one
+            for j, gamma in enumerate(self.gammas, start=1):
+                acc = self.field.one()
                 for exp, coord in zip(alpha, gamma):
-                    if exp:
-                        acc = acc * coord ** exp
+                    power = (coord.power(exp, digits) if isinstance(
+                        coord, Cyclotomic) else coord ** exp)
+                    if power is None:
+                        raise DatumValidationError([
+                            f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {too_long()}"])
+                    acc = acc * power
                 row.append(acc)
             out.append(tuple(row))
         return tuple(out)
@@ -122,7 +131,11 @@ def validate(datum):
                     errors.append(f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) "
                                   f"{reasons[0]}")
     if not errors:
-        for i, row in enumerate(datum.q_matrix, start=1):
+        try:
+            q = datum.q_matrix
+        except DatumValidationError as exc:
+            return exc.errors
+        for i, row in enumerate(q, start=1):
             for j, value in enumerate(row, start=1):
                 if not _renders(datum.field, value):
                     errors.append(
@@ -273,11 +286,19 @@ def preset_doubled(name, base=None):
 # specialization, serialization, hashing
 
 
+def _check_order(n):
+    """Refuse a cyclotomic order over ORDER_LIMIT."""
+    if n > ORDER_LIMIT:
+        raise DatumValidationError(
+            [f"cyclotomic order {n} is over the limit of {ORDER_LIMIT}"])
+
+
 def specialize_datum(datum, n):
-    """Send t to zeta_n coordinatewise; only defined over the t-function field."""
+    """Send t to zeta_n coordinatewise; for QQ(t) data, n <= ORDER_LIMIT."""
     if datum.field != QT:
         raise FieldMismatchError(
             f"can only specialize rational-function data, not {datum.field.name}")
+    _check_order(n)
     field = CyclotomicField(n)
     gammas = tuple(
         tuple(specialize(QT.coerce(c), n) for c in g) for g in datum.gammas)
@@ -322,6 +343,8 @@ def parse_datum(text):
         field = field_from_name(doc["field"])
     except ValueError as exc:
         raise DatumValidationError([str(exc)]) from exc
+    if isinstance(field, CyclotomicField):
+        _check_order(field.order)
 
     def scalar_in(entry, where):
         if isinstance(entry, bool) or isinstance(entry, float):

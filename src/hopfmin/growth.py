@@ -100,12 +100,11 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
     The one block loop. The size guard runs over all requested blocks before
     any work starts, so oversized inputs fail fast and name the offending
     multidegree. Then one engine serves all the blocks: matrix_rows builds
-    each block from the bases the engine keeps of the lower images, and
-    rank_rows eliminates it once and keeps its basis there. Lower blocks
-    missing from degs (cache hits, a lone block) are built on demand. For
-    QQ(t) data it is the seed engine of an IntegerPoints, which settles the
-    blocks in order from the same bases, so QQ(t) blocks are built and
-    ranked at integer points of t, never over RatFunc scalars.
+    each block from the maps the engine keeps of the lower images, lower
+    blocks missing from degs (cache hits, a lone block) on demand, and
+    rank_rows eliminates it once and keeps its maps. For QQ(t) data it is
+    the seed engine of an IntegerPoints, which settles the blocks in order,
+    so no block is built over RatFunc scalars.
     """
     degs = [tuple(d) for d in degs]
     check_block_sizes(degs, block_limit)

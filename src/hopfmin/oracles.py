@@ -126,7 +126,7 @@ def rank_two_braidings():
 
 def ranks_match_pbw(datum, roots, bound):
     """Block ranks of the datum against pbw_dims over the given roots."""
-    blocks = hilbert_table(datum, bound).blocks
+    blocks = hilbert_table(datum, bound, block_limit=None).blocks
     for count, b in enumerate(blocks, 1):
         expected = pbw_dims(roots, datum.q_matrix, b.deg)
         if b.rank != expected:

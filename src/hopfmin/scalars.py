@@ -142,7 +142,10 @@ class _Scalar:
             return NotImplemented
         return self.inverse() * other  # an int numerator only scales
 
-    def __pow__(self, n):
+    def power(self, n, digits=0):
+        """self ** n by repeated squaring. Given digits (Cyclotomic values
+        only), None as soon as a coordinate or the denominator of a partial
+        power or square has more than digits digits."""
         if not isinstance(n, int):
             raise TypeError("scalar exponents must be integers")
         base = self
@@ -152,9 +155,14 @@ class _Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
+            if digits and max(out.den, base.den, *map(
+                    abs, out.num + base.num)) >= 10 ** digits:
+                return None
         return out
+
+    __pow__ = power
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +788,8 @@ def power_too_long(base, n):
     written out, or None; decided before the power is taken, which could
     take hours. With limit = sys.get_int_max_str_digits() (0: no limit), it
     is refused when the n-th power of a leading coefficient of base has
-    more than limit digits, and when its degree in t passes limit. Powers
-    of Cyclotomic values are not checked."""
+    more than limit digits, and when its degree in t passes limit. A
+    Cyclotomic power is bounded as it is taken (power, Datum.q_matrix)."""
     limit = sys.get_int_max_str_digits()
     if isinstance(base, (int, Fraction)):
         base = RatFunc.const(base)

@@ -20,14 +20,11 @@ picking up prod_{i<j} b(w[i], w[j]) (SymEngine.sym). The permutation-sum
 definition is kept alongside as an independent oracle and the two are
 compared in the tests.
 
-Rank tables need only the image of Sh, and build no Sh matrix. Sh is a
-morphism from concatenation to the braided shuffle product (Rosso,
-Invent. Math. 133, 1998), so Sh((a,) + v) = a sh Sh(v), and Im Sh_d is
-spanned by the vectors a sh x, for each letter a of d and x over a basis
-of Im Sh_{d - e_a}. A table block is the matrix of those sum_a r(d - e_a)
-vectors, rows indexed by the block's words (SymEngine.image_rows); one
-elimination gives its rank, and its pivot columns are kept as the basis
-the blocks above build from.
+Rank tables need only the image of Sh, and build no Sh matrix and list no
+word: each block keeps rank-sized maps between the images, the skew
+derivations of the Nichols algebra (Andruskiewitsch and Schneider, Pointed
+Hopf algebras, 2002) as a linear representation (Berstel and Reutenauer,
+Noncommutative Rational Series, 2011), built by a recursion (SymEngine).
 
 Ranks and determinants come from one fraction-free Bareiss elimination.
 Its divisions only have to be exact in the ring the rows live in (Sylvester's
@@ -39,28 +36,19 @@ once, by its Galois norm. Row scalings leave the rank unchanged
 and divide out of the determinant. Every integer rank, including each
 evaluation below, is rank_rows over QQ.
 
-A rank over QQ(zeta_N) is an integer rank too (_rank_regular): each entry
-becomes its phi(N) x phi(N) integer multiplication matrix (the regular
-representation), the block read as a QQ-linear map has phi(N) times the
-rank, and all-zero rows, most rows of a specialized table, are dropped
-first. Determinants, and rank_symbolic, keep Bareiss on the field scalars.
+A rank over QQ(zeta_N) is an integer rank too, on the regular
+representation (_echelon). Determinants, and rank_symbolic, keep
+Bareiss on the field scalars.
 
 A rank over QQ(t) starts from the integer rank at a small seed point of t,
 a certified lower bound (evaluation never raises a rank). Tables
-(growth.compute_blocks) never build symbolic blocks: the table engine runs
-over the braiding at the seed, so each block's spanning vectors and its
-kept basis are over QQ there, and IntegerPoints settles the block's rank
-when its seed rank is full or meets the coideal bound
-(IntegerPoints.coideal_bound), an upper bound read from the kept bases of
-the lower blocks d - e_a. The other blocks (in the cartan presets, only
+(growth.compute_blocks) run at the seed, over QQ, and IntegerPoints
+settles a block's rank when its seed rank is full or meets the coideal
+bound (IntegerPoints.bound). The other blocks (in the cartan presets, only
 the Serre blocks), and symbolic rows (rank(mat), rank_rows), pay for an
 evaluation at an integer point B above every coefficient a relevant minor
-can have, so that a nonzero minor stays nonzero at t = B. B is sized from
-the seed rank, so one evaluation usually decides. Such a table block
-builds its full Sh block at B, with an a-priori bound on the entries of
-Sh (integer polynomials in the braiding entries); symbolic rows are
-cleared to integer polynomials and bounded by their largest entry. Both
-bound the minors by one formula in one pass loop, _certified_rank.
+can have, so that a nonzero minor stays nonzero at t = B (_certified_rank).
+B is sized from the seed rank, so one evaluation usually decides.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -78,9 +66,9 @@ from math import factorial, gcd, lcm, prod
 from operator import floordiv
 
 from .scalars import (
-    QQ, QT, _P_ONE, CyclotomicField, Poly, RatFunc, Record,
+    QQ, QT, _P_ONE, Cyclotomic, CyclotomicField, Poly, RatFunc, Record,
     cyclotomic_polynomial, poly_gcd)
-from .words import block_size, braid_at, multidegree, words_of_multidegree
+from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
 # the most letters a block may have. Tables build blocks from the lower
@@ -89,6 +77,10 @@ DEFAULT_BLOCK_LIMIT = 3000
 # CPython's default recursion limit of 1000 for the frames of the callers
 # (the CLI, a test runner, a tracer)
 LETTER_LIMIT = 800
+# the largest order N of a cyclotomic field a datum may live over. Ranks
+# there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
+# to total 2 took 11 s on one CPU
+ORDER_LIMIT = 1000
 
 
 class BlockSizeError(RuntimeError):
@@ -131,25 +123,67 @@ class DetReport(Record):
                            "factors", "remainder")
 
 
+class Image(Record):
+    """The image of Sh on block deg, by its rank and maps in its basis x_k:
+    right[c][k] (left[c][k], kept over QQ(t) only) holds the coordinates of
+    d^R_c x_k (d^L_c x_k) in the basis of block deg - e_c, and mul[a][i]
+    those of a sh y_i, y_i the basis of block deg - e_a, in the x_k, as
+    (k, scalar) pairs, zeros left out."""
+
+    __slots__ = _fields = ("rank", "right", "mul", "left")
+
+
+def _lowers(deg):
+    """(letter a, deg - e_a) for each letter a present in deg."""
+    return [(a + 1, deg[:a] + (d - 1,) + deg[a + 1:])
+            for a, d in enumerate(deg) if d]
+
+
+def _shuffled(images, derivs, a, i, c, top, scale, unit):
+    """scale * (a sh D_c x_i) + [a = c] * unit * x_i in the basis of block
+    top = deg - e_c, for x_i the basis of block deg - e_a and D_c one of its
+    derivatives, with matrices derivs[c]."""
+    out = [0] * images[top].rank
+    if a == c:
+        out[i] = unit
+    if c in derivs:
+        mul = images[top].mul[a]
+        for j, v in enumerate(derivs[c][i]):
+            if v:
+                v = scale * v
+                for k, w in mul[j]:
+                    out[k] += v * w
+    return out
+
+
+def _chi(row, e):
+    """chi_a(e) = prod_k b(a, k) ** e_k, for row = b(a, .): the scalar the
+    letter a picks up moving to the back across a word of multidegree e."""
+    return prod((x ** k for x, k in zip(row, e) if k), start=1)
+
+
 class SymEngine:
-    """Memoized symmetrizer over one braiding matrix, and the image bases of
-    the blocks a table has built.
+    """Memoized symmetrizer over one braiding matrix, and the images of the
+    blocks a table has built.
 
     sym results are raw word -> coefficient dicts shared across calls, so
     all sub-multidegrees of a block are computed once. Integer-valued
     Fraction braidings are thinned to ints, which keeps coefficient
     arithmetic on classical (all-ones) braidings in plain int.
 
-    Tables never call sym. Since Sh((a,) + v) = a sh Sh(v) (the one-letter
-    case of the concatenation-to-shuffle morphism), Im Sh_d is spanned by
-    the vectors a sh x, for each letter a of d and x over a basis of
-    Im Sh_{d - e_a}. bases maps each multidegree built so far to such a
-    basis, as word -> coordinates (one per basis vector; words where all
-    are 0 left out): image_rows builds the spanning rows of a block from
-    the lower bases, and keep stores the pivot columns of their
-    elimination as the block's basis. Scaling a basis vector changes no
-    span, so each letter's insertion scalars are cleared of denominators
-    (_cleared) and QQ basis vectors are kept as primitive int vectors.
+    Tables never call sym. Sh((a,) + v) = a sh Sh(v) (Sh takes concatenation
+    to the braided shuffle product; Rosso, Invent. Math. 133, 1998), so
+    Im Sh_d is spanned by the vectors a sh x, x over a basis of
+    Im Sh_{d - e_a}. A vector y of positive degree is fixed by its right
+    derivatives d^R_c y: u -> y[u c], which map Im Sh_d to Im Sh_{d - e_c};
+    with the left ones d^L_b y: u -> y[b u],
+
+        d^R_c (a sh x) = a sh d^R_c x + [a = c] chi_a(d - e_a) x,
+        d^L_b (a sh x) = [a = b] x + b(a, b) a sh d^L_b x.
+
+    So a spanning vector a sh x of block d is a column over the bases of
+    the blocks d - e_c (rows), and one elimination gives its rank and
+    basis (keep). images maps each multidegree built so far to its Image.
     """
 
     def __init__(self, braiding):
@@ -160,8 +194,7 @@ class SymEngine:
 
         self.b = tuple(tuple(slim(x) for x in row) for row in braiding)
         self.memo = {(): {(): 1}}
-        self.bases = {}
-        self._last = None, ()  # the multidegree and words _spanning built last
+        self.images = {}
 
     def sym(self, w):
         """Sh(w) as a word -> coefficient dict.
@@ -209,142 +242,69 @@ class SymEngine:
         self.memo[w] = out
         return out
 
-    def image_rows(self, deg, field):
-        """Words of block deg and its spanning rows: the matrix, rows
-        indexed by the words, whose columns are a sh x for each letter a of
-        deg, in _lowers order, and x over the basis of block deg - e_a.
-        Lower blocks without a basis are built first (_build_lowers)."""
+    def rows(self, deg, field):
+        """(None, rows) of block deg: column (a, i) is a sh x_i, for each
+        letter a of deg in _lowers order and x_i over the basis of block
+        deg - e_a, as its right derivatives, a row group per letter c over
+        the basis of block deg - e_c. Lower blocks without an Image are
+        kept first, lowest first, on an explicit stack. The None holds the
+        place of the pair that perfbench's probe of matrix_rows unpacks."""
         deg = tuple(deg)
-        self._build_lowers(deg, field)
-        return self._spanning(deg)
-
-    def _build_lowers(self, deg, field):
-        """Build and keep every block below deg that has no basis, its rows
-        eliminated over field, lowest first, on an explicit stack, so the
-        walk's depth does not grow with the letters."""
+        images = self.images
         stack = [deg]
         while stack:
             d = stack[-1]
-            missing = [low for _, low in _lowers(d) if low not in self.bases]
+            missing = [low for _, low in _lowers(d) if low not in images]
             if missing:
                 stack += missing
                 continue
             stack.pop()
-            if d != deg and d not in self.bases:
-                self.keep(d, self._spanning(d)[1], field)
+            if d != deg and d not in images:
+                self.keep(d, self._columns(d), field)
+        return None, self._columns(deg)
 
-    def _spanning(self, deg):
-        """image_rows of block deg, every lower basis kept. The zero block
-        is spanned by Sh(()) = 1."""
-        words = words_of_multidegree(deg)
-        self._last = deg, words
+    def _columns(self, deg):
         if not any(deg):
-            return words, [[1]]
-        n = sum(deg)
-        parts = []
-        for a, low in _lowers(deg):
-            basis = self.bases[low]
-            if basis:
-                row, den = _cleared(self.b[a - 1])
-                parts.append((a, _rank_of(basis), basis, row,
-                              [den ** k for k in range(n - 1, -1, -1)]))
-        rows = []
-        for w in words:
-            out = []
-            for a, r, basis, row, scale in parts:
-                acc = [0] * r
-                for u, c in _deletions(w, a, row, scale):
-                    x = basis.get(u)
-                    if x is not None:
-                        acc = [s + c * v for s, v in zip(acc, x)]
-                out += acc
-            rows.append(out)
-        return words, rows
+            return [[1]]  # Sh(()) = 1
+        images = self.images
+        lowers = _lowers(deg)
+        cols = []
+        for a, low in lowers:
+            chi = _chi(self.b[a - 1], low)
+            for i in range(images[low].rank):
+                cols.append([v for c, top in lowers for v in _shuffled(
+                    images, images[low].right, a, i, c, top, 1, chi)])
+        return [list(r) for r in zip(*cols)]
 
     def keep(self, deg, rows, field):
-        """Rank over field of block deg's spanning rows (image_rows), by one
-        elimination whose pivot columns are kept as the block's basis, each
-        QQ vector as coprime ints (_int_row); returns the rank."""
+        """Rank over field of block deg from the rows this engine built for
+        it (rows), and keep its Image: its basis is the pivot columns of
+        one elimination, right their row groups and mul every column's
+        coordinates in them (_coordinates). Over QQ(t) the rows are at the
+        seed point, over QQ, and left is kept too."""
         deg = tuple(deg)
-        self._build_lowers(deg, field)  # built already, unless rows came
-        last, words = self._last        # from another engine
-        if last != deg:
-            words = words_of_multidegree(deg)
-        pivots = []
-        r = rank_rows(field, rows, pivots=pivots)
-        cols = [[row[p] for row in rows] for p in pivots]
-        if field == QQ:
-            cols = [_int_row(col)[0] for col in cols]
-        self.bases[deg] = {w: x for w, x in zip(words, zip(*cols)) if any(x)}
-        return r
-
-
-def _rank_of(basis):
-    """The number of vectors of a basis kept in SymEngine.bases."""
-    return len(next(iter(basis.values()), ()))
-
-
-def _cleared(row):
-    """A braiding row b(a, .) as (row times den, den), with den the lcm of
-    its Fraction denominators (1 when it has none), so a QQ row is ints."""
-    den = lcm(*[x.denominator for x in row if type(x) is Fraction])
-    if den == 1:
-        return row, 1
-    return [x.numerator * (den // x.denominator) if type(x) is Fraction
-            else x * den for x in row], den
-
-
-def _deletions(w, a, row, scale):
-    """The terms of (a sh x)[w], the braided shuffle of the letter a with a
-    vector x read at the word w:
-
-        (a sh x)[w] = sum over positions j with w[j] = a of
-                      prod_{i<j} b(a, w[i]) * x[w without position j],
-
-    as (w without position j, scalar) pairs, one per run of letters a:
-    every position of a run leaves the same word, so their scalars are
-    summed. row is b(a, .) and the scalar of position j is multiplied by
-    scale[j]; with row times den and scale[j] = den ** (n - 1 - j), every
-    scalar is multiplied by den ** (n - 1), so a cleared row gives the
-    scalars times one common factor.
-    """
-    n = len(w)
-    p = 1
-    j = 0
-    while j < n:
-        c = w[j]
-        if c != a:
-            p = p * row[c - 1]
-            j += 1
-            continue
-        start = j
-        total = 0
-        same = row[a - 1]
-        while j < n and w[j] == a:
-            total = total + p * scale[j]
-            p = p * same
-            j += 1
-        if total:
-            yield w[:start] + w[start + 1:], total
-
-
-def insert_letter(braiding, a, x):
-    """a sh x, for x a word -> scalar dict on one multidegree, as a word ->
-    scalar dict, by the rule tables build their blocks with (_deletions).
-    Sh((a,) + v) = insert_letter(braiding, a, Sh(v))."""
-    if not x:
-        return {}
-    deg = multidegree(next(iter(x)) + (a,), len(braiding))
-    out = {}
-    row = braiding[a - 1]
-    for w in words_of_multidegree(deg):
-        total = 0
-        for u, c in _deletions(w, a, row, [1] * len(w)):
-            if u in x:
-                total = total + c * x[u]
-        if total:
-            out[w] = total
-    return out
+        images = self.images
+        if not any(deg):
+            images[deg] = Image(1, {}, {}, {})
+            return 1
+        pivots, coords = _coordinates(QQ if field == QT else field, rows)
+        lowers = _lowers(deg)
+        right, mul = {}, {}
+        start = 0  # row group c and column group a = c have the same length
+        for c, low in lowers:
+            stop = start + images[low].rank
+            right[c] = [[row[p] for row in rows[start:stop]] for p in pivots]
+            mul[c] = coords[start:stop]
+            start = stop
+        image = images[deg] = Image(len(pivots), right, mul, {})
+        if field == QT:
+            columns = [(a, low, i) for a, low in lowers
+                       for i in range(images[low].rank)]
+            for b, top in lowers:
+                image.left[b] = [_shuffled(images, images[low].left, a, i, b,
+                                           top, self.b[a - 1][b - 1], 1)
+                                 for a, low, i in map(columns.__getitem__, pivots)]
+        return image.rank
 
 
 def _raw_rows(engine, words):
@@ -354,25 +314,19 @@ def _raw_rows(engine, words):
 
 
 def matrix_rows(datum, deg, engine=None):
-    """Words of block deg and its spanning rows (SymEngine.image_rows) for
-    rank_rows: as rows indexed by the words, the vectors a sh x over bases
-    of the lower images, which span Im Sh_deg; the pivot columns of their
-    elimination are a basis of it. By default from a fresh engine over the
-    datum's braiding.
-
-    The entries are the engine's raw scalars (ints where a coefficient is
-    integral). A QQ(t) table passes the engine of its IntegerPoints, over
-    the braiding at the seed point, and its rows are over QQ.
+    """(None, rows) of block deg (SymEngine.rows) for rank_rows: the
+    spanning vectors of Im Sh_deg as columns of their right derivatives, so
+    the rows have the rank of the block; by default from a fresh engine
+    over the datum's braiding. The entries are the engine's raw scalars. A
+    QQ(t) table passes the engine of its IntegerPoints, over the braiding at
+    the seed point, and its rows are over QQ.
     """
-    field = datum.field
-    if field == QT:
-        if engine is None:
+    if engine is None:
+        if datum.field == QT:
             raise ValueError("QQ(t) blocks are built at integer points: "
                              "pass the engine of an IntegerPoints")
-        field = QQ
-    if engine is None:
         engine = SymEngine(datum.braiding_matrix)
-    return engine.image_rows(deg, field)
+    return engine.rows(deg, datum.field)
 
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
@@ -588,7 +542,7 @@ def _clearing(field):
     where div is an exact division, and returns it with its multiplier.
     QQ rows become coprime ints (floor division), QQ(t) rows integer
     polynomials (Poly.exact_div), cyclotomic rows field scalars, for
-    determinants: rank_rows takes cyclotomic rows to _rank_regular."""
+    determinants: ranks take cyclotomic rows to _echelon."""
     if field == QQ:
         return _int_row, floordiv
     if field == QT:
@@ -668,12 +622,6 @@ class Settled(Record):
     _defaults = {"passes": 0}
 
 
-def _lowers(deg):
-    """(letter a, deg - e_a) for each letter a present in deg."""
-    return [(a + 1, deg[:a] + (d - 1,) + deg[a + 1:])
-            for a, d in enumerate(deg) if d]
-
-
 class IntegerPoints:
     """A QQ(t) braiding read at integer values of t, where its Sh blocks are
     QQ matrices with the same rank as long as the point is chosen well.
@@ -690,21 +638,15 @@ class IntegerPoints:
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
     The seed is the least integer x >= 2 with Q(x) != 0. One engine over
-    seed_braiding builds the table's blocks there from the lower images
-    (SymEngine.image_rows) and keeps a basis of each seed image; the seed
-    ranks are certified lower bounds. rank settles each kept block
-    (Settled, kept in settled) by the first of:
+    the braiding there builds the table's blocks; their seed ranks are
+    certified lower bounds. rank settles each kept block (Settled, kept in
+    settled) by the first of:
 
     * full rank at the seed;
-    * the coideal bound (coideal_bound), when it equals the seed rank;
+    * the coideal bound (bound), when it equals the seed rank;
     * _certified_rank, which builds the full Sh block at certificate points
-      with a fresh engine.
-
-    In the tables of the cartan presets only the Serre blocks, such as
-    (1, 2) and (2, 1) of A2, take the last route.
-
-    Every rank, at the seed and at those points, is an integer Bareiss
-    elimination over QQ.
+      with a fresh engine; in the cartan presets, only the Serre blocks,
+      such as (1, 2) and (2, 1) of A2.
     """
 
     def __init__(self, braiding):
@@ -716,8 +658,7 @@ class IntegerPoints:
         while not den.eval_at(seed):
             seed += 1
         self.seed = seed
-        self.seed_braiding = self.braiding_at(seed)
-        self.engine = SymEngine(self.seed_braiding)
+        self.engine = SymEngine(self.braiding_at(seed))
         self.settled = {}
 
     def braiding_at(self, x):
@@ -739,15 +680,15 @@ class IntegerPoints:
         (matrix_rows over the engine); returns (rank, certificate passes),
         and keeps the block's Settled record in settled.
 
-        The rows' pivot columns are kept as the block's seed basis. Then
-        every kept block not settled yet, lower blocks that the engine built
-        on demand among them (a partly warm cache, a lone block), is settled
-        in the order the engine kept them, which is lowest first.
+        Then every kept block not settled yet, lower blocks that the engine
+        built on demand among them (a partly warm cache, a lone block), is
+        settled in the order the engine kept them, which is lowest first.
         """
         deg = tuple(deg)
-        if deg not in self.engine.bases:
-            self.engine.keep(deg, seed_rows, QQ)
-        for d in self.engine.bases:
+        images = self.engine.images
+        if deg not in images:
+            self.engine.keep(deg, seed_rows, QT)
+        for d in images:
             if d not in self.settled:
                 self.settled[d] = self._certify(d)
         got = self.settled[deg]
@@ -756,18 +697,18 @@ class IntegerPoints:
     def _certify(self, deg):
         """The Settled record of kept block deg, every lower block settled."""
         size = block_size(deg)
-        seed = _rank_of(self.engine.bases[deg])
+        seed = self.engine.images[deg].rank
         if seed == size:
             return Settled(seed, SEED)
-        if self.coideal_bound(deg, words_of_multidegree(deg)) == seed:
+        if self.bound(deg) == seed:
             return Settled(seed, BOUND)
         r, passes = _certified_rank(seed, size, self.block_norm(deg),
                                     lambda x: self.rows_at(deg, x))
         return Settled(r, POINT, passes)
 
-    def coideal_bound(self, deg, words):
-        """An upper bound on the rank over QQ(t) of block deg, given its
-        words, from the settled lower blocks deg - e_a.
+    def bound(self, deg):
+        """An upper bound on the rank over QQ(t) of kept block deg, of total
+        degree at least 2, from the settled lower blocks deg - e_a.
 
         Sh factors as (sum_a id_a (x) Sh) o R and as its mirror
         (sum_a Sh (x) id_a) o R', so its image lies in L and in R, where
@@ -775,49 +716,42 @@ class IntegerPoints:
         sums are direct (the first, or last, letters differ), so each has
         dimension S = sum_a r(deg - e_a), over the certified ranks, and the
         rank is at most dim(L meet R) = 2S - dim(L + R). The vectors a.x and
-        x.a, for x over the kept seed basis of each lower block, lie in
-        L + R, so their rank k at the seed is at most dim(L + R), and 2S - k
-        is the bound. Since the bound is at least the rank, and the rank at
-        least the seed rank, a bound equal to the seed rank certifies it.
-        It can be that tight when the seed bases span L + R, as they do
-        when each lower block's rank is its seed rank: its seed basis is
-        then a basis of its image.
+        x.a, for x over the seed basis of each lower block, lie in L + R at
+        the seed, so their rank k is at most dim(L + R), and 2S - k is the
+        bound. The map y -> (d^L_a d^R_c y)_{a,c} is one to one on total
+        degree 2 and up, and takes x.b to ([c = b] d^L_a x) and b.x to
+        ([a = b] d^R_c x), over the bases of the blocks deg - e_a - e_c;
+        so k is read from the lower Images' maps. A bound equal to the seed
+        rank certifies it; it can be that tight when each lower block's rank
+        is its seed rank.
         """
-        index = {u: i for i, u in enumerate(words)}
-        n = len(words)
+        images = self.engine.images
+        lowers = _lowers(deg)
+        pairs = [(a, c, images[tuple(
+                     d - (k == a) - (k == c) for k, d in enumerate(deg, 1))].rank)
+                 for a, low in lowers for c, _ in lowers if c in images[low].right]
         vectors = []
-        total = 0
-        for a, low in _lowers(deg):
-            total += self.settled[low].rank
-            basis = self.engine.bases[low]
-            r = _rank_of(basis)
-            left = [[0] * n for _ in range(r)]
-            right = [[0] * n for _ in range(r)]
-            for u, x in basis.items():
-                i, j = index[(a,) + u], index[u + (a,)]
-                for k, c in enumerate(x):
-                    left[k][i] = right[k][j] = c
-            vectors += left + right
+        for b, low in lowers:
+            x = images[low]
+            for i in range(x.rank):
+                vectors.append([v for a, c, n in pairs for v in (
+                    x.left[a][i] if c == b else [0] * n)])
+                vectors.append([v for a, c, n in pairs for v in (
+                    x.right[c][i] if a == b else [0] * n)])
+        total = sum(self.settled[low].rank for _, low in lowers)
         return 2 * total - rank_rows(QQ, vectors)
 
 
-def rank_rows(field, rows, pivots=None, deg=None, engine=None, points=None):
+def rank_rows(field, rows, deg=None, engine=None, points=None):
     """Exact rank of a block given as rows of raw symmetrizer scalars (or
-    field scalars).
-
-    QQ rows are cleared to coprime ints by _int_row for the integer
-    Bareiss, and QQ(zeta_N) rows are ranked by that Bareiss on their
-    regular representation (_rank_regular); either appends the pivot
-    columns, the greedily independent columns, to the list pivots when one
-    is given. QQ(t) rows hold QQ(t) scalars, cleared to integer polynomials
-    and ranked by the evaluation certificate of _rank_qt_certified.
+    field scalars): over QQ and QQ(zeta_N) by the integer Bareiss
+    (_echelon), over QQ(t) by the evaluation certificate of
+    _rank_qt_certified.
 
     A table block (growth) passes its multidegree deg and the engine whose
-    image_rows built its rows (matrix_rows), and the pivot columns become
-    the block's basis in the engine (SymEngine.keep). Over QQ(t) it also
-    passes points, the IntegerPoints of the datum's braiding: the rows are
-    then at points.seed, and IntegerPoints.rank certifies their rank by
-    full rank, by the coideal bound, or at certificate points.
+    rows built it (matrix_rows), which keeps the block's Image
+    (SymEngine.keep); over QQ(t) also points, the IntegerPoints of the
+    datum's braiding, which certifies the rank of the rows at its seed.
     """
     if points is not None:
         return points.rank(deg, rows)[0]
@@ -827,47 +761,80 @@ def rank_rows(field, rows, pivots=None, deg=None, engine=None, points=None):
         return 0
     if field == QT:
         return _rank_qt_certified(rows)[0]
-    if isinstance(field, CyclotomicField):
-        return _rank_regular(field, rows, pivots)
-    return _eliminate([_int_row(r)[0] for r in rows], floordiv, pivots)[0]
+    return len(_echelon(field, rows)[1])
 
 
-def _rank_regular(field, rows, pivots=None):
-    """Rank over QQ(zeta_N) of rows of raw symmetrizer scalars (or field
-    scalars), by the integer Bareiss on the regular representation.
+def _echelon(field, rows):
+    """(ints, pivots, last, width): rows over QQ or QQ(zeta_N) as coprime int
+    rows with the same relations among their columns, all-zero rows
+    dropped, after Bareiss; the pivot columns of rows (the greedily
+    independent ones); the last pivot; and the int columns per column.
 
-    Each entry x becomes the d x d matrix of multiplication by x on the
-    power basis (Cyclotomic.matrix), d = phi(N), and all-zero rows are
-    dropped. The block read as a QQ-linear map has rank d times its rank
-    over QQ(zeta_N), since its image is a QQ(zeta_N)-subspace; that QQ
-    rank is rank_rows over QQ, so Fraction entries are cleared there.
-    Column j becomes the d columns of column j times 1, zeta, ..., which
-    span a QQ(zeta_N)-line; so the QQ pivot columns come in whole groups,
-    and each group's first, over d, is a pivot column over QQ(zeta_N).
+    Over QQ(zeta_N), width = phi(N) = d and each entry becomes its d x d
+    multiplication matrix (Cyclotomic.matrix), the regular representation.
+    Column j then becomes d columns, j times 1, zeta, ..., spanning a
+    QQ(zeta_N)-line; so the int pivot columns come in whole groups, and the
+    int rank is d times the rank.
     """
-    d = cyclotomic_polynomial(field.order).degree
-    zeros = [0] * d
-    expanded = []
-    for row in rows:
-        if not any(row):
-            continue
-        sub = [[] for _ in range(d)]
-        for x in row:
-            if x:
-                for part, mrow in zip(sub, field.coerce(x).matrix()):
-                    part += mrow
-            else:
-                for part in sub:
-                    part += zeros
-        expanded += sub
+    width = 1
+    if isinstance(field, CyclotomicField):
+        width = cyclotomic_polynomial(field.order).degree
+        zeros = [0] * width
+        expanded = []
+        for row in rows:
+            if any(row):
+                sub = [[] for _ in range(width)]
+                for x in row:
+                    for part, mrow in zip(sub, field.coerce(x).matrix()
+                                          if x else [zeros] * width):
+                        part += mrow
+                expanded += sub
+        rows = expanded
+    ints = [_int_row(row)[0] for row in rows if any(row)]
     cols = []
-    r, rest = divmod(rank_rows(QQ, expanded, pivots=cols), d)
-    if rest:
+    r, _, last = _eliminate(ints, floordiv, cols)
+    if r % width:
         raise ArithmeticError(
-            f"rank {d * r + rest} over QQ is not a multiple of phi(N) = {d}")
-    if pivots is not None:
-        pivots += [p // d for p in cols[::d]]
-    return r
+            f"rank {r} over QQ is not a multiple of phi(N) = {width}")
+    return ints, [p // width for p in cols[::width]], last, width
+
+
+def _coordinates(field, rows):
+    """(pivots, coords): the pivot columns of rows (_echelon), and each
+    column's coordinates in them as (index, scalar) pairs, zeros left out.
+
+    The first eliminated rows are triangular on the int pivot columns, and
+    by Sylvester's identity the last pivot D is the minor on them; by
+    Cramer's rule D times a coordinate is a minor too, so back substitution
+    on D times a column divides exactly. Over QQ(zeta_N) the int column
+    p * d + s is column p times zeta**s.
+    """
+    ncols = len(rows[0]) if rows else 0
+    ints, pivots, last, width = _echelon(field, rows)
+    den = abs(last or 1)  # D and -D serve alike
+    where = {p: k for k, p in enumerate(pivots)}
+    cols = [p * width + s for p in pivots for s in range(width)]
+    coords = []
+    for q in range(ncols):
+        if q in where:
+            coords.append([(where[q], 1)])
+            continue
+        y = [0] * len(cols)
+        for k in range(len(cols) - 1, -1, -1):
+            row = ints[k]
+            acc = den * row[q * width]
+            for m in range(k + 1, len(cols)):
+                if y[m]:
+                    acc -= row[cols[m]] * y[m]
+            y[k] = acc // row[cols[k]]
+        if width == 1:
+            coords.append([(k, v // den if v % den == 0 else Fraction(v, den))
+                           for k, v in enumerate(y) if v])
+        else:
+            parts = [tuple(y[k:k + width]) for k in range(0, len(y), width)]
+            coords.append([(k, Cyclotomic(field.order, part, den))
+                           for k, part in enumerate(parts) if any(part)])
+    return pivots, coords
 
 
 def rank(mat):

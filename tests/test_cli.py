@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from hopfmin.cli import RANK_ALGORITHM, _Cache, main
-from hopfmin.shapovalov import LETTER_LIMIT
+from hopfmin.shapovalov import LETTER_LIMIT, ORDER_LIMIT
 
 
 def run(capsys, *argv):
@@ -523,17 +523,22 @@ def _one_gigabyte():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-@pytest.mark.parametrize("alphas, gamma, message", [
-    ([[1]], "3^1000000000", "error: gamma[1][1]: the power ^1000000000 in "
-                            "'3^1000000000' holds an integer of more than"),
-    ([[1000000000]], "3", "error: q[1][1] = alpha[1](gamma[1]) holds an "
-                          "integer of more than"),
-    ([[1]], "t^1000000000", "error: gamma[1][1]: the power ^1000000000 in "
-                            "'t^1000000000' has degree 1000000000 in t"),
-], ids=["literal", "character", "t-power"])
-def test_huge_exponent_exits_one_at_once(tmp_path, alphas, gamma, message):
+@pytest.mark.parametrize("field, alphas, gamma, message", [
+    ("rational", [[1]], "3^1000000000",
+     "error: gamma[1][1]: the power ^1000000000 in '3^1000000000' holds an "
+     "integer of more than"),
+    ("rational", [[1000000000]], "3",
+     "error: q[1][1] = alpha[1](gamma[1]) holds an integer of more than"),
+    ("rational_function", [[1]], "t^1000000000",
+     "error: gamma[1][1]: the power ^1000000000 in 't^1000000000' has "
+     "degree 1000000000 in t"),
+    # 1 + zeta_5 is a unit of infinite order: its powers' coordinates grow
+    ("cyclotomic(5)", [[1000000000]], "1+t",
+     "error: q[1][1] = alpha[1](gamma[1]) holds an integer of more than"),
+], ids=["literal", "character", "t-power", "cyclotomic"])
+def test_huge_exponent_exits_one_at_once(tmp_path, field, alphas, gamma,
+                                         message):
     # each power would take hours to compute; its exponent refuses it
-    field = "rational_function" if "t" in gamma else "rational"
     path = tmp_path / "datum.json"
     path.write_text(json.dumps({"rank": 1, "field": field, "alphas": alphas,
                                 "gammas": [[gamma]]}))
@@ -544,6 +549,60 @@ def test_huge_exponent_exits_one_at_once(tmp_path, alphas, gamma, message):
         preexec_fn=_one_gigabyte)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
+def test_huge_power_of_a_root_of_unity_is_taken(tmp_path, capsys):
+    # zeta_5 ** 1000000001 = zeta_5, by repeated squaring of small values
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": "cyclotomic(5)",
+                                "alphas": [[1000000001]], "gammas": [["t"]]}))
+    code, out, err = run(capsys, "analyze", "--datum", str(path),
+                         "--max-total", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["q_matrix"] == [["t"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--preset", "cartan:A2", "--specialize", "1000000000",
+     "--max-total", "2"),
+    ("det", "--preset", "cartan:A2", "--specialize", "1000000000",
+     "--deg", "1,1"),
+    ("analyze", "--preset", "cartan:A2", "--specialize",
+     str(ORDER_LIMIT + 1)),
+], ids=["analyze", "det", "one-over"])
+def test_specialize_over_the_order_limit_exits_one_at_once(argv):
+    # Phi_N is computed from the dense t**N - 1
+    proc = subprocess.run([sys.executable, "-m", "hopfmin", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_one_gigabyte)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: cyclotomic order {argv[4]} is over the "
+                           f"limit of {ORDER_LIMIT}\n")
+
+
+def test_cyclotomic_datum_over_the_order_limit_exits_one_at_once(tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": "cyclotomic(1000000000)",
+                                "alphas": [[1]], "gammas": [["t"]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--datum", str(path)],
+        capture_output=True, text=True, timeout=30, preexec_fn=_one_gigabyte)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: cyclotomic order 1000000000 is over the "
+                           f"limit of {ORDER_LIMIT}\n")
+
+
+def test_b2_at_a_fifth_root_reads_finite(capsys):
+    # the small quantum group of B2 at zeta_5 has dimension 5**4 = 625 and
+    # top degree 28; a raised word limit lets the table reach total 31
+    code, out, err = run(capsys, "analyze", "--preset", "cartan:B2",
+                         "--specialize", "5", "--max-total", "31",
+                         "--block-limit", "1000000000000", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"]["kind"] == "finite"
+    assert sum(doc["totals"]) == 625
+    assert doc["verdict"]["evidence"]["last_nonzero_degree"] == 28
 
 
 def test_jobs_does_not_change_the_document(capsys):

@@ -30,6 +30,7 @@ from hopfmin.scalars import (
     FieldMismatchError,
     RatFunc,
 )
+from hopfmin.shapovalov import ORDER_LIMIT
 
 
 def _tp(k):
@@ -92,6 +93,21 @@ def test_validate_refuses_a_power_too_long_before_taking_it(digit_limit):
         errors = validate(d)
         assert len(errors) == 1
         assert errors[0].startswith(f"q[1][1] = alpha[1](gamma[1]) {reason}")
+
+
+def test_validate_takes_cyclotomic_powers_by_squaring(digit_limit):
+    # 1 + zeta_5 has infinite order, and its coordinates outgrow the digit
+    # limit on the way to the power; zeta_5 ** 1000000001 is zeta_5
+    field = CyclotomicField(5)
+    zeta = field.zeta()
+    d = make_datum(1, [(10 ** 9,)], [(1 + zeta,)], field)
+    assert validate(d) == ["q[1][1] = alpha[1](gamma[1]) holds an integer "
+                           "of more than 4300 digits, the interpreter's "
+                           "limit for writing one out"]
+    d = make_datum(1, [(10 ** 9 + 1,)], [(zeta,)], field)
+    assert validate(d) == [] and d.q_matrix == ((zeta,),)
+    d = make_datum(1, [(-10 ** 9 - 1,)], [(zeta,)], field)
+    assert validate(d) == [] and d.q_matrix == ((zeta ** 4,),)
 
 
 def test_validate_messages():
@@ -204,6 +220,8 @@ def test_specialize_datum_values():
     assert d.q_matrix == ((z * z,),)
     with pytest.raises(FieldMismatchError):
         specialize_datum(d, 3)
+    with pytest.raises(DatumValidationError, match="order 1001 is over"):
+        specialize_datum(preset_cartan("A1"), ORDER_LIMIT + 1)
 
 
 def test_datum_hash_distinguishes():

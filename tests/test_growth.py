@@ -215,6 +215,22 @@ def test_compute_blocks_ranks_each_requested_block_once_in_every_field(
     assert list(got) == [full[deg] for deg in degs]
 
 
+@pytest.mark.parametrize("datum, max_total", _FIELD_CASES + [
+    (specialize_datum(preset_cartan("B2"), 5), 9),
+    (datum_from_q_matrix(random_q(random.Random(5), 3), QQ), 5),
+], ids=["zeta3", "trivial", "random", "b2-zeta5", "random3"])
+def test_tables_list_no_word(monkeypatch, datum, max_total):
+    # blocks are built from rank-sized maps between the lower images
+    from hopfmin import shapovalov
+
+    def refuse(deg):
+        raise AssertionError(f"the words of {deg} were listed")
+
+    expected = hilbert_table(datum, max_total)
+    monkeypatch.setattr(shapovalov, "words_of_multidegree", refuse)
+    assert hilbert_table(datum, max_total) == expected
+
+
 def test_compute_blocks_keeps_input_order_across_cache_gaps():
     d = preset_cartan("A2")
     every = multidegrees_up_to(2, 5)
@@ -367,11 +383,13 @@ def test_growth_constant_and_rising_tails_still_settle():
 
 
 @pytest.mark.parametrize("name, order, max_total", [
-    ("A2", 3, 10), ("B2", 3, 7), ("G2", 5, 5),
+    ("A2", 3, 10), ("B2", 3, 7), ("G2", 5, 5), ("B2", 5, 18),
 ])
 def test_specialized_cartan_totals_match_lusztig(name, order, max_total):
     # Lusztig's small quantum group at a primitive order-th root of unity,
-    # block by block: every N_beta is the order
+    # block by block: every N_beta is the order. B2 at zeta_5 goes past
+    # total 13, where the widest block has 3432 words, over the default
+    # word limit of analyze
     datum = specialize_datum(preset_cartan(name), order)
     assert ranks_match_pbw(datum, positive_roots(name), max_total) == (
         None, math.comb(max_total + 2, 2))

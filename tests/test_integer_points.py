@@ -22,7 +22,6 @@ from hopfmin.shapovalov import (
     rank_symbolic,
     symmetrizer,
 )
-from hopfmin.words import words_of_multidegree
 
 
 def _qt_datum(q):
@@ -37,8 +36,7 @@ def _assert_table_matches_symbolic(datum, max_total):
 
 
 def _seed_rows(points, datum, deg):
-    _, rows = matrix_rows(datum, deg, engine=SymEngine(points.seed_braiding))
-    return rows
+    return matrix_rows(datum, deg, engine=points.engine)[1]
 
 
 @pytest.mark.parametrize("preset, name, max_total", [
@@ -112,9 +110,28 @@ def test_coideal_bound_of_a2_block_two_two():
     points = IntegerPoints(d.braiding_matrix)
     assert points.rank((2, 2), _seed_rows(points, d, (2, 2))) == (3, 0)
     assert points.settled[(2, 2)].how == BOUND
-    assert points.coideal_bound((2, 2), words_of_multidegree((2, 2))) == 3
+    assert points.bound((2, 2)) == 3
     # the seed basis kept for the block has three vectors
-    assert shapovalov._rank_of(points.engine.bases[(2, 2)]) == 3
+    assert points.engine.images[(2, 2)].rank == 3
+
+
+@pytest.mark.parametrize("datum", [
+    preset_cartan("G2"), _qt_datum((("1-t", "t"), ("t^-1", "t"))),
+], ids=["G2", "seed-root"])
+def test_only_point_blocks_list_words(monkeypatch, datum):
+    # the seed ranks and the bound read rank-sized maps; only a block that
+    # pays for a point builds its full Sh block there
+    listed = []
+    real = shapovalov.words_of_multidegree
+
+    def record(deg):
+        listed.append(tuple(deg))
+        return real(deg)
+
+    monkeypatch.setattr(shapovalov, "words_of_multidegree", record)
+    table = hilbert_table(datum, 7)
+    points = {b.deg for b in table.blocks if b.settled[0] == POINT}
+    assert points and set(listed) == points
 
 
 def test_lone_block_settles_its_lower_blocks():

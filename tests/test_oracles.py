@@ -55,17 +55,10 @@ def _change_second_table(monkeypatch):
     monkeypatch.setattr(oracles, "hilbert_table", fake)
 
 
-def _forget_run_sums(monkeypatch):
-    # a table route that takes only the first position of each run of
-    # equal letters, where every position of the run should be summed
-    def first_of_each_run(w, a, row, scale):
-        p = 1
-        for j, c in enumerate(w):
-            if c == a and (j == 0 or w[j - 1] != a):
-                yield w[:j] + w[j + 1:], p * scale[j]
-            p = p * row[c - 1]
-
-    monkeypatch.setattr(shapovalov, "_deletions", first_of_each_run)
+def _drop_chi(monkeypatch):
+    # a table route whose right derivatives drop the scalar chi_a(d - e_a)
+    # of d^R_a (a sh x) = a sh d^R_a x + chi_a(d - e_a) x
+    monkeypatch.setattr(shapovalov, "_chi", lambda row, e: 1)
 
 
 def _corrupt_braiding(monkeypatch):
@@ -102,7 +95,7 @@ def _morphism_on_a2():
     (_morphism_on_a2, _corrupt_braiding),
     (_multilinear_blocks, _mutate_exponent),
     (lambda: oracles.table_matches_blocks([specialize_datum(A2, 3)], 3),
-     _forget_run_sums),
+     _drop_chi),
 ], ids=["symmetrizer", "transposition", "shuffle", "multilinear", "tables"])
 def test_planted_fault_is_reported(monkeypatch, check, plant):
     detail, count = check()

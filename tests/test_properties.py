@@ -3,13 +3,14 @@ braidings ranked at integer points and cyclotomic data ranked through the
 regular representation, both against symbolic elimination; QQ rows ranked
 as integer rows; multilinear block determinants from their closed form;
 cyclotomic arithmetic on integer coordinates against Fraction
-coordinates; the letter insertion that tables build their blocks with,
-against the symmetrizer and the braided shuffle; and QQ and cyclotomic
-tables, built from the lower images, against their full Sh blocks."""
+coordinates; Sh((a,) + v) = a sh Sh(v), the identity tables build their
+blocks by, against the braided shuffle; the maps table blocks keep,
+against word vectors; and QQ and cyclotomic tables, built from the lower
+images, against their full Sh blocks."""
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -24,7 +25,6 @@ from hopfmin.shapovalov import (
     _int_row,
     determinant_by_elimination,
     gram_determinant,
-    insert_letter,
     matrix_rows,
     rank_rows,
     rank_symbolic,
@@ -241,18 +241,12 @@ def _letter_insertions(draw):
     return braiding, draw(st.integers(1, m)), v
 
 
-def _insertion_mismatch(braiding, a, v, insertion_braiding):
-    """None when insert_letter over insertion_braiding takes Sh(v) to
-    Sh((a,) + v) and to the braided shuffle of a with Sh(v), else which
-    side differs."""
+def _insertion_mismatch(braiding, a, v, shuffle_braiding):
+    """Whether Sh((a,) + v) differs from the braided shuffle of the letter a
+    with Sh(v), the shuffle taken over shuffle_braiding."""
     engine = SymEngine(braiding)
-    x = engine.sym(v)
-    got = Element(insert_letter(insertion_braiding, a, x))
-    if got != Element(engine.sym((a,) + v)):
-        return "symmetrizer"
-    if got != shuffle(braiding, Element.of_word((a,)), Element(x)):
-        return "shuffle"
-    return None
+    got = shuffle(shuffle_braiding, Element.of_word((a,)), Element(engine.sym(v)))
+    return got != Element(engine.sym((a,) + v))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -260,19 +254,114 @@ def _insertion_mismatch(braiding, a, v, insertion_braiding):
 def test_letter_insertion_is_the_shuffle_by_a_letter(case):
     # Sh((a,) + v) = a sh Sh(v), the identity table blocks are built by
     braiding, a, v = case
-    assert _insertion_mismatch(braiding, a, v, braiding) is None
+    assert not _insertion_mismatch(braiding, a, v, braiding)
+
+
+def _derivative(x, c, side):
+    """d^R_c x (u -> x[u c]) or d^L_c x (u -> x[c u]) of an Element."""
+    if side == "right":
+        return Element({w[:-1]: s for w, s in x.terms() if w[-1:] == (c,)})
+    return Element({w[1:]: s for w, s in x.terms() if w[:1] == (c,)})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_letter_insertions(), st.integers(1, 3))
+def test_derivatives_of_a_letter_shuffle(case, c):
+    # the recursion tables build their blocks by, for x = Sh(v) of
+    # multidegree e:
+    #   d^R_c (a sh x) = a sh d^R_c x + [a = c] chi_a(e) x,
+    #   d^L_c (a sh x) = [a = c] x + b(a, c) a sh d^L_c x
+    braiding, a, v = case
+    m = len(braiding)
+    c = min(c, m)
+    x = Element(SymEngine(braiding).sym(v))
+    letter = Element.of_word((a,))
+    ax = shuffle(braiding, letter, x)
+    chi = prod(braiding[a - 1][k] ** v.count(k + 1) for k in range(m))
+    right = shuffle(braiding, letter, _derivative(x, c, "right"))
+    left = shuffle(braiding, letter, _derivative(x, c, "left"))
+    left = left.scaled(braiding[a - 1][c - 1])
+    if a == c:
+        right = right + x.scaled(chi)
+        left = left + x
+    assert _derivative(ax, c, "right") == right
+    assert _derivative(ax, c, "left") == left
+
+
+def _combination(coords, basis):
+    """sum_k coords[k] * basis[k], for coords a list or (k, scalar) pairs."""
+    pairs = coords if coords and isinstance(coords[0], tuple) else enumerate(coords)
+    out = Element.zero()
+    for k, v in pairs:
+        out = out + basis[k].scaled(v)
+    return out
+
+
+@st.composite
+def _table_braidings(draw):
+    """A random braiding over QQ or a cyclotomic field, with the field its
+    blocks are kept in: a QQ braiding as the seed of a QQ(t) table, which
+    keeps the left derivatives too."""
+    if draw(st.booleans()):
+        field, entries = QQ, [str(x) for x in POOL]
+    else:
+        field = CyclotomicField(draw(st.sampled_from(_ORDERS)))
+        entries = _CYCLOTOMIC_ENTRIES
+    m = draw(st.integers(1, 3))
+    braiding = tuple(tuple(field.parse(draw(st.sampled_from(entries)))
+                           for _ in range(m)) for _ in range(m))
+    return braiding, QT if field == QQ else field
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_table_braidings())
+def test_kept_maps_match_word_vectors(case):
+    # every map a block keeps, against word vectors: the basis of block d
+    # is rebuilt as the columns a sh y_i (words.shuffle) that first reach
+    # each coordinate of mul, in column order (letters ascending, then the
+    # basis y_i of block d - e_a); then each column is mul's combination of
+    # that basis, and right (left) gives the coordinates of the word
+    # derivatives d^R_c x_k (d^L_c x_k)
+    braiding, field = case
+    m = len(braiding)
+    engine = SymEngine(braiding)
+    basis = {(0,) * m: [Element.of_word(())]}
+    for deg in multidegrees_up_to(m, 4 if m < 3 else 3)[1:]:
+        if deg not in engine.images:
+            engine.keep(deg, engine.rows(deg, field)[1], field)
+        image = engine.images[deg]
+        lowers = [(a, deg[:a - 1] + (deg[a - 1] - 1,) + deg[a:])
+                  for a in range(1, m + 1) if deg[a - 1]]
+        got = [None] * image.rank
+        for a, low in lowers:
+            for i, y in enumerate(basis[low]):
+                column = shuffle(braiding, Element.of_word((a,)), y)
+                coords = image.mul[a][i]
+                for k, v in coords:
+                    if got[k] is None:
+                        assert coords == [(k, 1)], (deg, a, i)
+                        got[k] = column
+                assert column == _combination(coords, got), (deg, a, i)
+        basis[deg] = got
+        for c, low in lowers:
+            for side, maps in (("right", image.right), ("left", image.left)):
+                for k, x in enumerate(got):
+                    if c in maps:
+                        assert _derivative(x, c, side) == _combination(
+                            maps[c][k], basis[low]), (deg, side, c, k)
+        assert set(image.left) == (set(image.right) if field == QT else set())
 
 
 def test_transposed_letter_insertion_is_caught():
     # a planted fault: scalars b(w_i, a) in place of b(a, w_i), which is
-    # insertion over the transposed braiding
+    # the shuffle over the transposed braiding
     braiding = ((Fraction(2), Fraction(-1, 3)), (Fraction(3), Fraction(-1)))
     transposed = tuple(zip(*braiding))
     cases = [(a, v) for n in range(4) for v in itertools.product((1, 2), repeat=n)
              for a in (1, 2)]
-    assert all(_insertion_mismatch(braiding, a, v, braiding) is None
-               for a, v in cases)
-    assert any(_insertion_mismatch(braiding, a, v, transposed) is not None
+    assert not any(_insertion_mismatch(braiding, a, v, braiding)
+                   for a, v in cases)
+    assert any(_insertion_mismatch(braiding, a, v, transposed)
                for a, v in cases)
 
 

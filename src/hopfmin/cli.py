@@ -396,15 +396,35 @@ def cmd_det(args):
     return EXIT_OK
 
 
+def _weight(text):
+    """--lam text as a Fraction. Fraction takes the power of ten of a
+    decimal exponent eagerly, for minutes when it is large; an exponent that
+    passes the digit limit (sys.get_int_max_str_digits(), 0: none) by more
+    than the length of text makes a nonzero value too long to write out,
+    and is refused first."""
+    limit = sys.get_int_max_str_digits()
+    head, _, exp = text.lower().rpartition("e")
+    try:
+        huge = bool(limit and head) and abs(int(exp)) > limit + len(text)
+        lam = Fraction(head + "e0" if huge else text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DatumValidationError(
+            [f"--lam expects a rational number, got {text!r}"]) from exc
+    if huge and lam:
+        raise DatumValidationError([f"--lam {text} {too_long()}"])
+    return lam
+
+
 def cmd_sl2(args):
     from .sl2 import parallel_report
 
+    lam = _weight(args.lam)
     try:
-        lam = Fraction(args.lam)
-    except (ValueError, ZeroDivisionError) as exc:
+        report = parallel_report(lam, depth=args.depth)
+        str(report["simple_dim"])
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
         raise DatumValidationError(
-            [f"--lam expects a rational number, got {args.lam!r}"]) from exc
-    report = parallel_report(lam, depth=args.depth)
+            [f"the sl2 report of --lam {args.lam} {too_long()}"]) from exc
     if args.format == "json":
         doc = dict(report)
         doc.update({

@@ -48,7 +48,9 @@ bound (IntegerPoints.bound). The other blocks (in the cartan presets, only
 the Serre blocks), and symbolic rows (rank(mat), rank_rows), pay for an
 evaluation at an integer point B above every coefficient a relevant minor
 can have, so that a nonzero minor stays nonzero at t = B (_certified_rank).
-B is sized from the seed rank, so one evaluation usually decides.
+B is sized from the seed rank, so one evaluation usually decides. A table
+block is rebuilt at B by the same recursion as at the seed, over the
+braiding at t = B, and lists no word there either.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -73,9 +75,9 @@ from .words import block_size, braid_at, words_of_multidegree
 DEFAULT_BLOCK_LIMIT = 3000
 # the most letters a block may have. Tables build blocks from the lower
 # images without recursion, but SymEngine.sym recurses once per letter, in
-# det, symmetrizer and the certificate points, and this leaves room below
-# CPython's default recursion limit of 1000 for the frames of the callers
-# (the CLI, a test runner, a tracer)
+# det and symmetrizer, and this leaves room below CPython's default
+# recursion limit of 1000 for the frames of the callers (the CLI, a test
+# runner, a tracer)
 LETTER_LIMIT = 800
 # the largest order N of a cyclotomic field a datum may live over. Ranks
 # there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
@@ -307,12 +309,6 @@ class SymEngine:
         return image.rank
 
 
-def _raw_rows(engine, words):
-    """The Sh matrix on the words as rows of the engine's own scalars."""
-    cols = [engine.sym(w) for w in words]
-    return [[col.get(u, 0) for col in cols] for u in words]
-
-
 def matrix_rows(datum, deg, engine=None):
     """(None, rows) of block deg (SymEngine.rows) for rank_rows: the
     spanning vectors of Im Sh_deg as columns of their right derivatives, so
@@ -333,10 +329,11 @@ def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
     """The Sh matrix of one multidegree block as a SymMatrix."""
     check_block_sizes([deg], block_limit)
     words = words_of_multidegree(deg)
-    rows = _raw_rows(SymEngine(datum.braiding_matrix), words)
-    coerce = datum.field.coerce  # QQ rows still hold ints
+    cols = list(map(SymEngine(datum.braiding_matrix).sym, words))
+    coerce = datum.field.coerce  # the engine's scalars: QQ ones are ints
     return SymMatrix(tuple(deg), words,
-                     tuple(tuple(coerce(x) for x in r) for r in rows),
+                     tuple(tuple(coerce(col.get(u, 0)) for col in cols)
+                           for u in words),
                      datum.field)
 
 
@@ -557,7 +554,8 @@ def _certified_rank(seed, dim, norm, rows_at):
     seed is the rank of a matrix over ZZ[t] at some integer point, so a
     certified lower bound, and dim the lesser of its two sides; norm bounds
     the coefficient 1-norm of every entry (up to a common factor that does
-    not vanish at the points used), and rows_at(x) gives the rows at t = x.
+    not vanish at the points used), and rows_at(x) gives rows with the rank
+    of the matrix at t = x (its own rows, or IntegerPoints' word-free ones).
     An s x s minor is a sum of s! products of s entries, so its 1-norm is at
     most s! * norm**s, and no integer root of a nonzero one exceeds 1 + its
     height, which is at most that 1-norm. So at
@@ -644,9 +642,11 @@ class IntegerPoints:
 
     * full rank at the seed;
     * the coideal bound (bound), when it equals the seed rank;
-    * _certified_rank, which builds the full Sh block at certificate points
-      with a fresh engine; in the cartan presets, only the Serre blocks,
-      such as (1, 2) and (2, 1) of A2.
+    * _certified_rank at certificate points B; in the cartan presets, only
+      the Serre blocks, such as (1, 2) and (2, 1) of A2. A fresh engine over
+      the braiding at t = B builds the block's rows (SymEngine.rows), as at
+      the seed. In positive degree y -> (d^R_c y)_c is one to one, so they
+      have the rank of Sh at B.
     """
 
     def __init__(self, braiding):
@@ -669,11 +669,6 @@ class IntegerPoints:
     def block_norm(self, deg):
         n = sum(deg)
         return prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
-
-    def rows_at(self, deg, x):
-        """The block of multidegree deg at t = x, by a fresh engine."""
-        return _raw_rows(SymEngine(self.braiding_at(x)),
-                         words_of_multidegree(deg))
 
     def rank(self, deg, seed_rows):
         """Rank over QQ(t) of block deg from its spanning rows at the seed
@@ -702,8 +697,9 @@ class IntegerPoints:
             return Settled(seed, SEED)
         if self.bound(deg) == seed:
             return Settled(seed, BOUND)
-        r, passes = _certified_rank(seed, size, self.block_norm(deg),
-                                    lambda x: self.rows_at(deg, x))
+        r, passes = _certified_rank(
+            seed, size, self.block_norm(deg),
+            lambda x: SymEngine(self.braiding_at(x)).rows(deg, QQ)[1])
         return Settled(r, POINT, passes)
 
     def bound(self, deg):
@@ -920,6 +916,19 @@ def determinant_by_elimination(mat):
     return r, field.coerce(sign * last) / field.coerce(prod(scales))
 
 
+def _totient(n):
+    """Euler's phi of n >= 1, by trial division."""
+    out = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
 def gram_determinant(datum, deg, factor_bound=24,
                      block_limit=DEFAULT_BLOCK_LIMIT):
     """Determinant of the block matrix, with cyclotomic factors split off.
@@ -931,9 +940,10 @@ def gram_determinant(datum, deg, factor_bound=24,
     built and eliminated by determinant_by_elimination, which gives the
     rank and the field's zero. Over QQ(t) the numerator is then probed by
     trial exact division against Phi_k(t**j) for k*j up to factor_bound,
-    in ascending (j, k) order; the unfactored remainder keeps whatever is
-    left, including the denominator. Elimination over QQ(t) is symbolic,
-    so intended for moderate blocks.
+    in ascending (j, k) order, skipping those above the degree of what is
+    left of it; the unfactored remainder keeps whatever is left, including
+    the denominator. Elimination over QQ(t) is symbolic, so intended for
+    moderate blocks.
     """
     deg = tuple(deg)
     check_block_sizes([deg], block_limit)
@@ -953,7 +963,15 @@ def gram_determinant(datum, deg, factor_bound=24,
         num = det.num
         found = []
         for j in range(1, factor_bound + 1):
+            if j > num.degree:
+                break
             for k in range(1, factor_bound // j + 1):
+                # Phi_k(t^j) has degree phi(k) j >= j sqrt(k / 2), and
+                # cannot divide num above its degree, which only falls
+                if k * j * j > 2 * num.degree ** 2:
+                    break
+                if _totient(k) * j > num.degree:
+                    continue
                 cand = cyclotomic_polynomial(k).compose_power(j)
                 mult = 0
                 while True:

@@ -5,13 +5,14 @@ algebra with the minimal quotient in between - runs parallel to the classical
 triple of Verma module, its contragredient dual, and the simple quotient.
 This module computes the classical side for sl2 so the two can be laid side
 by side: pairing values on the standard basis F**k v of a Verma module of
-highest weight lambda, and the dimension of the simple quotient read off
-from the first vanishing value.
+highest weight lambda, and the dimension of the simple quotient, where the
+first value vanishes.
 
 The pairing values come from a genuine operator computation: E F**k v is
 expanded by commuting E through one F at a time (E F = F E + H), not from a
-closed formula. The closed product lives only in the test suite, as an
-independent check.
+closed formula. The dimension is read from the closed product, whose k-th
+factor is k(lambda + 1 - k); the test suite checks it against a scan of the
+computed values for small weights.
 """
 
 from __future__ import annotations
@@ -66,20 +67,15 @@ def shapovalov_values(lam, kmax):
 def dim_L(lam):
     """Dimension of the simple highest-weight module of weight lam.
 
-    Finite exactly when lam is a nonnegative integer, found by scanning the
-    pairing values for their first zero; each basis vector F**k v survives
-    into the simple quotient precisely while the values above it are
-    nonzero. For other lam no value ever vanishes (each new factor is
-    k(lam + 1 - k), zero only at integer lam = k - 1 >= 0), so the scan
-    would not terminate and the dimension is infinite.
+    Each basis vector F**k v survives into the simple quotient precisely
+    while the pairing values up to depth k are nonzero. The k-th value is
+    the one before times k(lam + 1 - k), zero only at integer
+    lam = k - 1 >= 0; so the dimension is lam + 1 when lam is a nonnegative
+    integer, and infinite otherwise.
     """
     lam = Fraction(lam)
     if lam.denominator == 1 and lam >= 0:
-        values = shapovalov_values(lam, int(lam) + 2)
-        for k in range(1, len(values)):
-            if values[k] == 0:
-                return k
-        raise AssertionError("pairing failed to vanish for a dominant weight")
+        return lam.numerator + 1
     return float("inf")
 
 

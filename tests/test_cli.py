@@ -345,6 +345,21 @@ def test_det_cyclotomic_string_with_fraction_coordinates(tmp_path, capsys):
     assert doc["remainder"] == doc["determinant"]
 
 
+def test_det_large_factor_bound_at_once(capsys):
+    # a candidate above the numerator's degree is skipped unbuilt, so a
+    # bound of a million tries what a bound of 24 does
+    docs = []
+    for bound in ("24", str(10 ** 6)):
+        code, out, err = run(capsys, "det", "--preset", "cartan:A2", "--deg",
+                             "1,1", "--factor-bound", bound, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.pop("timings")["total_ms"] < 5000
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["factors_pretty"] == ["Phi_1(t^1)", "Phi_2(t^1)"]
+
+
 def test_det_table_and_bad_deg(capsys):
     code, out, err = run(capsys, "det", "--preset", "cartan:A2",
                          "--deg", "1,1")
@@ -369,6 +384,27 @@ def test_sl2_output(capsys):
     assert "simple module dimension: infinite" in out
     code, out, err = run(capsys, "sl2", "--lam", "three")
     assert code == 1
+
+
+@pytest.mark.parametrize("lam, dim", [
+    ("100000", 100001), ("1e300", 10 ** 300 + 1), ("0e100000000", 1)],
+    ids=["1e5", "1e300", "zero"])
+def test_sl2_large_weights_at_once(capsys, lam, dim):
+    # the dimension is read from the closed form, not from lam + 2 values,
+    # and a zero with a huge exponent is zero
+    code, out, err = run(capsys, "sl2", f"--lam={lam}", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["simple_dim"] == dim
+
+
+@pytest.mark.parametrize("lam", [
+    "1e5000", "1e100000000", "-2.5E-100000000", "1e600"])
+def test_sl2_weight_too_long_to_write(capsys, lam):
+    # 1e600 can be read, but its pairing values at depth 8 cannot be
+    # written out; the others are refused before the power of ten is taken
+    code, out, err = run(capsys, "sl2", f"--lam={lam}", "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "digits" in err
 
 
 def test_selftest(capsys):

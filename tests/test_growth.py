@@ -218,17 +218,28 @@ def test_compute_blocks_ranks_each_requested_block_once_in_every_field(
 @pytest.mark.parametrize("datum, max_total", _FIELD_CASES + [
     (specialize_datum(preset_cartan("B2"), 5), 9),
     (datum_from_q_matrix(random_q(random.Random(5), 3), QQ), 5),
-], ids=["zeta3", "trivial", "random", "b2-zeta5", "random3"])
+    (preset_cartan("G2"), 7),
+    (datum_from_q_matrix(tuple(tuple(QT.parse(x) for x in row)
+                               for row in (("1-t", "t"), ("t^-1", "t"))), QT),
+     7),
+], ids=["zeta3", "trivial", "random", "b2-zeta5", "random3", "G2",
+        "seed-root"])
 def test_tables_list_no_word(monkeypatch, datum, max_total):
-    # blocks are built from rank-sized maps between the lower images
+    # blocks are built from rank-sized maps between the lower images, over
+    # QQ(t) at the seed and at the points that the blocks left to one pay
+    # for (G2 and seed-root have some)
     from hopfmin import shapovalov
 
-    def refuse(deg):
-        raise AssertionError(f"the words of {deg} were listed")
+    def refuse(*args):
+        raise AssertionError(f"words were listed or symmetrized: {args}")
 
     expected = hilbert_table(datum, max_total)
     monkeypatch.setattr(shapovalov, "words_of_multidegree", refuse)
-    assert hilbert_table(datum, max_total) == expected
+    monkeypatch.setattr(shapovalov.SymEngine, "sym", refuse)
+    got = hilbert_table(datum, max_total)
+    assert got == expected
+    assert [b.settled for b in got.blocks] == [
+        b.settled for b in expected.blocks]
 
 
 def test_compute_blocks_keeps_input_order_across_cache_gaps():

@@ -3,6 +3,8 @@ elimination, the seed point, the coideal bound and which blocks it leaves
 to an evaluation point, extra certificate passes, and the guarantee that
 tables over QQ(t) never run the symmetrizer on RatFunc scalars."""
 
+from math import factorial
+
 import pytest
 
 from hopfmin import cli, growth, shapovalov
@@ -22,6 +24,7 @@ from hopfmin.shapovalov import (
     rank_symbolic,
     symmetrizer,
 )
+from hopfmin.words import words_of_multidegree
 
 
 def _qt_datum(q):
@@ -115,23 +118,26 @@ def test_coideal_bound_of_a2_block_two_two():
     assert points.engine.images[(2, 2)].rank == 3
 
 
-@pytest.mark.parametrize("datum", [
-    preset_cartan("G2"), _qt_datum((("1-t", "t"), ("t^-1", "t"))),
-], ids=["G2", "seed-root"])
-def test_only_point_blocks_list_words(monkeypatch, datum):
-    # the seed ranks and the bound read rank-sized maps; only a block that
-    # pays for a point builds its full Sh block there
-    listed = []
-    real = shapovalov.words_of_multidegree
-
-    def record(deg):
-        listed.append(tuple(deg))
-        return real(deg)
-
-    monkeypatch.setattr(shapovalov, "words_of_multidegree", record)
-    table = hilbert_table(datum, 7)
-    points = {b.deg for b in table.blocks if b.settled[0] == POINT}
-    assert points and set(listed) == points
+@pytest.mark.parametrize("datum, max_total", [
+    (_qt_datum((("1-t", "t"), ("t^-1", "t"))), 6), (preset_cartan("G2"), 8),
+], ids=["seed-root", "G2"])
+def test_point_rows_have_the_rank_of_the_full_block(datum, max_total):
+    # a block that pays for a point is rebuilt there word-free; the full Sh
+    # block at the same point, from the words, is the reference
+    points = IntegerPoints(datum.braiding_matrix)
+    paid = [b.deg for b in hilbert_table(datum, max_total).blocks
+            if b.settled[0] == POINT]
+    assert paid
+    for deg in paid:
+        s = rank_rows(QQ, _seed_rows(points, datum, deg)) + 1
+        first = factorial(s) * points.block_norm(deg) ** s + 2
+        for x in (points.seed, first):
+            engine = SymEngine(points.braiding_at(x))
+            words = words_of_multidegree(deg)
+            cols = [engine.sym(w) for w in words]
+            full = [[col.get(u, 0) for col in cols] for u in words]
+            assert (rank_rows(QQ, engine.rows(deg, QQ)[1])
+                    == rank_rows(QQ, full)), (deg, x)
 
 
 def test_lone_block_settles_its_lower_blocks():

@@ -299,6 +299,31 @@ def test_gram_determinant_against_factor_product():
     assert RatFunc(prod, Poly((1,))) * report.remainder == report.determinant
 
 
+@pytest.mark.parametrize("name, deg", [
+    ("A1", (6,)), ("A2", (1, 1)), ("B2", (2, 1)), ("G2", (3, 1))])
+def test_factor_search_skips_only_candidates_above_the_degree(name, deg):
+    # every Phi_k(t^j) with k*j <= 40, tried in the same order, finds the
+    # same factors as the search that skips those above the degree left
+    report = gram_determinant(preset_cartan(name), deg, factor_bound=40)
+    num = report.determinant.num
+    assert num  # zero would divide by every candidate forever
+    found = []
+    for j in range(1, 41):
+        for k in range(1, 40 // j + 1):
+            cand = cyclotomic_polynomial(k).compose_power(j)
+            mult = 0
+            while True:
+                try:
+                    num = num.exact_div(cand)
+                except ValueError:
+                    break
+                mult += 1
+            if mult:
+                found.append((k, j, mult))
+    assert report.factors == tuple(found)
+    assert report.remainder == RatFunc(num, report.determinant.den)
+
+
 def _leibniz_det(a):
     """Determinant as the signed sum over permutations."""
     total = 0

@@ -44,6 +44,7 @@ def test_shapovalov_values_prefix():
 def test_dim_L():
     for n in range(7):
         assert dim_L(Fraction(n)) == n + 1
+    assert dim_L(10 ** 300) == 10 ** 300 + 1
     assert dim_L(Fraction(-1)) == float("inf")
     assert dim_L(Fraction(1, 2)) == float("inf")
     assert dim_L(Fraction(-7, 3)) == float("inf")
@@ -59,8 +60,18 @@ def test_values_build_each_e_action_once():
     # lam + 2 values, each one step from the last: milliseconds, where
     # rebuilding E F**i v for every i took over ten seconds
     start = time.monotonic()
-    assert dim_L(3000) == 3001
+    values = shapovalov_values(3000, 3002)
+    assert values[3000] != 0 and values[3001] == 0
     assert time.monotonic() - start < 5
+
+
+def test_dim_L_against_a_scan_of_the_values():
+    # the closed form is where the computed values first vanish
+    for lam in range(40):
+        values = shapovalov_values(lam, lam + 2)
+        first = next(k for k, v in enumerate(values) if v == 0)
+        assert dim_L(lam) == first == lam + 1
+        assert all(values[:first])
 
 
 def test_parallel_report_integer_weight():

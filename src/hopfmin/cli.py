@@ -72,6 +72,10 @@ SCHEMA_VERSION = 1
 # change to the rank code could change a cached answer.
 RANK_ALGORITHM = 2
 
+# the deepest sl2 table: each depth is one pairing value and one line of
+# output, and 10000 of them take under a second
+SL2_DEPTH_LIMIT = 10000
+
 PRESET_KINDS = ("cartan", "reductive", "doubled")
 
 
@@ -515,8 +519,9 @@ def cmd_selftest(args):
 # argument wiring
 
 
-def _int_at_least(low):
-    """argparse type: an integer no smaller than low."""
+def _int_in(low, high=None):
+    """argparse type: an integer no smaller than low, and no larger than
+    high when high is given."""
 
     def parse(text):
         try:
@@ -527,6 +532,9 @@ def _int_at_least(low):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -541,10 +549,10 @@ def _add_datum_options(sub):
     sub.add_argument("--base", default="t",
                      help="evaluate cartan/doubled presets at this nonzero "
                           "rational instead of the formal t")
-    sub.add_argument("--specialize", type=_int_at_least(1), metavar="N",
+    sub.add_argument("--specialize", type=_int_in(1), metavar="N",
                      help="send t to a primitive N-th root of unity "
                           f"(N at most {ORDER_LIMIT})")
-    sub.add_argument("--block-limit", type=_int_at_least(1),
+    sub.add_argument("--block-limit", type=_int_in(1),
                      default=DEFAULT_BLOCK_LIMIT,
                      help="refuse blocks with more words than this "
                           f"(default {DEFAULT_BLOCK_LIMIT}); blocks of more "
@@ -559,15 +567,15 @@ def _build_parser():
 
     p = subs.add_parser("analyze", help="rank every block up to a total degree")
     _add_datum_options(p)
-    p.add_argument("--max-total", type=_int_at_least(0), default=6,
+    p.add_argument("--max-total", type=_int_in(0), default=6,
                    help="largest total degree to table (default 6)")
-    p.add_argument("--window", type=_int_at_least(2), default=3,
+    p.add_argument("--window", type=_int_in(2), default=3,
                    help="trailing window for the growth verdict (default 3)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
     p.add_argument("--cache", help="rank cache file "
                                    f"(default from ${CACHE_ENV})")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p.add_argument("--jobs", type=_int_in(1), default=1,
                    help="at least 1; accepted for scripts that pass it, "
                         "but blocks run serially in this process")
     p.set_defaults(func=cmd_analyze)
@@ -576,15 +584,17 @@ def _build_parser():
     _add_datum_options(p)
     p.add_argument("--deg", required=True,
                    help="multidegree as comma-separated letter counts")
-    p.add_argument("--factor-bound", type=_int_at_least(0), default=24,
-                   help="try Phi_k(t^j) for k*j up to this bound (0: none)")
+    p.add_argument("--factor-bound", type=_int_in(0), default=24,
+                   help="try Phi_k(t) for k up to this bound (0: none)")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_det)
 
     p = subs.add_parser("sl2", help="classical highest-weight mirror")
     p.add_argument("--lam", required=True,
                    help="highest weight, a rational such as 3 or 1/2")
-    p.add_argument("--depth", type=_int_at_least(0), default=8)
+    p.add_argument("--depth", type=_int_in(0, SL2_DEPTH_LIMIT), default=8,
+                   help=f"deepest pairing value (default 8, at most "
+                        f"{SL2_DEPTH_LIMIT})")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_sl2)
 

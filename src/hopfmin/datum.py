@@ -14,7 +14,6 @@ coordinates are scalar literals in the grammar of scalars.parse_scalar
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -34,6 +33,25 @@ from .scalars import (
     too_long,
 )
 from .shapovalov import ORDER_LIMIT
+
+
+def _builtin_sha256():
+    """The interpreter's built-in SHA-256, as random.py takes its SHA-512:
+    hashlib loads OpenSSL's libcrypto, about 3 MB of every run's resident
+    memory, for one digest of a few hundred bytes, and the digest is the
+    same. The module is _sha2 from CPython 3.12 and _sha256 before it;
+    each name is unknown to the other versions' standard library, so both
+    are imported by name."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+    return sha256
+
+
+_sha256 = _builtin_sha256()
 
 
 class DatumValidationError(ValueError):
@@ -383,4 +401,4 @@ def parse_datum(text):
 
 def datum_hash(datum):
     """sha256 over the canonical emit: field tag, characters, points."""
-    return hashlib.sha256(emit_datum(datum).encode("utf-8")).hexdigest()
+    return _sha256(emit_datum(datum).encode("utf-8")).hexdigest()

@@ -36,7 +36,8 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm, log2
+from itertools import combinations
+from math import gcd as _int_gcd, lcm, log2, prod
 
 
 class FieldMismatchError(TypeError):
@@ -367,12 +368,24 @@ def poly_gcd(a, b):
     return a
 
 
+def squarefree_cofactors(n, primes):
+    """(d, odd) for each divisor d of n with n/d squarefree, given n's
+    distinct primes: n/d is a product of some of them, and odd says
+    mu(n/d) = -1. These are the only d in Moebius sums over d | n."""
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            yield n // prod(subset), r % 2
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """The n-th cyclotomic polynomial as an integer Poly.
 
-    Computed by dividing t**n - 1 by the cyclotomic polynomials of all
-    proper divisors of n.
+    For n > 1, Phi_n(t) = prod over d | n of (1 - t**d)**mu(n/d), a power
+    series that is a polynomial of degree phi(n); so it is built cut above
+    that degree, one pass per squarefree n/d, multiplying by 1 - t**d or
+    dividing by it (a running sum). A pass with d above phi(n) changes
+    nothing and is skipped.
 
     >>> str(cyclotomic_polynomial(4))
     't^2 + 1'
@@ -381,12 +394,31 @@ def cyclotomic_polynomial(n):
     """
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    num = Poly((-1,) + (0,) * (n - 1) + (1,))
-    den = _P_ONE
-    for d in range(1, n):
-        if n % d == 0:
-            den = den * cyclotomic_polynomial(d)
-    return num.exact_div(den)
+    if n == 1:
+        return Poly((-1, 1))
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    phi = n
+    for p in primes:
+        phi = phi // p * (p - 1)
+    c = [1] + [0] * phi
+    for d, odd in squarefree_cofactors(n, primes):
+        if d > phi:
+            continue
+        if odd:
+            for i in range(d, phi + 1):
+                c[i] += c[i - d]
+        else:
+            for i in range(phi, d - 1, -1):
+                c[i] -= c[i - d]
+    return Poly(tuple(c))
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import floordiv
 
 from .scalars import (
     QQ, QT, _P_ONE, Cyclotomic, CyclotomicField, Poly, RatFunc, Record,
-    cyclotomic_polynomial, poly_gcd)
+    cyclotomic_polynomial, poly_gcd, squarefree_cofactors)
 from .words import block_size, braid_at, words_of_multidegree
 
 DEFAULT_BLOCK_LIMIT = 3000
@@ -118,7 +118,7 @@ class SymMatrix(Record):
 
 
 class DetReport(Record):
-    """The determinant of one block, its cyclotomic factors (k, j, mult)
+    """The determinant of one block, its cyclotomic factors (k, 1, mult)
     and the unfactored remainder."""
 
     __slots__ = _fields = ("multidegree", "size", "rank", "determinant",
@@ -916,17 +916,105 @@ def determinant_by_elimination(mat):
     return r, field.coerce(sign * last) / field.coerce(prod(scales))
 
 
-def _totient(n):
-    """Euler's phi of n >= 1, by trial division."""
-    out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
+def _small_totients(degree, bound):
+    """(k, phi(k), primes of k) for every k <= bound with phi(k) <= degree,
+    in ascending k. Each such k is a product of prime powers p**e with
+    p - 1 <= degree, so they are built from the primes up to degree + 1,
+    smallest prime first, stopping at the first prime that passes either
+    limit: about 2 * degree of them, whatever the bound."""
+    sieve = bytearray([1]) * (degree + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(degree + 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, degree + 2, p)))
+    primes = [p for p, live in enumerate(sieve) if live]
+    out = []
+    stack = [(1, 1, (), 0)] if min(bound, degree) >= 1 else []
+    while stack:
+        k, phi, factors, start = stack.pop()
+        out.append((k, phi, factors))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            k_p, phi_p = k * p, phi * (p - 1)
+            if k_p > bound or phi_p > degree:
+                break
+            while k_p <= bound and phi_p <= degree:
+                stack.append((k_p, phi_p, factors + (p,), i + 1))
+                k_p, phi_p = k_p * p, phi_p * p
+    return sorted(out)
+
+
+def _cyclotomic_at_2(k, primes):
+    """Phi_k(2) = prod over d | k of (2**d - 1)**mu(k/d)."""
+    top = bottom = 1
+    for d, odd in squarefree_cofactors(k, primes):
+        if odd:
+            bottom *= (1 << d) - 1
+        else:
+            top *= (1 << d) - 1
+    return top // bottom
+
+
+def _divide_out(coeffs, terms, dd):
+    """coeffs over the monic polynomial of degree dd whose lower nonzero
+    terms are terms, (i, c) pairs: the quotient's coefficients, or None
+    when it does not divide. Synthetic division on one copy of coeffs:
+    each quotient coefficient is left where it was read, above the
+    remainder."""
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        f = rem[top]
+        if f:
+            base = top - dd
+            for i, c in terms:
+                if c == 1:
+                    rem[base + i] -= f
+                elif c == -1:
+                    rem[base + i] += f
+                else:
+                    rem[base + i] -= f * c
+    if any(rem[:dd]):
+        return None
+    return rem[dd:]
+
+
+def cyclotomic_factors(num, bound):
+    """Split Phi_k(t) off the nonzero integer Poly num for k up to bound,
+    in ascending k, each as often as it divides: ((k, 1, mult), ...) and
+    what is left of num.
+
+    No Phi_k(t**j) with j >= 2 and k*j up to the bound is tried, since
+    none can divide: it is squarefree, the product of the Phi_m with
+    m | k*j, and each such m <= k*j has already been divided out. A
+    candidate is skipped unbuilt when its degree phi(k) is above the
+    degree of what is left, or when Phi_k(2) does not divide the value of
+    what is left at t = 2, since a divisor in ZZ[t] divides at every
+    integer point (a value 0 rejects nothing). So a bound of a million
+    tries only the k with phi(k) up to the degree, about twice the degree
+    of them, and divides by a few. Each Phi_k is monic, so the division
+    runs over its nonzero terms alone (_divide_out).
+    """
+    coeffs = list(num.coeffs)
+    at_2 = num.eval_at(2)
+    found = []
+    for k, phi, primes in _small_totients(num.degree, bound):
+        if phi >= len(coeffs):  # above the degree of what is left
+            continue
+        value = _cyclotomic_at_2(k, primes)
+        if at_2 % value:
+            continue
+        cand = cyclotomic_polynomial(k).coeffs
+        terms = [(i, c) for i, c in enumerate(cand[:-1]) if c]
+        mult = 0
+        while phi < len(coeffs) and not at_2 % value:
+            quotient = _divide_out(coeffs, terms, phi)
+            if quotient is None:
+                break
+            coeffs, at_2 = quotient, at_2 // value
+            mult += 1
+        if mult:
+            found.append((k, 1, mult))
+    return tuple(found), Poly(tuple(coeffs))
 
 
 def gram_determinant(datum, deg, factor_bound=24,
@@ -939,10 +1027,12 @@ def gram_determinant(datum, deg, factor_bound=24,
     and a multilinear one whose closed form vanishes (some q_S = 1), is
     built and eliminated by determinant_by_elimination, which gives the
     rank and the field's zero. Over QQ(t) the numerator is then probed by
-    trial exact division against Phi_k(t**j) for k*j up to factor_bound,
-    in ascending (j, k) order, skipping those above the degree of what is
-    left of it; the unfactored remainder keeps whatever is left, including
-    the denominator. Elimination over QQ(t) is symbolic, so intended for
+    trial exact division against Phi_k(t) for k up to factor_bound
+    (cyclotomic_factors), reported as (k, 1, mult), Phi_k(t**1). That
+    finds every Phi_k(t**j) with k*j up to the bound that divides, since
+    Phi_k(t**j) is a product of distinct Phi_m with m <= k*j. The
+    unfactored remainder keeps whatever is left, including the
+    denominator. Elimination over QQ(t) is symbolic, so intended for
     moderate blocks.
     """
     deg = tuple(deg)
@@ -956,32 +1046,9 @@ def gram_determinant(datum, deg, factor_bound=24,
     else:
         r, det = determinant_by_elimination(
             symmetrizer(datum, deg, block_limit=None))
-    field = datum.field
-    factors_out = ()
+    factors = ()
     remainder = det
-    if field == QT and det:
-        num = det.num
-        found = []
-        for j in range(1, factor_bound + 1):
-            if j > num.degree:
-                break
-            for k in range(1, factor_bound // j + 1):
-                # Phi_k(t^j) has degree phi(k) j >= j sqrt(k / 2), and
-                # cannot divide num above its degree, which only falls
-                if k * j * j > 2 * num.degree ** 2:
-                    break
-                if _totient(k) * j > num.degree:
-                    continue
-                cand = cyclotomic_polynomial(k).compose_power(j)
-                mult = 0
-                while True:
-                    try:
-                        num = num.exact_div(cand)
-                    except ValueError:
-                        break
-                    mult += 1
-                if mult:
-                    found.append((k, j, mult))
-        factors_out = tuple(found)
+    if datum.field == QT and det:
+        factors, num = cyclotomic_factors(det.num, factor_bound)
         remainder = RatFunc(num, det.den)
-    return DetReport(deg, n, r, det, factors_out, remainder)
+    return DetReport(deg, n, r, det, factors, remainder)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hopfmin.cli import RANK_ALGORITHM, _Cache, main
+from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
 from hopfmin.shapovalov import LETTER_LIMIT, ORDER_LIMIT
 
 
@@ -425,6 +425,52 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["totals"] == [1, 1, 1, 1]
+
+
+# Runs commands through main in a fresh interpreter, then reports whether
+# OpenSSL's _hashlib was loaded, before hopfmin and after the commands.
+_OPENSSL_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = "_hashlib" in sys.modules
+from hopfmin.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([before, codes, "_hashlib" in sys.modules]))
+"""
+
+
+def test_commands_load_no_openssl(tmp_path):
+    # the datum hash is the interpreter's built-in SHA-256, so neither
+    # command, nor a cache read and write, pays for loading libcrypto
+    cache = str(tmp_path / "ranks.json")
+    runs = [["analyze", "--preset", "cartan:A2", "--max-total", "3",
+             "--format", "json", "--cache", cache]] * 2 + [
+        ["det", "--preset", "cartan:B2", "--deg", "2,1", "--format", "json"]]
+    proc = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, codes, after = json.loads(proc.stdout)
+    if before:
+        pytest.skip("site loaded _hashlib before hopfmin")
+    assert codes == [0, 0, 0]
+    assert not after
+
+
+def test_sl2_depth_over_the_limit_exits_one(capsys):
+    # a depth past the limit would build a value and a line per depth for
+    # minutes; it is refused before any is built
+    with pytest.raises(SystemExit) as exc:
+        main(["sl2", "--lam", "3", "--depth", "100000000"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert (f"error: argument --depth: must be at most {SL2_DEPTH_LIMIT}, "
+            f"got 100000000") in err
+    code, out, err = run(capsys, "sl2", "--lam", "3", "--depth",
+                         str(SL2_DEPTH_LIMIT), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["pairing_values"]) == SL2_DEPTH_LIMIT + 1
 
 
 @pytest.mark.parametrize("doc", [

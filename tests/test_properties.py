@@ -6,23 +6,30 @@ cyclotomic arithmetic on integer coordinates against Fraction
 coordinates; Sh((a,) + v) = a sh Sh(v), the identity tables build their
 blocks by, against the braided shuffle; the maps table blocks keep,
 against word vectors; and QQ and cyclotomic tables, built from the lower
-images, against their full Sh blocks."""
+images, against their full Sh blocks; the datum hash against hashlib's
+SHA-256; and the cyclotomic factor search against the search over every
+Phi_k(t^j)."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 
-from hopfmin.datum import datum_from_q_matrix
+from hopfmin.datum import (
+    CARTAN_TYPES, datum_from_q_matrix, datum_hash, emit_datum, parse_datum,
+    preset_cartan, preset_doubled, preset_reductive, specialize_datum)
 from hopfmin.growth import compute_blocks, hilbert_table
 from hopfmin.oracles import POOL, planted_q, random_q
 from hopfmin.scalars import (
-    QQ, QT, Cyclotomic, CyclotomicField, cyclotomic_polynomial, poly_str)
+    QQ, QT, Cyclotomic, CyclotomicField, Poly, cyclotomic_polynomial, poly_str)
 from hopfmin.shapovalov import (
     SymEngine,
     SymMatrix,
     _int_row,
+    cyclotomic_factors,
     determinant_by_elimination,
     gram_determinant,
     matrix_rows,
@@ -391,3 +398,93 @@ def test_cyclotomic_tables_match_full_blocks(case):
     datum = datum_from_q_matrix(
         tuple(tuple(field.parse(x) for x in row) for row in q), field)
     _assert_table_matches_full_blocks(datum, 5 if datum.m < 3 else 4)
+
+
+def _presets():
+    for name in CARTAN_TYPES:
+        yield preset_cartan(name)
+        yield preset_cartan(name, base=Fraction(-3, 2))
+        yield preset_doubled(name)
+        yield preset_reductive(name)
+        yield specialize_datum(preset_cartan(name), 5)
+
+
+# Nonzero literals in each field; none vanishes at a root of unity.
+_HASH_FIELDS = {
+    "rational": ("2", "-1", "1/3", "-7/2", "5"),
+    "rational_function": ("t", "-t", "t + 1", "1/(t - 2)", "2*t^2 - 3"),
+    "cyclotomic(3)": ("t", "-t", "t^2", "1/2", "2*t + 3"),
+    "cyclotomic(8)": ("t", "t^3", "-1", "3/4", "t - 2"),
+}
+
+
+@st.composite
+def _random_datum_docs(draw):
+    field = draw(st.sampled_from(sorted(_HASH_FIELDS)))
+    rank, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    alpha = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    alphas = [draw(alpha.filter(any)) for _ in range(m)]
+    gammas = [[draw(st.sampled_from(_HASH_FIELDS[field])) for _ in range(rank)]
+              for _ in range(m)]
+    return json.dumps({"rank": rank, "field": field, "alphas": alphas,
+                       "gammas": gammas})
+
+
+def _assert_hash_is_sha256(datum):
+    text = emit_datum(datum).encode("utf-8")
+    assert datum_hash(datum) == hashlib.sha256(text).hexdigest()
+
+
+def test_preset_hashes_are_sha256():
+    # the built-in SHA-256 gives hashlib's digest, so every rank-cache key
+    # and every `hash` field stays as it was
+    for datum in _presets():
+        _assert_hash_is_sha256(datum)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_random_datum_docs())
+def test_datum_hashes_are_sha256(doc):
+    _assert_hash_is_sha256(parse_datum(doc))
+
+
+def _search_every_power(num, bound):
+    """The factor search over every Phi_k(t^j) with k*j <= bound, in
+    ascending (j, k) order, each tried until it no longer divides."""
+    found = []
+    for j in range(1, bound + 1):
+        if j > num.degree:
+            break
+        for k in range(1, bound // j + 1):
+            cand = cyclotomic_polynomial(k).compose_power(j)
+            if cand.degree > num.degree:
+                continue
+            mult = 0
+            while cand.divides(num):
+                num = num.exact_div(cand)
+                mult += 1
+            if mult:
+                found.append((k, j, mult))
+    return tuple(found), num
+
+
+@st.composite
+def _cyclotomic_products(draw):
+    # products of Phi_k(t^j), some past the bound, times a cofactor with
+    # a constant term that beats its other coefficients, so no root on
+    # the unit circle, or times a cofactor that vanishes at t = 2
+    num = Poly((draw(st.sampled_from((1, -1, 3, -12))),))
+    for _ in range(draw(st.integers(0, 6))):
+        k, j = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+        num = num * cyclotomic_polynomial(k).compose_power(j)
+    tail = draw(st.lists(st.integers(-2, 2), max_size=8))
+    cofactor = draw(st.sampled_from((
+        Poly((2 * len(tail) + 1, *tail)), Poly((-2, 1)), Poly((1,)))))
+    return num * cofactor, draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cyclotomic_products())
+def test_factor_search_matches_search_over_every_power(case):
+    num, bound = case
+    assert cyclotomic_factors(num, bound) == _search_every_power(num, bound)

@@ -94,13 +94,14 @@ def test_cyclotomic_polynomials():
     assert str(cyclotomic_polynomial(4)) == "t^2 + 1"
     assert str(cyclotomic_polynomial(6)) == "t^2 - t + 1"
     assert str(cyclotomic_polynomial(12)) == "t^4 - t^2 + 1"
-    # the product over all divisors of n recovers t^n - 1
-    for n in (1, 2, 6, 12, 15):
+    # the product over all divisors of n recovers t^n - 1, past three odd
+    # primes (Phi_105 has a coefficient -2) and past phi(n) = 100
+    for n in (*range(1, 61), 105, 210, 231, 256, 385, 720):
         prod = Poly((1,))
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * cyclotomic_polynomial(d)
-        assert prod == Poly((-1,) + (0,) * (n - 1) + (1,))
+        assert prod == Poly((-1,) + (0,) * (n - 1) + (1,)), n
 
 
 def test_ratfunc_canonical_form():

@@ -4,6 +4,7 @@ determinants."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from operator import floordiv, truediv
 
@@ -29,6 +30,7 @@ from hopfmin.shapovalov import (
     all_reduced_words,
     apply_braid_word,
     bubble_word,
+    cyclotomic_factors,
     determinant_by_elimination,
     gram_determinant,
     matrix_rows,
@@ -322,6 +324,45 @@ def test_factor_search_skips_only_candidates_above_the_degree(name, deg):
                 found.append((k, j, mult))
     assert report.factors == tuple(found)
     assert report.remainder == RatFunc(num, report.determinant.den)
+
+
+def _synthetic_numerator(extra=()):
+    """Phi_k(t)**mult for k <= 24 and the (k, mult) pairs of extra, times a
+    cofactor of degree 271 whose constant term is larger than the sum of
+    its other coefficients, so it has no root on the unit circle and no
+    cyclotomic factor."""
+    rng = random.Random(7)
+    cofactor = Poly((1000,) + tuple(rng.randint(-3, 3) for _ in range(270))
+                    + (2,))
+    split = ((1, 1, 2), (2, 1, 1), (6, 1, 3), (10, 1, 1), (12, 1, 2),
+             (24, 1, 1)) + tuple((k, 1, mult) for k, mult in extra)
+    num = cofactor
+    for k, _, mult in split:
+        for _ in range(mult):
+            num = num * cyclotomic_polynomial(k)
+    return num, split, cofactor
+
+
+def test_factor_search_huge_bound_matches_default():
+    # of the k <= 10**6, only the 588 with phi(k) <= 300 are candidates,
+    # and Phi_k(2) | num(2) rejects all but a few of those unbuilt
+    num, split, cofactor = _synthetic_numerator()
+    assert num.degree == 300
+    assert cyclotomic_factors(num, 24) == (split, cofactor)
+    t0 = time.perf_counter()
+    assert cyclotomic_factors(num, 10 ** 6) == (split, cofactor)
+    assert time.perf_counter() - t0 < 2
+
+
+def test_factor_search_divides_by_coefficients_past_one():
+    # Phi_105 has a coefficient -2, so its division is not all +-1 steps;
+    # it lies past the default bound and within a bound of a million
+    num, split, cofactor = _synthetic_numerator(extra=((105, 2),))
+    phi_105 = cyclotomic_polynomial(105)
+    assert -2 in phi_105.coeffs
+    assert cyclotomic_factors(num, 24) == (
+        split[:-1], cofactor * phi_105 * phi_105)
+    assert cyclotomic_factors(num, 10 ** 6) == (split, cofactor)
 
 
 def _leibniz_det(a):

@@ -56,8 +56,10 @@ Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
 configuration gives det Sh as a product of powers of 1 - q_S over subsets
 S of the letters (multilinear_determinant). When that product is nonzero
-the block has full rank; when it is zero, gram_determinant falls back to
-building and eliminating the block for its rank, as for every other block.
+the block has full rank. Every other block takes its rank from the
+certified table route (growth.compute_blocks), so a singular block has
+determinant 0 without its Sh matrix; only a full-rank block without a
+closed form is built and eliminated, for the value.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ from .words import block_size, braid_at, words_of_multidegree
 DEFAULT_BLOCK_LIMIT = 3000
 # the most letters a block may have. Tables build blocks from the lower
 # images without recursion, but SymEngine.sym recurses once per letter, in
-# det and symmetrizer, and this leaves room below CPython's default
-# recursion limit of 1000 for the frames of the callers (the CLI, a test
-# runner, a tracer)
+# symmetrizer (det of a full-rank block without a closed form, and the
+# oracles), and this leaves room below CPython's default recursion limit
+# of 1000 for the frames of the callers (the CLI, a test runner, a tracer)
 LETTER_LIMIT = 800
 # the largest order N of a cyclotomic field a datum may live over. Ranks
 # there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
@@ -1024,16 +1026,19 @@ def gram_determinant(datum, deg, factor_bound=24,
     A multilinear block (every letter count 0 or 1) takes its determinant
     from the closed form of multilinear_determinant and, when that is
     nonzero, has full rank; the matrix is never built. Every other block,
-    and a multilinear one whose closed form vanishes (some q_S = 1), is
-    built and eliminated by determinant_by_elimination, which gives the
-    rank and the field's zero. Over QQ(t) the numerator is then probed by
+    and a multilinear one whose closed form vanishes (some q_S = 1), takes
+    its rank from the certified table route, growth.compute_blocks, as
+    analyze does; below full rank the determinant is the field's zero and
+    the matrix is never built either. Only a full-rank block without a
+    closed form is built and eliminated by determinant_by_elimination, for
+    its value (symbolic over QQ(t), so intended for moderate blocks). Over
+    QQ(t) the numerator is then probed by
     trial exact division against Phi_k(t) for k up to factor_bound
     (cyclotomic_factors), reported as (k, 1, mult), Phi_k(t**1). That
     finds every Phi_k(t**j) with k*j up to the bound that divides, since
     Phi_k(t**j) is a product of distinct Phi_m with m <= k*j. The
     unfactored remainder keeps whatever is left, including the
-    denominator. Elimination over QQ(t) is symbolic, so intended for
-    moderate blocks.
+    denominator.
     """
     deg = tuple(deg)
     check_block_sizes([deg], block_limit)
@@ -1041,11 +1046,14 @@ def gram_determinant(datum, deg, factor_bound=24,
     det = None
     if all(d <= 1 for d in deg):
         det = multilinear_determinant(datum, deg)
-    if det:
-        r = n
-    else:
-        r, det = determinant_by_elimination(
-            symmetrizer(datum, deg, block_limit=None))
+    r = n
+    if not det:
+        from .growth import compute_blocks  # growth imports this module
+        r = compute_blocks(datum, [deg], block_limit=None)[0].rank
+        det = datum.field.zero()
+        if r == n:
+            det = determinant_by_elimination(
+                symmetrizer(datum, deg, block_limit=None))[1]
     factors = ()
     remainder = det
     if datum.field == QT and det:

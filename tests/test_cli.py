@@ -360,6 +360,23 @@ def test_det_large_factor_bound_at_once(capsys):
     assert docs[0]["factors_pretty"] == ["Phi_1(t^1)", "Phi_2(t^1)"]
 
 
+@pytest.mark.parametrize("datum_args", [
+    ("--preset", "cartan:B2"),
+    ("--preset", "cartan:A2", "--specialize", "5")], ids=["B2", "A2-zeta5"])
+def test_det_ranks_match_analyze(capsys, datum_args):
+    code, out, err = run(capsys, "analyze", *datum_args, "--max-total", "4",
+                         "--format", "json")
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert len(blocks) == math.comb(6, 2)
+    for block in blocks:
+        deg = ",".join(map(str, block["deg"]))
+        code, out, err = run(capsys, "det", *datum_args, "--deg", deg,
+                             "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rank"] == block["rank"], deg
+
+
 def test_det_table_and_bad_deg(capsys):
     code, out, err = run(capsys, "det", "--preset", "cartan:A2",
                          "--deg", "1,1")

@@ -1,7 +1,8 @@
 """Property tests against independent routes: small random QQ(t)
 braidings ranked at integer points and cyclotomic data ranked through the
 regular representation, both against symbolic elimination; QQ rows ranked
-as integer rows; multilinear block determinants from their closed form;
+as integer rows; multilinear block determinants from their closed form,
+and every block determinant and rank det reports, against elimination;
 cyclotomic arithmetic on integer coordinates against Fraction
 coordinates; Sh((a,) + v) = a sh Sh(v), the identity tables build their
 blocks by, against the braided shuffle; the maps table blocks keep,
@@ -227,6 +228,44 @@ def test_multilinear_determinant_matches_elimination(case):
     r, det = determinant_by_elimination(symmetrizer(datum, deg))
     assert type(report.determinant) is Fraction
     assert (report.rank, report.determinant) == (r, det)
+
+
+@st.composite
+def _small_data(draw):
+    """A field, a braiding on one to three letters as literals of that
+    field (over QQ from random_q or planted_q, over QQ(t) and QQ(zeta_N)
+    from the strategies above), and a total up to 4."""
+    kind = draw(st.sampled_from(("rational", "function", "cyclotomic")))
+    if kind == "function":
+        q, max_total = draw(_small_qt_tables())
+        return QT, q, max_total
+    if kind == "cyclotomic":
+        order, q = draw(_small_cyclotomic_data())
+        return CyclotomicField(order), q, draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    braiding = draw(st.sampled_from((random_q, planted_q))) if m > 1 else random_q
+    q = braiding(draw(st.randoms(use_true_random=False)), m)
+    return QQ, tuple(tuple(map(str, row)) for row in q), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_data())
+# singular blocks: (2, 0) and (0, 2) by 1 + q_ii = 0, (1, 1) by q_12 q_21 = 1
+@example((QT, (("-1", "t^-1"), ("t", "-1")), 4))
+@example((QQ, (("1/2", "2"), ("1/2", "-1")), 4))
+# (3, 0) by 1 + q + q^2 = 0 at a cube root of unity
+@example((CyclotomicField(3), (("t", "t^2"), ("t", "t")), 4))
+def test_gram_determinant_matches_elimination(case):
+    # gram_determinant takes its rank from the certified table, and
+    # eliminates only full-rank blocks without a closed form
+    field, q, max_total = case
+    datum = datum_from_q_matrix(
+        tuple(tuple(field.parse(x) for x in row) for row in q), field)
+    for deg in multidegrees_up_to(datum.m, max_total):
+        mat = symmetrizer(datum, deg)
+        report = gram_determinant(datum, deg)
+        assert report.rank == rank_symbolic(mat), deg
+        assert report.determinant == determinant_by_elimination(mat)[1], deg
 
 
 @st.composite

@@ -10,6 +10,7 @@ from operator import floordiv, truediv
 
 import pytest
 
+from hopfmin import growth, shapovalov
 from hopfmin.datum import (
     datum_from_q_matrix,
     positive_roots,
@@ -288,6 +289,33 @@ def test_gram_determinant_zero_block():
     assert report.rank == 0
     assert not report.determinant
     assert report.factors == ()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not run")
+
+
+@pytest.mark.parametrize("datum, deg, size, block_rank", [
+    (preset_cartan("G2"), (4, 3), 35, 12),
+    (preset_doubled("A2"), (2, 1, 1, 1), 60, 54)])
+def test_singular_determinant_takes_its_rank_from_the_table(
+        monkeypatch, datum, deg, size, block_rank):
+    # a block below full rank has determinant 0, and neither builds nor
+    # eliminates its Sh matrix
+    monkeypatch.setattr(shapovalov, "symmetrizer", _refuse)
+    monkeypatch.setattr(shapovalov, "determinant_by_elimination", _refuse)
+    report = gram_determinant(datum, deg)
+    assert (report.size, report.rank) == (size, block_rank)
+    assert report.determinant == datum.field.zero()
+    assert report.factors == ()
+
+
+def test_nonzero_closed_form_builds_no_table(monkeypatch):
+    # the benchmark's det block: a nonzero closed form proves full rank
+    monkeypatch.setattr(growth, "compute_blocks", _refuse)
+    report = gram_determinant(preset_doubled("G2"), (1, 1, 1, 1))
+    assert (report.size, report.rank) == (24, 24)
+    assert report.determinant
 
 
 def test_gram_determinant_against_factor_product():

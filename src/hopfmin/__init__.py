@@ -25,7 +25,7 @@ _EXPORTS = {
     ), "scalars"),
     **dict.fromkeys((
         "BlockSizeError", "SymMatrix", "gram_determinant",
-        "permutation_sum_oracle", "rank", "rank_symbolic", "symmetrizer",
+        "permutation_sum_oracle", "rank", "symmetrizer",
     ), "shapovalov"),
     **dict.fromkeys(("dim_L", "parallel_report", "shapovalov_value"), "sl2"),
     **dict.fromkeys((

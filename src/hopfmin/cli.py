@@ -145,7 +145,10 @@ def _read_cache(path):
     """The ranks mapping of a cache file; raises OSError, ValueError, or
     _StaleCache for a file of another rank-algorithm version."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if (not isinstance(doc, dict)
             or doc.get("schema_version") != SCHEMA_VERSION
             or not isinstance(doc.get("ranks"), dict)):

@@ -338,7 +338,8 @@ def parse_datum(text):
     """Parse and validate datum JSON; raises DatumValidationError on problems."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an over-long integer, or arrays nested too deeply
         raise DatumValidationError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise DatumValidationError(["datum file must be a JSON object"])

@@ -850,6 +850,9 @@ def power_too_long(base, n):
 #
 # Adjacency such as "2t^3" multiplies. Values are built in QQ(t); each field
 # then narrows or maps the result (for cyclotomic fields t denotes zeta_N).
+# The parser recurses once per parenthesis and per sign, so their nesting
+# is bounded well below the interpreter's recursion limit.
+NESTING_LIMIT = 100
 
 
 def _tokenize(text):
@@ -889,6 +892,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -924,11 +928,20 @@ class _Parser:
             else:
                 return val
 
+    def nest(self, step):
+        self.depth += step
+        if self.depth > NESTING_LIMIT:
+            raise ScalarParseError(f"parentheses and signs nested more than "
+                                   f"{NESTING_LIMIT} deep in the literal")
+
     def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        return self.primary()
+        if self.peek() != "-":
+            return self.primary()
+        self.take()
+        self.nest(1)
+        val = -self.unary()
+        self.nest(-1)
+        return val
 
     def primary(self):
         kind, value = self.take()
@@ -937,8 +950,10 @@ class _Parser:
         elif kind == "T":
             base = RatFunc.t_power(1)
         elif kind == "(":
+            self.nest(1)
             base = self.expr()
             self.take(")")
+            self.nest(-1)
         else:
             raise ScalarParseError(f"unexpected token {kind} in {self.text!r}")
         if self.peek() == "^":

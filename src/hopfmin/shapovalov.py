@@ -33,24 +33,26 @@ scalars into that ring once per row: coprime ints with floor division over
 QQ, integer polynomials with exact division (Bareiss over ZZ[t]) over QQ(t),
 field scalars over a cyclotomic field, where each step's pivot is inverted
 once, by its Galois norm. Row scalings leave the rank unchanged
-and divide out of the determinant. Every integer rank, including each
-evaluation below, is rank_rows over QQ.
+and divide out of the determinant. A word-indexed SymMatrix is eliminated
+so, for its rank and its determinant alike (_bareiss).
 
-A rank over QQ(zeta_N) is an integer rank too, on the regular
-representation (_echelon). Determinants, and rank_symbolic, keep
-Bareiss on the field scalars.
+Table ranks are integer ranks instead (rank_rows): over QQ, over
+QQ(zeta_N) on the regular representation (_echelon), and over QQ(t) at
+integer points of t. So each table route is checked against rank(mat) on
+other matrices (words, not derivation maps), and over QQ(t) and
+QQ(zeta_N) with other arithmetic too.
 
-A rank over QQ(t) starts from the integer rank at a small seed point of t,
-a certified lower bound (evaluation never raises a rank). Tables
+A table rank over QQ(t) starts from the integer rank at a small seed point
+of t, a certified lower bound (evaluation never raises a rank). Tables
 (growth.compute_blocks) run at the seed, over QQ, and IntegerPoints
 settles a block's rank when its seed rank is full or meets the coideal
 bound (IntegerPoints.bound). The other blocks (in the cartan presets, only
-the Serre blocks), and symbolic rows (rank(mat), rank_rows), pay for an
-evaluation at an integer point B above every coefficient a relevant minor
-can have, so that a nonzero minor stays nonzero at t = B (_certified_rank).
-B is sized from the seed rank, so one evaluation usually decides. A table
-block is rebuilt at B by the same recursion as at the seed, over the
-braiding at t = B, and lists no word there either.
+the Serre blocks) pay for an evaluation at an integer point B above every
+coefficient a relevant minor can have, so that a nonzero minor stays
+nonzero at t = B (_certified_rank). B is sized from the seed rank, so one
+evaluation usually decides. The block is rebuilt at B by the same
+recursion as at the seed, over the braiding at t = B, and lists no word
+there either.
 
 Determinants of multilinear blocks (every letter count 0 or 1) skip the
 matrix: Varchenko's formula for the bilinear form of a hyperplane
@@ -247,12 +249,11 @@ class SymEngine:
         return out
 
     def rows(self, deg, field):
-        """(None, rows) of block deg: column (a, i) is a sh x_i, for each
+        """The rows of block deg: column (a, i) is a sh x_i, for each
         letter a of deg in _lowers order and x_i over the basis of block
         deg - e_a, as its right derivatives, a row group per letter c over
         the basis of block deg - e_c. Lower blocks without an Image are
-        kept first, lowest first, on an explicit stack. The None holds the
-        place of the pair that perfbench's probe of matrix_rows unpacks."""
+        kept first, lowest first, on an explicit stack."""
         deg = tuple(deg)
         images = self.images
         stack = [deg]
@@ -265,7 +266,7 @@ class SymEngine:
             stack.pop()
             if d != deg and d not in images:
                 self.keep(d, self._columns(d), field)
-        return None, self._columns(deg)
+        return self._columns(deg)
 
     def _columns(self, deg):
         if not any(deg):
@@ -317,14 +318,15 @@ def matrix_rows(datum, deg, engine=None):
     the rows have the rank of the block; by default from a fresh engine
     over the datum's braiding. The entries are the engine's raw scalars. A
     QQ(t) table passes the engine of its IntegerPoints, over the braiding at
-    the seed point, and its rows are over QQ.
+    the seed point, and its rows are over QQ. The None holds the place of
+    the pair that perfbench's probe of matrix_rows unpacks.
     """
     if engine is None:
         if datum.field == QT:
             raise ValueError("QQ(t) blocks are built at integer points: "
                              "pass the engine of an IntegerPoints")
         engine = SymEngine(datum.braiding_matrix)
-    return engine.rows(deg, datum.field)
+    return None, engine.rows(deg, datum.field)
 
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
@@ -540,8 +542,7 @@ def _clearing(field):
     row of raw symmetrizer scalars into the ring the elimination runs on,
     where div is an exact division, and returns it with its multiplier.
     QQ rows become coprime ints (floor division), QQ(t) rows integer
-    polynomials (Poly.exact_div), cyclotomic rows field scalars, for
-    determinants: ranks take cyclotomic rows to _echelon."""
+    polynomials (Poly.exact_div), cyclotomic rows field scalars."""
     if field == QQ:
         return _int_row, floordiv
     if field == QT:
@@ -557,7 +558,7 @@ def _certified_rank(seed, dim, norm, rows_at):
     certified lower bound, and dim the lesser of its two sides; norm bounds
     the coefficient 1-norm of every entry (up to a common factor that does
     not vanish at the points used), and rows_at(x) gives rows with the rank
-    of the matrix at t = x (its own rows, or IntegerPoints' word-free ones).
+    of the matrix at t = x (IntegerPoints' word-free rows of a block).
     An s x s minor is a sum of s! products of s entries, so its 1-norm is at
     most s! * norm**s, and no integer root of a nonzero one exceeds 1 + its
     height, which is at most that 1-norm. So at
@@ -578,32 +579,8 @@ def _certified_rank(seed, dim, norm, rows_at):
         s = min(r + 1, dim)
 
 
-# Seed point of symbolic rows. Any integer gives a certified lower bound; a
-# root of the minors only makes it low and costs a second pass.
-_SEED_POINT = 2
-
-
 def _norm1(poly):
     return sum(abs(c) for c in poly.coeffs)
-
-
-def _rank_qt_certified(rows):
-    """Exact rank over QQ(t) of symbolic rows by integer evaluation; returns
-    (rank, number of certificate passes).
-
-    Each row is cleared to integer polynomials by _qt_row, and the largest
-    1-norm of their entries is the norm of _certified_rank. The seed is the
-    rank at _SEED_POINT, so one pass decides unless the seed point is a root
-    of every minor of full rank.
-    """
-    polys = [_qt_row(row)[0] for row in rows]
-
-    def rows_at(x):
-        return [[p.eval_at(x) for p in prow] for prow in polys]
-
-    norm = max(_norm1(p) for prow in polys for p in prow)
-    return _certified_rank(rank_rows(QQ, rows_at(_SEED_POINT)),
-                           min(len(rows), len(rows[0])), norm, rows_at)
 
 
 # How IntegerPoints settled the rank of a block (Settled.how)
@@ -701,7 +678,7 @@ class IntegerPoints:
             return Settled(seed, BOUND)
         r, passes = _certified_rank(
             seed, size, self.block_norm(deg),
-            lambda x: SymEngine(self.braiding_at(x)).rows(deg, QQ)[1])
+            lambda x: SymEngine(self.braiding_at(x)).rows(deg, QQ))
         return Settled(r, POINT, passes)
 
     def bound(self, deg):
@@ -742,9 +719,8 @@ class IntegerPoints:
 
 def rank_rows(field, rows, deg=None, engine=None, points=None):
     """Exact rank of a block given as rows of raw symmetrizer scalars (or
-    field scalars): over QQ and QQ(zeta_N) by the integer Bareiss
-    (_echelon), over QQ(t) by the evaluation certificate of
-    _rank_qt_certified.
+    field scalars) over QQ or QQ(zeta_N), by the integer Bareiss
+    (_echelon).
 
     A table block (growth) passes its multidegree deg and the engine whose
     rows built it (matrix_rows), which keeps the block's Image
@@ -757,8 +733,6 @@ def rank_rows(field, rows, deg=None, engine=None, points=None):
         return engine.keep(deg, rows, field)
     if not rows:
         return 0
-    if field == QT:
-        return _rank_qt_certified(rows)[0]
     return len(_echelon(field, rows)[1])
 
 
@@ -835,25 +809,19 @@ def _coordinates(field, rows):
     return pivots, coords
 
 
+def _bareiss(mat):
+    """(rank, sign, last pivot, row multipliers) of the Bareiss elimination
+    of a SymMatrix: its rows cleared by the field's _clearing rule, then
+    _eliminate."""
+    clear, div = _clearing(mat.field)
+    cleared = [clear(row) for row in mat.entries]
+    return (*_eliminate([row for row, _ in cleared], div),
+            [scale for _, scale in cleared])
+
+
 def rank(mat):
-    """Exact rank of a SymMatrix over its field."""
-    return rank_rows(mat.field, mat.entries)
-
-
-def rank_symbolic(mat):
-    """Rank by symbolic fraction-free elimination, for any field.
-
-    Slower than rank() over every field; kept as the independent second
-    route and used by the tests to cross-check the integer paths. Over QQ
-    it eliminates Fractions by field division; over QQ(t) it runs Bareiss
-    over ZZ[t] on the rows _qt_row clears, with exact polynomial division,
-    and shares no evaluation with the certificate routes; over QQ(zeta_N)
-    it runs Bareiss on the field scalars, with field division, and builds
-    no regular representation.
-    """
-    field = mat.field
-    clear, div = _field_clearing(QQ) if field == QQ else _clearing(field)
-    return _eliminate([clear(r)[0] for r in mat.entries], div)[0]
+    """Exact rank of a SymMatrix over its field (_bareiss)."""
+    return _bareiss(mat)[0]
 
 
 def _varchenko_exponent(n, k):
@@ -903,15 +871,12 @@ def multilinear_determinant(datum, deg):
 def determinant_by_elimination(mat):
     """(rank, determinant) of a square SymMatrix by Bareiss elimination.
 
-    Rows are cleared by the field's _clearing rule; the determinant is the
-    signed last pivot over the product of the row multipliers, or the
-    field's zero below full rank.
+    The determinant is the signed last pivot of _bareiss over the product
+    of the row multipliers, or the field's zero below full rank.
     """
     field = mat.field
-    clear, div = _clearing(field)
-    rows, scales = zip(*map(clear, mat.entries))
-    r, sign, last = _eliminate(list(rows), div)
-    if r < len(rows):
+    r, sign, last, scales = _bareiss(mat)
+    if r < len(scales):
         return r, field.zero()
     if field == QT:
         return r, RatFunc(last if sign > 0 else -last, prod(scales, start=_P_ONE))

@@ -12,7 +12,9 @@ The braiding matrix b is a nested tuple of scalars indexed by letters
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 
 def multidegree(word, m):
@@ -67,18 +69,20 @@ def words_of_multidegree(deg):
 
 
 def multidegrees_up_to(m, max_total):
-    """All multidegrees with total <= max_total, ordered by (total, lex)."""
+    """All multidegrees of m >= 1 letters with total <= max_total, ordered
+    by (total, lex).
+
+    A multidegree of total n is a choice of m - 1 cuts 0 <= c_1 <= ... <=
+    c_{m-1} <= n (stars and bars), its letter counts the gaps between 0,
+    the cuts and n. combinations_with_replacement lists the cuts in lex
+    order, and the counts come out in lex order with them. No recursion,
+    so any number of letters.
+    """
     out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == m - 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + (a,), remaining - a)
-
-    for total in range(max_total + 1):
-        rec((), total)
+    for n in range(max_total + 1):
+        end = (n,)
+        out += [tuple(map(sub, cuts + end, (0,) + cuts))
+                for cuts in combinations_with_replacement(range(n + 1), m - 1)]
     return tuple(out)
 
 

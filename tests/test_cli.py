@@ -506,6 +506,54 @@ def test_wrong_json_types_in_datum_file_exit_one(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
+_DEEP = 100000  # far past CPython's recursion limit
+
+
+@pytest.mark.parametrize("text", [
+    "[" * _DEEP + "]" * _DEEP,
+    json.dumps({"rank": 1, "field": "rational", "alphas": [[1]],
+                "gammas": [["(" * 600 + "2" + ")" * 600]]}),
+    json.dumps({"rank": 1, "field": "rational", "alphas": [[1]],
+                "gammas": [["-" * 3000 + "2"]]}),
+], ids=["json", "parentheses", "signs"])
+def test_deeply_nested_datum_file_exits_one(tmp_path, text):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--datum", str(path),
+         "--max-total", "2"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("base", ["(" * 600 + "2" + ")" * 600, "-" * 3000 + "2"],
+                         ids=["parentheses", "signs"])
+def test_deeply_nested_base_exits_one(base):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "det", "--preset", "cartan:A2",
+         f"--base={base}", "--deg", "1,1"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "nested" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_cache_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text("[" * _DEEP + "]" * _DEEP)
+    argv = ["analyze", "--preset", "cartan:A2", "--max-total", "4",
+            "--format", "json"]
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    assert err.startswith(f"warning: ignoring unreadable cache {cache}")
+    code, plain, _ = run(capsys, *argv)
+    docs = [json.loads(out), json.loads(plain)]
+    for doc in docs:
+        del doc["timings"]
+    assert docs[0] == docs[1]
+    assert json.loads(cache.read_text())["schema_version"] == 1
+
+
 def test_block_limit_applies_to_cached_blocks(tmp_path, capsys):
     # every block comes from the cache on the rerun, so only the front-end
     # guard can refuse the (2, 2) block of six words

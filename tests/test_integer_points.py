@@ -19,9 +19,8 @@ from hopfmin.shapovalov import (
     SEED,
     IntegerPoints,
     SymEngine,
-    matrix_rows,
+    rank,
     rank_rows,
-    rank_symbolic,
     symmetrizer,
 )
 from hopfmin.words import words_of_multidegree
@@ -35,11 +34,11 @@ def _qt_datum(q):
 def _assert_table_matches_symbolic(datum, max_total):
     table = hilbert_table(datum, max_total)
     for b in table.blocks:
-        assert b.rank == rank_symbolic(symmetrizer(datum, b.deg)), b.deg
+        assert b.rank == rank(symmetrizer(datum, b.deg)), b.deg
 
 
 def _seed_rows(points, datum, deg):
-    return matrix_rows(datum, deg, engine=points.engine)[1]
+    return points.engine.rows(deg, datum.field)
 
 
 @pytest.mark.parametrize("preset, name, max_total", [
@@ -86,7 +85,7 @@ def test_blocks_above_a_rank_jump_pay_for_a_point():
     assert all(settled[deg][0] == POINT for deg in above)
     assert settled[(1, 2)] == (BOUND, 0)
     for b in table.blocks:
-        assert b.rank == rank_symbolic(symmetrizer(d, b.deg)), b.deg
+        assert b.rank == rank(symmetrizer(d, b.deg)), b.deg
 
 
 @pytest.mark.parametrize("name, max_total, serre", [
@@ -136,7 +135,7 @@ def test_point_rows_have_the_rank_of_the_full_block(datum, max_total):
             words = words_of_multidegree(deg)
             cols = [engine.sym(w) for w in words]
             full = [[col.get(u, 0) for col in cols] for u in words]
-            assert (rank_rows(QQ, engine.rows(deg, QQ)[1])
+            assert (rank_rows(QQ, engine.rows(deg, QQ))
                     == rank_rows(QQ, full)), (deg, x)
 
 

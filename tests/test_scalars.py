@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hopfmin.scalars import (
+    NESTING_LIMIT,
     QQ,
     QT,
     Cyclotomic,
@@ -291,6 +292,17 @@ def test_parse_scalar_grammar():
             parse_scalar(bad)
     with pytest.raises(ScalarParseError):
         parse_scalar("1/(t-t)")
+
+
+def test_literal_nesting_is_bounded():
+    # the parser recurses once per parenthesis and per sign
+    deep = NESTING_LIMIT
+    assert parse_scalar("(" * deep + "t" + ")" * deep) == RatFunc.t_power(1)
+    assert parse_scalar("-" * deep + "2") == 2
+    for text in ("(" * 600 + "2" + ")" * 600, "-" * 3000 + "2",
+                 "-(" * (deep // 2 + 1) + "1" + ")" * (deep // 2 + 1)):
+        with pytest.raises(ScalarParseError, match="nested more than"):
+            parse_scalar(text)
 
 
 def test_render_parse_round_trip_random():

@@ -22,12 +22,12 @@ from hopfmin.oracles import pbw_dims, symmetrizer_matches_permutation_sum
 from hopfmin.scalars import (
     QQ, QT, Cyclotomic, Poly, RatFunc, cyclotomic_polynomial)
 from hopfmin.shapovalov import (
-    _SEED_POINT,
     BlockSizeError,
     SymEngine,
     SymMatrix,
+    _certified_rank,
     _eliminate,
-    _rank_qt_certified,
+    _qt_row,
     all_reduced_words,
     apply_braid_word,
     bubble_word,
@@ -38,7 +38,6 @@ from hopfmin.shapovalov import (
     permutation_sum_oracle,
     rank,
     rank_rows,
-    rank_symbolic,
     symmetrizer,
 )
 from hopfmin.words import multidegrees_up_to
@@ -57,6 +56,26 @@ def _random_q(rng, m):
 def _qt_matrix(entries):
     words = tuple((i + 1,) for i in range(len(entries)))
     return SymMatrix((0,), words, tuple(tuple(r) for r in entries), QT)
+
+
+def _fraction_rank(mat):
+    return _eliminate([list(map(Fraction, row)) for row in mat.entries],
+                      truediv)[0]
+
+
+def _evaluation_rank(rows):
+    """(rank over QQ(t), passes) of QQ(t) rows by the evaluation
+    certificate: their integer rank at the seed point t = 2, then
+    _certified_rank with the largest 1-norm of the entries of the rows
+    cleared to ZZ[t]."""
+    polys = [_qt_row(row)[0] for row in rows]
+
+    def rows_at(x):
+        return [[p.eval_at(x) for p in prow] for prow in polys]
+
+    norm = max(sum(map(abs, p.coeffs)) for prow in polys for p in prow)
+    return _certified_rank(rank_rows(QQ, rows_at(2)),
+                           min(len(rows), len(rows[0])), norm, rows_at)
 
 
 def test_block_a2_degree_one_one():
@@ -113,7 +132,7 @@ def test_rank_certified_matches_symbolic_on_blocks():
     d = preset_cartan("A2")
     for deg in ((2, 2), (3, 1), (3, 2)):
         mat = symmetrizer(d, deg)
-        assert rank(mat) == rank_symbolic(mat)
+        assert _evaluation_rank(mat.entries)[0] == rank(mat)
 
 
 def test_rank_certified_matches_symbolic_random():
@@ -134,7 +153,7 @@ def test_rank_certified_matches_symbolic_random():
             f = RatFunc(Poly((0, 1)), Poly((2,)))
             rows[-1] = [x * f for x in rows[0]]
         mat = _qt_matrix(rows)
-        assert rank(mat) == rank_symbolic(mat)
+        assert _evaluation_rank(mat.entries)[0] == rank(mat)
 
 
 def test_rank_integer_path_matches_symbolic_over_rationals():
@@ -148,7 +167,7 @@ def test_rank_integer_path_matches_symbolic_over_rationals():
         for deg in multidegrees_up_to(m, 4):
             mat = symmetrizer(d, deg)
             assert all(type(x) is Fraction for row in mat.entries for x in row)
-            assert rank(mat) == rank_symbolic(mat)
+            assert rank(mat) == _fraction_rank(mat)
             _, raw = matrix_rows(d, deg)
             assert rank_rows(QQ, raw) == rank(mat)
             if len(mat.words) >= 3:
@@ -158,14 +177,14 @@ def test_rank_integer_path_matches_symbolic_over_rationals():
                 rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
                 planted = SymMatrix(mat.multidegree, mat.words,
                                     tuple(tuple(r) for r in rows), QQ)
-                assert rank(planted) == rank_symbolic(planted)
+                assert rank(planted) == _fraction_rank(planted)
 
 
 def test_rank_certificate_second_pass_after_seed_drop():
     # diag(1, t - p, t - p, 0) mixed by unimodular integer matrices: rank 3
     # over QQ(t) but 1 at the seed point p, so the first pass, sized for
     # 2 x 2 minors, finds rank 3 and a second pass must confirm it
-    p = _SEED_POINT
+    p = 2  # the seed point of _evaluation_rank
     diag = [[1, 0, 0, 0], [0, (-p, 1), 0, 0], [0, 0, (-p, 1), 0], [0, 0, 0, 0]]
     left = [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
     right = [[1, 0, 0, 0], [1, 1, 0, 0], [-2, 1, 1, 0], [0, 3, 1, 1]]
@@ -181,8 +200,8 @@ def test_rank_certificate_second_pass_after_seed_drop():
                          [[poly(x) for x in r] for r in diag]),
                   [[poly(x) for x in r] for r in right])
     mat = _qt_matrix([[RatFunc(e, Poly((1,))) for e in row] for row in prod])
-    assert _rank_qt_certified(mat.entries) == (3, 2)
-    assert rank(mat) == rank_symbolic(mat) == 3
+    assert _evaluation_rank(mat.entries) == (3, 2)
+    assert rank(mat) == 3
 
 
 def test_rank_certificate_point_clears_minor_roots_above_the_norm():
@@ -191,13 +210,13 @@ def test_rank_certificate_point_clears_minor_roots_above_the_norm():
     # point sized for 2 x 2 minors (2! * 6**2 + 2) sees the full rank
     rows = [[RatFunc(Poly((-5, 1)), Poly((1,))), RatFunc(Poly((3,)), Poly((1,)))],
             [RatFunc(Poly((3,)), Poly((1,))), RatFunc(Poly((-5, 1)), Poly((1,)))]]
-    assert _rank_qt_certified(rows) == (2, 1)
-    assert rank_symbolic(_qt_matrix(rows)) == 2
+    assert _evaluation_rank(rows) == (2, 1)
+    assert rank(_qt_matrix(rows)) == 2
 
 
 def test_rank_certificate_one_pass_on_g2():
     mat = symmetrizer(preset_cartan("G2"), (3, 3))
-    got, passes = _rank_qt_certified(mat.entries)
+    got, passes = _evaluation_rank(mat.entries)
     assert passes == 1
     assert got == pbw_dims(positive_roots("G2"), preset_cartan("G2").q_matrix,
                            (3, 3))
@@ -243,9 +262,9 @@ def test_rank_handles_large_coefficients():
     big = 10 ** 40
     rows = [[RatFunc(Poly((big, 1)), Poly((1,))), RatFunc(Poly((1,)), Poly((1,)))],
             [RatFunc(Poly((big * 2, 2)), Poly((1,))), RatFunc(Poly((2,)), Poly((1,)))]]
-    assert rank_rows(QT, rows) == 1
+    assert rank(_qt_matrix(rows)) == 1
     rows[1][1] = RatFunc(Poly((3,)), Poly((1,)))
-    assert rank_rows(QT, rows) == 2
+    assert rank(_qt_matrix(rows)) == 2
 
 
 def test_rank_over_rationals_and_cyclotomic():

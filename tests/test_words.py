@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from hopfmin.words import (
     Element,
@@ -64,6 +65,19 @@ def test_multidegrees_up_to_order_and_count():
     assert totals == sorted(totals)
     for m, n in ((1, 5), (2, 4), (3, 3)):
         assert len(multidegrees_up_to(m, n)) == math.comb(n + m, m)
+
+
+def test_multidegrees_up_to_matches_sorted_product():
+    for m in range(1, 5):
+        for n in range(6):
+            want = sorted((d for d in product(range(n + 1), repeat=m)
+                           if sum(d) <= n), key=lambda d: (sum(d), d))
+            assert multidegrees_up_to(m, n) == tuple(want), (m, n)
+
+
+def test_multidegrees_up_to_takes_more_letters_than_the_recursion_limit():
+    units = sorted(tuple(int(i == j) for i in range(1500)) for j in range(1500))
+    assert multidegrees_up_to(1500, 1) == ((0,) * 1500, *units)
 
 
 def test_braid_at():

@@ -13,23 +13,22 @@ _EXPORTS = {
         "emit_datum", "make_datum", "parse_datum", "preset_cartan",
         "preset_doubled", "preset_reductive", "specialize_datum", "validate",
     ), "datum"),
+    "gram_determinant": "det",
     **dict.fromkeys((
         "GrowthVerdict", "HilbertTable", "dominance_verdict",
         "growth_classify", "hilbert_table",
     ), "growth"),
-    "pbw_dims": "oracles",
+    **dict.fromkeys(("pbw_dims", "permutation_sum_oracle"), "oracles"),
     **dict.fromkeys((
         "QQ", "QT", "Cyclotomic", "CyclotomicField", "FieldMismatchError",
         "Poly", "RatFunc", "ScalarParseError", "SpecializationPoleError",
         "cyclotomic_polynomial", "parse_scalar", "specialize",
     ), "scalars"),
-    **dict.fromkeys((
-        "BlockSizeError", "SymMatrix", "gram_determinant",
-        "permutation_sum_oracle", "rank", "symmetrizer",
-    ), "shapovalov"),
+    **dict.fromkeys(("SymMatrix", "rank", "symmetrizer"), "shapovalov"),
     **dict.fromkeys(("dim_L", "parallel_report", "shapovalov_value"), "sl2"),
     **dict.fromkeys((
-        "Element", "braid_at", "concat", "shuffle", "words_of_multidegree",
+        "BlockSizeError", "Element", "braid_at", "concat", "shuffle",
+        "words_of_multidegree",
     ), "words"),
 }
 

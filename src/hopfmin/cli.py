@@ -31,15 +31,16 @@ from .datum import (
     preset_reductive,
     specialize_datum,
 )
+from .det import gram_determinant
 from .growth import (
     BlockDim,
     HilbertTable,
     compute_blocks,
     dominance_label,
     growth_classify,
-    guarded_total,
 )
 from .scalars import (
+    ORDER_LIMIT,
     QQ,
     QT,
     FieldMismatchError,
@@ -47,18 +48,16 @@ from .scalars import (
     SpecializationPoleError,
     too_long,
 )
-from .shapovalov import (
-    BOUND,
+from .shapovalov import BOUND, POINT, SEED
+from .words import (
     DEFAULT_BLOCK_LIMIT,
     LETTER_LIMIT,
-    ORDER_LIMIT,
-    POINT,
-    SEED,
     BlockSizeError,
+    block_size,
     check_block_sizes,
-    gram_determinant,
+    guarded_total,
+    multidegrees_up_to,
 )
-from .words import block_size, multidegrees_up_to
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import (
+    ORDER_LIMIT,
     QQ,
     QT,
     Cyclotomic,
@@ -32,7 +33,6 @@ from .scalars import (
     specialize,
     too_long,
 )
-from .shapovalov import ORDER_LIMIT
 
 
 def _builtin_sha256():

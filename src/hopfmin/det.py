@@ -1,0 +1,210 @@
+"""Block determinants, above the rank tables.
+
+Determinants of multilinear blocks (every letter count 0 or 1) skip the
+matrix: Varchenko's formula for the bilinear form of a hyperplane
+configuration gives det Sh as a product of powers of 1 - q_S over subsets
+S of the letters (multilinear_determinant). When that product is nonzero
+the block has full rank. Every other block takes its rank from the
+certified table route (growth.compute_blocks), so a singular block has
+determinant 0 without its Sh matrix; only a full-rank block without a
+closed form is built and eliminated, for the value, by functions called
+through the shapovalov module, so that a tracer's patches of them hold.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import factorial, isqrt, prod
+
+from . import shapovalov
+from .growth import compute_blocks
+from .scalars import (
+    QT, _P_ONE, Poly, RatFunc, Record, cyclotomic_polynomial,
+    squarefree_cofactors)
+from .words import DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes
+
+
+class DetReport(Record):
+    """The determinant of one block, its cyclotomic factors (k, 1, mult)
+    and the unfactored remainder."""
+
+    __slots__ = _fields = ("multidegree", "size", "rank", "determinant",
+                           "factors", "remainder")
+
+
+def _varchenko_exponent(n, k):
+    """Multiplicity of the factor of a k-letter subset in the determinant
+    of a multilinear block of n letters."""
+    return factorial(k - 2) * factorial(n - k + 1)
+
+
+def multilinear_determinant(datum, deg):
+    """Determinant of a multilinear block (every letter count 0 or 1) by
+    Varchenko's formula for the bilinear form of a hyperplane configuration
+    (Adv. Math. 97, 1993), without building the matrix.
+
+    With n letters present, det Sh is the product over subsets S of those
+    letters with k = |S| >= 2 of (1 - q_S)**((k-2)! (n-k+1)!), where q_S is
+    the product of b_ij over the ordered pairs i != j in S. The result is a
+    scalar of the datum's field (a Fraction over QQ), zero when some q_S is
+    1. Over QQ(t) the numerators and denominators of the factors multiply
+    as integer polynomials into one RatFunc, which normalises once instead
+    of after every factor.
+    """
+    if any(d > 1 for d in deg):
+        raise ValueError(f"multidegree {tuple(deg)} is not multilinear")
+    b = datum.braiding_matrix
+    field = datum.field
+    letters = [i for i, d in enumerate(deg) if d]
+    n = len(letters)
+    qt = field == QT
+    one = _P_ONE if qt else field.one()
+    num = den = one
+    for k in range(2, n + 1):
+        e = _varchenko_exponent(n, k)
+        for subset in itertools.combinations(letters, k):
+            q = [b[i][j] for i in subset for j in subset if i != j]
+            if qt:
+                bottom = prod((x.den for x in q), start=_P_ONE)
+                factor = bottom - prod((x.num for x in q), start=_P_ONE)
+            else:
+                bottom, factor = one, one - prod(q, start=one)
+            if not factor:
+                return field.zero()
+            for _ in range(e):
+                num, den = num * factor, den * bottom
+    return RatFunc(num, den) if qt else num
+
+
+def _small_totients(degree, bound):
+    """(k, phi(k), primes of k) for every k <= bound with phi(k) <= degree,
+    in ascending k. Each such k is a product of prime powers p**e with
+    p - 1 <= degree, so they are built from the primes up to degree + 1,
+    smallest prime first, stopping at the first prime that passes either
+    limit: about 2 * degree of them, whatever the bound."""
+    sieve = bytearray([1]) * (degree + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(degree + 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, degree + 2, p)))
+    primes = [p for p, live in enumerate(sieve) if live]
+    out = []
+    stack = [(1, 1, (), 0)] if min(bound, degree) >= 1 else []
+    while stack:
+        k, phi, factors, start = stack.pop()
+        out.append((k, phi, factors))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            k_p, phi_p = k * p, phi * (p - 1)
+            if k_p > bound or phi_p > degree:
+                break
+            while k_p <= bound and phi_p <= degree:
+                stack.append((k_p, phi_p, factors + (p,), i + 1))
+                k_p, phi_p = k_p * p, phi_p * p
+    return sorted(out)
+
+
+def _cyclotomic_at_2(k, primes):
+    """Phi_k(2) = prod over d | k of (2**d - 1)**mu(k/d)."""
+    top = bottom = 1
+    for d, odd in squarefree_cofactors(k, primes):
+        if odd:
+            bottom *= (1 << d) - 1
+        else:
+            top *= (1 << d) - 1
+    return top // bottom
+
+
+def _divide_out(coeffs, terms, dd):
+    """coeffs over the monic polynomial of degree dd whose lower nonzero
+    terms are terms, (i, c) pairs: the quotient's coefficients, or None
+    when it does not divide. Synthetic division on one copy of coeffs:
+    each quotient coefficient is left where it was read, above the
+    remainder."""
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        f = rem[top]
+        if f:
+            base = top - dd
+            for i, c in terms:
+                if c == 1:
+                    rem[base + i] -= f
+                elif c == -1:
+                    rem[base + i] += f
+                else:
+                    rem[base + i] -= f * c
+    if any(rem[:dd]):
+        return None
+    return rem[dd:]
+
+
+def cyclotomic_factors(num, bound):
+    """Split Phi_k(t) off the nonzero integer Poly num for k up to bound,
+    in ascending k, each as often as it divides: ((k, 1, mult), ...) and
+    what is left of num.
+
+    No Phi_k(t**j) with j >= 2 and k*j up to the bound is tried, since
+    none can divide: it is squarefree, the product of the Phi_m with
+    m | k*j, and each such m <= k*j has already been divided out. A
+    candidate is skipped unbuilt when its degree phi(k) is above the
+    degree of what is left, or when Phi_k(2) does not divide the value of
+    what is left at t = 2, since a divisor in ZZ[t] divides at every
+    integer point (a value 0 rejects nothing). So a bound of a million
+    tries only the k with phi(k) up to the degree, about twice the degree
+    of them, and divides by a few. Each Phi_k is monic, so the division
+    runs over its nonzero terms alone (_divide_out).
+    """
+    coeffs = list(num.coeffs)
+    at_2 = num.eval_at(2)
+    found = []
+    for k, phi, primes in _small_totients(num.degree, bound):
+        if phi >= len(coeffs):  # above the degree of what is left
+            continue
+        value = _cyclotomic_at_2(k, primes)
+        if at_2 % value:
+            continue
+        cand = cyclotomic_polynomial(k).coeffs
+        terms = [(i, c) for i, c in enumerate(cand[:-1]) if c]
+        mult = 0
+        while phi < len(coeffs) and not at_2 % value:
+            quotient = _divide_out(coeffs, terms, phi)
+            if quotient is None:
+                break
+            coeffs, at_2 = quotient, at_2 // value
+            mult += 1
+        if mult:
+            found.append((k, 1, mult))
+    return tuple(found), Poly(tuple(coeffs))
+
+
+def gram_determinant(datum, deg, factor_bound=24,
+                     block_limit=DEFAULT_BLOCK_LIMIT):
+    """Determinant of the block matrix, with cyclotomic factors split off.
+
+    Elimination is symbolic over QQ(t), so intended for moderate blocks.
+    Over QQ(t) the numerator is then probed by trial exact division against
+    Phi_k(t) for k up to factor_bound (cyclotomic_factors), reported as
+    (k, 1, mult), Phi_k(t**1). That finds every Phi_k(t**j) with k*j up to
+    the bound that divides, since Phi_k(t**j) is a product of distinct Phi_m
+    with m <= k*j. The unfactored remainder keeps whatever is left,
+    including the denominator.
+    """
+    deg = tuple(deg)
+    check_block_sizes([deg], block_limit)
+    n = block_size(deg)
+    det = None
+    if all(d <= 1 for d in deg):
+        det = multilinear_determinant(datum, deg)
+    r = n
+    if not det:
+        r = compute_blocks(datum, [deg], block_limit=None)[0].rank
+        det = datum.field.zero()
+        if r == n:
+            det = shapovalov.determinant_by_elimination(
+                shapovalov.symmetrizer(datum, deg, block_limit=None))[1]
+    factors = ()
+    remainder = det
+    if datum.field == QT and det:
+        factors, num = cyclotomic_factors(det.num, factor_bound)
+        remainder = RatFunc(num, det.den)
+    return DetReport(deg, n, r, det, factors, remainder)

@@ -34,16 +34,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QT, Record
-from .shapovalov import (
-    DEFAULT_BLOCK_LIMIT,
-    LETTER_LIMIT,
-    IntegerPoints,
-    SymEngine,
-    check_block_sizes,
-    matrix_rows,
-    rank_rows,
-)
-from .words import block_size, multidegrees_up_to
+from .shapovalov import IntegerPoints, SymEngine, matrix_rows, rank_rows
+from .words import (
+    DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes, guarded_total,
+    multidegrees_up_to)
 
 FINITE = "finite"
 POLYNOMIAL = "polynomial"
@@ -124,19 +118,6 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
             settled = (got.how, got.passes)
         out.append(BlockDim(deg, block_size(deg), r, settled))
     return tuple(out)
-
-
-def guarded_total(m, max_total, block_limit):
-    """The total degree to enumerate blocks up to: max_total, unless a lower
-    total holds a block that check_block_sizes refuses, and then the first
-    such total, so a huge max_total fails fast. A total is refused when it
-    is over LETTER_LIMIT, or when its widest block, the most even
-    multidegree, has more than block_limit words (None: no word limit)."""
-    for n in range(min(max_total, LETTER_LIMIT) + 1):
-        widest = tuple(n // m + (i < n % m) for i in range(m))
-        if block_limit is not None and block_size(widest) > block_limit:
-            return n
-    return min(max_total, LETTER_LIMIT + 1)
 
 
 def hilbert_table(datum, max_total, block_limit=DEFAULT_BLOCK_LIMIT):

@@ -1,4 +1,6 @@
-"""Property checks shared by `hopfmin selftest` and the acceptance tests.
+"""Property checks shared by `hopfmin selftest` and the acceptance tests,
+and the permutation-sum definition of Sh that they check the symmetrizer
+against.
 
 Each check returns (detail, count): detail is None when every case agrees,
 else it names the first mismatch; count is the number of cases compared.
@@ -6,21 +8,23 @@ else it names the first mismatch; count is the number of cases compared.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import prod
 
 from .datum import datum_from_q_matrix
+from .det import multilinear_determinant
 from .growth import hilbert_table
 from .scalars import QQ, QT, Cyclotomic
 from .shapovalov import (
     SymEngine,
+    SymMatrix,
     determinant_by_elimination,
-    multilinear_determinant,
-    permutation_sum_oracle,
     rank,
     symmetrizer,
 )
-from .words import Element, multidegrees_up_to, shuffle
+from .words import (
+    Element, braid_at, multidegrees_up_to, shuffle, words_of_multidegree)
 
 POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
         Fraction(-2), Fraction(2, 3), Fraction(-1, 3), Fraction(3),
@@ -59,6 +63,79 @@ def corrupted(braiding):
     rows = [list(row) for row in braiding]
     rows[0][1] = -rows[0][1]
     return tuple(map(tuple, rows))
+
+
+def bubble_word(perm):
+    """One reduced swap sequence sorting the array, positions 0-based.
+
+    The sequence length equals the inversion count, so the corresponding
+    braided lift is length-minimal.
+    """
+    arr = list(perm)
+    seq = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                seq.append(i)
+                changed = True
+    return tuple(seq)
+
+
+def all_reduced_words(perm):
+    """Every reduced swap sequence sorting the array; exponential, keep small."""
+    arr = tuple(perm)
+    if all(arr[i] <= arr[i + 1] for i in range(len(arr) - 1)):
+        return ((),)
+    out = []
+    for i in range(len(arr) - 1):
+        if arr[i] > arr[i + 1]:
+            swapped = arr[:i] + (arr[i + 1], arr[i]) + arr[i + 2:]
+            for rest in all_reduced_words(swapped):
+                out.append((i,) + rest)
+    return tuple(out)
+
+
+def apply_braid_word(b, word, positions):
+    """Apply successive braided swaps, returning (scalar, final word)."""
+    scalar = 1
+    cur = tuple(word)
+    for p in positions:
+        s, cur = braid_at(b, cur, p)
+        scalar = scalar * s
+    return scalar, cur
+
+
+def permutation_sum_oracle(datum, deg, total_bound=5):
+    """Sh on a block straight from the definition: sum over all permutations
+    of braided lifts along reduced words. Factorial cost; the bound guards it.
+    """
+    total = sum(deg)
+    if total > total_bound:
+        raise ValueError(
+            f"oracle bound {total_bound} exceeded for multidegree {tuple(deg)}")
+    words = words_of_multidegree(deg)
+    b = datum.braiding_matrix
+    cols = []
+    for w in words:
+        acc = {}
+        for perm in itertools.permutations(range(total)):
+            scalar, cur = apply_braid_word(b, w, bubble_word(perm))
+            merged = acc.get(cur, 0) + scalar
+            if merged:
+                acc[cur] = merged
+            else:
+                acc.pop(cur, None)
+        cols.append(acc)
+    coerce = datum.field.coerce
+    zero = datum.field.zero()
+    entries = tuple(
+        tuple(zero if cols[j].get(u) is None else coerce(cols[j][u])
+              for j in range(len(words)))
+        for u in words)
+    return SymMatrix(tuple(deg), words, entries, datum.field)
 
 
 def symmetrizer_matches_permutation_sum(data, bound):

@@ -249,15 +249,6 @@ class Poly(Record):
                         out[i + j] += ca * cb
         return Poly(tuple(out))
 
-    def compose_power(self, j):
-        """Substitute t -> t**j."""
-        if j == 1 or self.is_zero():
-            return self
-        out = [0] * (self.degree * j + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * j] = c
-        return Poly(tuple(out))
-
     @property
     def content(self):
         g = 0
@@ -1058,6 +1049,12 @@ class RationalFunctionField(_Field):
 
     def parse(self, text):
         return parse_scalar(text)
+
+
+# the largest order N of a cyclotomic field a datum may live over. Ranks
+# there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
+# to total 2 took 11 s on one CPU
+ORDER_LIMIT = 1000
 
 
 class CyclotomicField(_Field):

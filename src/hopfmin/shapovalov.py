@@ -17,8 +17,8 @@ Sh is computed by the recursion
 
 whose j-th term moves letter w[j] to the front across everything before it,
 picking up prod_{i<j} b(w[i], w[j]) (SymEngine.sym). The permutation-sum
-definition is kept alongside as an independent oracle and the two are
-compared in the tests.
+definition is kept as an independent oracle (oracles.permutation_sum_oracle)
+and the two are compared in the tests.
 
 Rank tables need only the image of Sh, and build no Sh matrix and list no
 word: each block keeps rank-sized maps between the images, the skew
@@ -54,61 +54,20 @@ evaluation usually decides. The block is rebuilt at B by the same
 recursion as at the seed, over the braiding at t = B, and lists no word
 there either.
 
-Determinants of multilinear blocks (every letter count 0 or 1) skip the
-matrix: Varchenko's formula for the bilinear form of a hyperplane
-configuration gives det Sh as a product of powers of 1 - q_S over subsets
-S of the letters (multilinear_determinant). When that product is nonzero
-the block has full rank. Every other block takes its rank from the
-certified table route (growth.compute_blocks), so a singular block has
-determinant 0 without its Sh matrix; only a full-rank block without a
-closed form is built and eliminated, for the value.
+Block determinants (det.gram_determinant) sit one layer up, above growth.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import floordiv
 
 from .scalars import (
     QQ, QT, _P_ONE, Cyclotomic, CyclotomicField, Poly, RatFunc, Record,
-    cyclotomic_polynomial, poly_gcd, squarefree_cofactors)
-from .words import block_size, braid_at, words_of_multidegree
-
-DEFAULT_BLOCK_LIMIT = 3000
-# the most letters a block may have. Tables build blocks from the lower
-# images without recursion, but SymEngine.sym recurses once per letter, in
-# symmetrizer (det of a full-rank block without a closed form, and the
-# oracles), and this leaves room below CPython's default recursion limit
-# of 1000 for the frames of the callers (the CLI, a test runner, a tracer)
-LETTER_LIMIT = 800
-# the largest order N of a cyclotomic field a datum may live over. Ranks
-# there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
-# to total 2 took 11 s on one CPU
-ORDER_LIMIT = 1000
-
-
-class BlockSizeError(RuntimeError):
-    """A multidegree block would exceed the word limit or LETTER_LIMIT."""
-
-    def __init__(self, deg, size, limit, unit="words"):
-        self.multidegree = tuple(deg)
-        self.size = size
-        self.limit = limit
-        super().__init__(
-            f"block {tuple(deg)} has {size} {unit}, over the limit of {limit}")
-
-
-def check_block_sizes(degs, block_limit):
-    """Raise BlockSizeError for the first multidegree whose block has more
-    than LETTER_LIMIT letters or more than block_limit words; a block_limit
-    of None allows every word count."""
-    for deg in degs:
-        if sum(deg) > LETTER_LIMIT:
-            raise BlockSizeError(deg, sum(deg), LETTER_LIMIT, "letters")
-        if block_limit is not None and block_size(deg) > block_limit:
-            raise BlockSizeError(deg, block_size(deg), block_limit)
+    cyclotomic_polynomial, poly_gcd)
+from .words import (
+    DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes, words_of_multidegree)
 
 
 class SymMatrix(Record):
@@ -119,14 +78,6 @@ class SymMatrix(Record):
     """
 
     __slots__ = _fields = ("multidegree", "words", "entries", "field")
-
-
-class DetReport(Record):
-    """The determinant of one block, its cyclotomic factors (k, 1, mult)
-    and the unfactored remainder."""
-
-    __slots__ = _fields = ("multidegree", "size", "rank", "determinant",
-                           "factors", "remainder")
 
 
 class Image(Record):
@@ -312,20 +263,14 @@ class SymEngine:
         return image.rank
 
 
-def matrix_rows(datum, deg, engine=None):
+def matrix_rows(datum, deg, engine):
     """(None, rows) of block deg (SymEngine.rows) for rank_rows: the
     spanning vectors of Im Sh_deg as columns of their right derivatives, so
-    the rows have the rank of the block; by default from a fresh engine
-    over the datum's braiding. The entries are the engine's raw scalars. A
-    QQ(t) table passes the engine of its IntegerPoints, over the braiding at
-    the seed point, and its rows are over QQ. The None holds the place of
-    the pair that perfbench's probe of matrix_rows unpacks.
+    the rows have the rank of the block. The entries are the engine's raw
+    scalars. A QQ(t) table passes the engine of its IntegerPoints, over the
+    braiding at the seed point, and its rows are over QQ. The None holds the
+    place of the pair that perfbench's probe of matrix_rows unpacks.
     """
-    if engine is None:
-        if datum.field == QT:
-            raise ValueError("QQ(t) blocks are built at integer points: "
-                             "pass the engine of an IntegerPoints")
-        engine = SymEngine(datum.braiding_matrix)
     return None, engine.rows(deg, datum.field)
 
 
@@ -339,83 +284,6 @@ def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
                      tuple(tuple(coerce(col.get(u, 0)) for col in cols)
                            for u in words),
                      datum.field)
-
-
-# ---------------------------------------------------------------------------
-# permutation-sum oracle
-
-
-def bubble_word(perm):
-    """One reduced swap sequence sorting the array, positions 0-based.
-
-    The sequence length equals the inversion count, so the corresponding
-    braided lift is length-minimal.
-    """
-    arr = list(perm)
-    seq = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                seq.append(i)
-                changed = True
-    return tuple(seq)
-
-
-def all_reduced_words(perm):
-    """Every reduced swap sequence sorting the array; exponential, keep small."""
-    arr = tuple(perm)
-    if all(arr[i] <= arr[i + 1] for i in range(len(arr) - 1)):
-        return ((),)
-    out = []
-    for i in range(len(arr) - 1):
-        if arr[i] > arr[i + 1]:
-            swapped = arr[:i] + (arr[i + 1], arr[i]) + arr[i + 2:]
-            for rest in all_reduced_words(swapped):
-                out.append((i,) + rest)
-    return tuple(out)
-
-
-def apply_braid_word(b, word, positions):
-    """Apply successive braided swaps, returning (scalar, final word)."""
-    scalar = 1
-    cur = tuple(word)
-    for p in positions:
-        s, cur = braid_at(b, cur, p)
-        scalar = scalar * s
-    return scalar, cur
-
-
-def permutation_sum_oracle(datum, deg, total_bound=5):
-    """Sh on a block straight from the definition: sum over all permutations
-    of braided lifts along reduced words. Factorial cost; the bound guards it.
-    """
-    total = sum(deg)
-    if total > total_bound:
-        raise ValueError(
-            f"oracle bound {total_bound} exceeded for multidegree {tuple(deg)}")
-    words = words_of_multidegree(deg)
-    b = datum.braiding_matrix
-    cols = []
-    for w in words:
-        acc = {}
-        for perm in itertools.permutations(range(total)):
-            scalar, cur = apply_braid_word(b, w, bubble_word(perm))
-            merged = acc.get(cur, 0) + scalar
-            if merged:
-                acc[cur] = merged
-            else:
-                acc.pop(cur, None)
-        cols.append(acc)
-    coerce = datum.field.coerce
-    zero = datum.field.zero()
-    entries = tuple(
-        tuple(zero if cols[j].get(u) is None else coerce(cols[j][u])
-              for j in range(len(words)))
-        for u in words)
-    return SymMatrix(tuple(deg), words, entries, datum.field)
 
 
 # ---------------------------------------------------------------------------
@@ -824,50 +692,6 @@ def rank(mat):
     return _bareiss(mat)[0]
 
 
-def _varchenko_exponent(n, k):
-    """Multiplicity of the factor of a k-letter subset in the determinant
-    of a multilinear block of n letters."""
-    return factorial(k - 2) * factorial(n - k + 1)
-
-
-def multilinear_determinant(datum, deg):
-    """Determinant of a multilinear block (every letter count 0 or 1) by
-    Varchenko's formula for the bilinear form of a hyperplane configuration
-    (Adv. Math. 97, 1993), without building the matrix.
-
-    With n letters present, det Sh is the product over subsets S of those
-    letters with k = |S| >= 2 of (1 - q_S)**((k-2)! (n-k+1)!), where q_S is
-    the product of b_ij over the ordered pairs i != j in S. The result is a
-    scalar of the datum's field (a Fraction over QQ), zero when some q_S is
-    1. Over QQ(t) the numerators and denominators of the factors multiply
-    as integer polynomials into one RatFunc, which normalises once instead
-    of after every factor.
-    """
-    if any(d > 1 for d in deg):
-        raise ValueError(f"multidegree {tuple(deg)} is not multilinear")
-    b = datum.braiding_matrix
-    field = datum.field
-    letters = [i for i, d in enumerate(deg) if d]
-    n = len(letters)
-    qt = field == QT
-    one = _P_ONE if qt else field.one()
-    num = den = one
-    for k in range(2, n + 1):
-        e = _varchenko_exponent(n, k)
-        for subset in itertools.combinations(letters, k):
-            q = [b[i][j] for i in subset for j in subset if i != j]
-            if qt:
-                bottom = prod((x.den for x in q), start=_P_ONE)
-                factor = bottom - prod((x.num for x in q), start=_P_ONE)
-            else:
-                bottom, factor = one, one - prod(q, start=one)
-            if not factor:
-                return field.zero()
-            for _ in range(e):
-                num, den = num * factor, den * bottom
-    return RatFunc(num, den) if qt else num
-
-
 def determinant_by_elimination(mat):
     """(rank, determinant) of a square SymMatrix by Bareiss elimination.
 
@@ -881,147 +705,3 @@ def determinant_by_elimination(mat):
     if field == QT:
         return r, RatFunc(last if sign > 0 else -last, prod(scales, start=_P_ONE))
     return r, field.coerce(sign * last) / field.coerce(prod(scales))
-
-
-def _small_totients(degree, bound):
-    """(k, phi(k), primes of k) for every k <= bound with phi(k) <= degree,
-    in ascending k. Each such k is a product of prime powers p**e with
-    p - 1 <= degree, so they are built from the primes up to degree + 1,
-    smallest prime first, stopping at the first prime that passes either
-    limit: about 2 * degree of them, whatever the bound."""
-    sieve = bytearray([1]) * (degree + 2)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(degree + 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, degree + 2, p)))
-    primes = [p for p, live in enumerate(sieve) if live]
-    out = []
-    stack = [(1, 1, (), 0)] if min(bound, degree) >= 1 else []
-    while stack:
-        k, phi, factors, start = stack.pop()
-        out.append((k, phi, factors))
-        for i in range(start, len(primes)):
-            p = primes[i]
-            k_p, phi_p = k * p, phi * (p - 1)
-            if k_p > bound or phi_p > degree:
-                break
-            while k_p <= bound and phi_p <= degree:
-                stack.append((k_p, phi_p, factors + (p,), i + 1))
-                k_p, phi_p = k_p * p, phi_p * p
-    return sorted(out)
-
-
-def _cyclotomic_at_2(k, primes):
-    """Phi_k(2) = prod over d | k of (2**d - 1)**mu(k/d)."""
-    top = bottom = 1
-    for d, odd in squarefree_cofactors(k, primes):
-        if odd:
-            bottom *= (1 << d) - 1
-        else:
-            top *= (1 << d) - 1
-    return top // bottom
-
-
-def _divide_out(coeffs, terms, dd):
-    """coeffs over the monic polynomial of degree dd whose lower nonzero
-    terms are terms, (i, c) pairs: the quotient's coefficients, or None
-    when it does not divide. Synthetic division on one copy of coeffs:
-    each quotient coefficient is left where it was read, above the
-    remainder."""
-    rem = list(coeffs)
-    for top in range(len(rem) - 1, dd - 1, -1):
-        f = rem[top]
-        if f:
-            base = top - dd
-            for i, c in terms:
-                if c == 1:
-                    rem[base + i] -= f
-                elif c == -1:
-                    rem[base + i] += f
-                else:
-                    rem[base + i] -= f * c
-    if any(rem[:dd]):
-        return None
-    return rem[dd:]
-
-
-def cyclotomic_factors(num, bound):
-    """Split Phi_k(t) off the nonzero integer Poly num for k up to bound,
-    in ascending k, each as often as it divides: ((k, 1, mult), ...) and
-    what is left of num.
-
-    No Phi_k(t**j) with j >= 2 and k*j up to the bound is tried, since
-    none can divide: it is squarefree, the product of the Phi_m with
-    m | k*j, and each such m <= k*j has already been divided out. A
-    candidate is skipped unbuilt when its degree phi(k) is above the
-    degree of what is left, or when Phi_k(2) does not divide the value of
-    what is left at t = 2, since a divisor in ZZ[t] divides at every
-    integer point (a value 0 rejects nothing). So a bound of a million
-    tries only the k with phi(k) up to the degree, about twice the degree
-    of them, and divides by a few. Each Phi_k is monic, so the division
-    runs over its nonzero terms alone (_divide_out).
-    """
-    coeffs = list(num.coeffs)
-    at_2 = num.eval_at(2)
-    found = []
-    for k, phi, primes in _small_totients(num.degree, bound):
-        if phi >= len(coeffs):  # above the degree of what is left
-            continue
-        value = _cyclotomic_at_2(k, primes)
-        if at_2 % value:
-            continue
-        cand = cyclotomic_polynomial(k).coeffs
-        terms = [(i, c) for i, c in enumerate(cand[:-1]) if c]
-        mult = 0
-        while phi < len(coeffs) and not at_2 % value:
-            quotient = _divide_out(coeffs, terms, phi)
-            if quotient is None:
-                break
-            coeffs, at_2 = quotient, at_2 // value
-            mult += 1
-        if mult:
-            found.append((k, 1, mult))
-    return tuple(found), Poly(tuple(coeffs))
-
-
-def gram_determinant(datum, deg, factor_bound=24,
-                     block_limit=DEFAULT_BLOCK_LIMIT):
-    """Determinant of the block matrix, with cyclotomic factors split off.
-
-    A multilinear block (every letter count 0 or 1) takes its determinant
-    from the closed form of multilinear_determinant and, when that is
-    nonzero, has full rank; the matrix is never built. Every other block,
-    and a multilinear one whose closed form vanishes (some q_S = 1), takes
-    its rank from the certified table route, growth.compute_blocks, as
-    analyze does; below full rank the determinant is the field's zero and
-    the matrix is never built either. Only a full-rank block without a
-    closed form is built and eliminated by determinant_by_elimination, for
-    its value (symbolic over QQ(t), so intended for moderate blocks). Over
-    QQ(t) the numerator is then probed by
-    trial exact division against Phi_k(t) for k up to factor_bound
-    (cyclotomic_factors), reported as (k, 1, mult), Phi_k(t**1). That
-    finds every Phi_k(t**j) with k*j up to the bound that divides, since
-    Phi_k(t**j) is a product of distinct Phi_m with m <= k*j. The
-    unfactored remainder keeps whatever is left, including the
-    denominator.
-    """
-    deg = tuple(deg)
-    check_block_sizes([deg], block_limit)
-    n = block_size(deg)
-    det = None
-    if all(d <= 1 for d in deg):
-        det = multilinear_determinant(datum, deg)
-    r = n
-    if not det:
-        from .growth import compute_blocks  # growth imports this module
-        r = compute_blocks(datum, [deg], block_limit=None)[0].rank
-        det = datum.field.zero()
-        if r == n:
-            det = determinant_by_elimination(
-                symmetrizer(datum, deg, block_limit=None))[1]
-    factors = ()
-    remainder = det
-    if datum.field == QT and det:
-        factors, num = cyclotomic_factors(det.num, factor_bound)
-        remainder = RatFunc(num, det.den)
-    return DetReport(deg, n, r, det, factors, remainder)

@@ -8,6 +8,9 @@ Both products are graded by multidegree and share the unit: the empty word.
 
 The braiding matrix b is a nested tuple of scalars indexed by letters
 (1-based letters, so entry b[x-1][y-1] is the scalar for the pair (x, y)).
+
+This module also owns the block guard, which counts words and blocks before
+any are listed (check_block_sizes, guarded_total).
 """
 
 from __future__ import annotations
@@ -15,6 +18,17 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
+
+DEFAULT_BLOCK_LIMIT = 3000
+# the most letters a block may have. Tables build blocks from the lower
+# images without recursion, but SymEngine.sym recurses once per letter, in
+# symmetrizer (det of a full-rank block without a closed form, and the
+# oracles), and this leaves room below CPython's default recursion limit
+# of 1000 for the frames of the callers (the CLI, a test runner, a tracer)
+LETTER_LIMIT = 800
+# the most blocks a table may have: about ten seconds at 110 us a block of a
+# trivial braiding; the largest table tested, B2 at zeta_5 to 31, has 528
+BLOCK_COUNT_LIMIT = 100000
 
 
 def multidegree(word, m):
@@ -43,6 +57,49 @@ def block_size(deg):
         total += d
         out *= comb(total, d)
     return out
+
+
+class BlockSizeError(RuntimeError):
+    """A block over the word limit or LETTER_LIMIT, or a table over
+    BLOCK_COUNT_LIMIT blocks; multidegree is the block's, None for a table."""
+
+    def __init__(self, deg, size, limit, unit="words", what=None):
+        self.multidegree = None if deg is None else tuple(deg)
+        self.size = size
+        self.limit = limit
+        what = what or f"block {self.multidegree}"
+        super().__init__(f"{what} has {size} {unit}, over the limit of {limit}")
+
+
+def check_block_sizes(degs, block_limit):
+    """Raise BlockSizeError for the first multidegree whose block has more
+    than LETTER_LIMIT letters or more than block_limit words; a block_limit
+    of None allows every word count."""
+    for deg in degs:
+        if sum(deg) > LETTER_LIMIT:
+            raise BlockSizeError(deg, sum(deg), LETTER_LIMIT, "letters")
+        if block_limit is not None and block_size(deg) > block_limit:
+            raise BlockSizeError(deg, block_size(deg), block_limit)
+
+
+def guarded_total(m, max_total, block_limit):
+    """The total degree to list the blocks of m letters up to: max_total,
+    unless a lower total holds a block that check_block_sizes refuses, and
+    then the first such total, so a huge max_total fails fast: one over
+    LETTER_LIMIT, or whose widest block (the most even multidegree) has more
+    than block_limit words (None: no limit). Raises BlockSizeError when the
+    comb(total + m, m) blocks up to that total pass BLOCK_COUNT_LIMIT."""
+    total = min(max_total, LETTER_LIMIT + 1)
+    for n in range(min(max_total, LETTER_LIMIT) + 1):
+        widest = tuple(n // m + (i < n % m) for i in range(m))
+        if block_limit is not None and block_size(widest) > block_limit:
+            total = n
+            break
+    count = comb(total + m, m)
+    if count > BLOCK_COUNT_LIMIT:
+        raise BlockSizeError(None, count, BLOCK_COUNT_LIMIT, "blocks",
+                             f"the table to total {total}")
+    return total
 
 
 def words_of_multidegree(deg):

@@ -19,6 +19,7 @@ from hopfmin.datum import (
     positive_roots,
     preset_cartan,
 )
+from hopfmin.det import gram_determinant
 from hopfmin.growth import growth_classify, hilbert_table
 from hopfmin.oracles import (
     random_q,
@@ -29,7 +30,6 @@ from hopfmin.oracles import (
     transposition_invariant,
 )
 from hopfmin.scalars import QQ, QT, CyclotomicField, RatFunc
-from hopfmin.shapovalov import gram_determinant
 from hopfmin.sl2 import dim_L, shapovalov_value
 
 SEED = 20240917

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
-from hopfmin.shapovalov import LETTER_LIMIT, ORDER_LIMIT
+from hopfmin.scalars import ORDER_LIMIT
+from hopfmin.words import BLOCK_COUNT_LIMIT, LETTER_LIMIT
 
 
 def run(capsys, *argv):
@@ -576,6 +577,22 @@ def test_block_limit_fails_fast_on_huge_max_total():
     assert proc.returncode == 2
     assert proc.stderr == (
         "error: block (6, 8) has 3003 words, over the limit of 3000\n")
+
+
+def test_table_of_too_many_blocks_exits_two_at_once(tmp_path):
+    # 100 letters to the default total 6 are comb(106, 6) blocks, refused
+    # before one multidegree is listed
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({
+        "rank": 1, "field": "rational", "alphas": [[k] for k in range(1, 101)],
+        "gammas": [["1"]] * 100}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfmin", "analyze", "--datum", str(path)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: the table to total 6 has "
+                           f"{math.comb(106, 6)} blocks, over the limit of "
+                           f"{BLOCK_COUNT_LIMIT}\n")
 
 
 @pytest.mark.parametrize("argv, block", [

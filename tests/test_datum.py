@@ -24,13 +24,13 @@ from hopfmin.datum import (
     validate,
 )
 from hopfmin.scalars import (
+    ORDER_LIMIT,
     QQ,
     QT,
     CyclotomicField,
     FieldMismatchError,
     RatFunc,
 )
-from hopfmin.shapovalov import ORDER_LIMIT
 
 
 def _tp(k):

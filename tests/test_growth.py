@@ -36,8 +36,8 @@ from hopfmin.oracles import (
     ranks_match_pbw,
 )
 from hopfmin.scalars import QQ, QT, CyclotomicField
-from hopfmin.shapovalov import POINT, SEED, BlockSizeError, Settled
-from hopfmin.words import multidegrees_up_to
+from hopfmin.shapovalov import POINT, SEED, Settled
+from hopfmin.words import BlockSizeError, multidegrees_up_to
 
 
 def test_block_dim_equality_and_hash_ignore_settled():

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hopfmin import oracles, shapovalov
+from hopfmin import det, oracles, shapovalov
 from hopfmin.datum import (
     datum_from_q_matrix,
     positive_roots,
@@ -68,8 +68,8 @@ def _corrupt_braiding(monkeypatch):
 
 
 def _mutate_exponent(monkeypatch):
-    real = shapovalov._varchenko_exponent
-    monkeypatch.setattr(shapovalov, "_varchenko_exponent",
+    real = det._varchenko_exponent
+    monkeypatch.setattr(det, "_varchenko_exponent",
                         lambda n, k: real(n, k) + (k == 3))
 
 

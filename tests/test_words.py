@@ -5,11 +5,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from hopfmin.words import (
+    BLOCK_COUNT_LIMIT,
+    DEFAULT_BLOCK_LIMIT,
+    LETTER_LIMIT,
+    BlockSizeError,
     Element,
     block_size,
     braid_at,
     concat,
+    guarded_total,
     multidegree,
     multidegrees_up_to,
     shuffle,
@@ -78,6 +85,33 @@ def test_multidegrees_up_to_matches_sorted_product():
 def test_multidegrees_up_to_takes_more_letters_than_the_recursion_limit():
     units = sorted(tuple(int(i == j) for i in range(1500)) for j in range(1500))
     assert multidegrees_up_to(1500, 1) == ((0,) * 1500, *units)
+
+
+@pytest.mark.parametrize("m, max_total, block_limit, total", [
+    (20, 5, DEFAULT_BLOCK_LIMIT, 5),  # comb(25, 5) = 53130 blocks
+    # the first total with a block over the word limit: (6, 8), 3003 words
+    (2, 10 ** 9, DEFAULT_BLOCK_LIMIT, 14),
+    (1, 10 ** 9, None, LETTER_LIMIT + 1),  # one block per total
+])
+def test_guarded_total_stops_at_the_first_refused_total(
+        m, max_total, block_limit, total):
+    assert guarded_total(m, max_total, block_limit) == total
+
+
+@pytest.mark.parametrize("m, max_total, block_limit, total", [
+    (20, 6, DEFAULT_BLOCK_LIMIT, 6),  # comb(26, 6) = 230230 blocks
+    (100, 6, DEFAULT_BLOCK_LIMIT, 6),  # about 1.7e9 blocks
+    (2, 10 ** 9, None, LETTER_LIMIT + 1),  # no word limit: 322003 blocks
+])
+def test_guarded_total_refuses_a_table_of_too_many_blocks(
+        m, max_total, block_limit, total):
+    count = math.comb(total + m, m)
+    assert count > BLOCK_COUNT_LIMIT
+    with pytest.raises(BlockSizeError) as exc:
+        guarded_total(m, max_total, block_limit)
+    assert (exc.value.multidegree, exc.value.size) == (None, count)
+    assert str(exc.value) == (f"the table to total {total} has {count} "
+                              f"blocks, over the limit of {BLOCK_COUNT_LIMIT}")
 
 
 def test_braid_at():

@@ -141,13 +141,18 @@ def validate(datum):
             elif not _renders(datum.field, value):
                 errors.append(f"gamma[{j}][{k}] {too_long()}")
     if not errors:
-        # a power too long to write out is refused before it is taken
-        for i, alpha in enumerate(datum.alphas, start=1):
-            for j, gamma in enumerate(datum.gammas, start=1):
-                reasons = [r for r in map(power_too_long, gamma, alpha) if r]
-                if reasons:
-                    errors.append(f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) "
-                                  f"{reasons[0]}")
+        # a power too long to write out is refused before it is taken: each
+        # coordinate at its largest |exponent| first, the pairs if one fails
+        top = [max(abs(a[k]) for a in datum.alphas) for k in range(datum.rank)]
+        if any(power_too_long(coord, n)
+               for gamma in datum.gammas for coord, n in zip(gamma, top)):
+            for i, alpha in enumerate(datum.alphas, start=1):
+                for j, gamma in enumerate(datum.gammas, start=1):
+                    reasons = [r for r in map(power_too_long, gamma, alpha)
+                               if r]
+                    if reasons:
+                        errors.append(f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) "
+                                      f"{reasons[0]}")
     if not errors:
         try:
             q = datum.q_matrix

@@ -96,25 +96,22 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
     multidegree. Then one engine serves all the blocks: matrix_rows builds
     each block from the maps the engine keeps of the lower images, lower
     blocks missing from degs (cache hits, a lone block) on demand, and
-    rank_rows eliminates it once and keeps its maps. For QQ(t) data it is
-    the seed engine of an IntegerPoints, which settles the blocks in order,
-    so no block is built over RatFunc scalars.
+    rank_rows eliminates it once and keeps its maps. For QQ(t) data the
+    engine is an IntegerPoints, which builds the blocks at its seed point
+    and settles each one as it keeps it, so no block is built over RatFunc
+    scalars; settled is read from it.
     """
     degs = [tuple(d) for d in degs]
     check_block_sizes(degs, block_limit)
-    if datum.field == QT:
-        points = IntegerPoints(datum.braiding_matrix)
-        engine = points.engine
-    else:
-        points, engine = None, SymEngine(datum.braiding_matrix)
+    qt = datum.field == QT
+    engine = (IntegerPoints if qt else SymEngine)(datum.braiding_matrix)
     out = []
     for deg in degs:
-        _, rows = matrix_rows(datum, deg, engine=engine)
-        r = rank_rows(datum.field, rows, deg=deg, engine=engine,
-                      points=points)
+        _, rows = matrix_rows(deg, engine)
+        r = rank_rows(datum.field, rows, deg=deg, engine=engine)
         settled = None
-        if points is not None:
-            got = points.settled[deg]
+        if qt:
+            got = engine.settled[deg]
             settled = (got.how, got.passes)
         out.append(BlockDim(deg, block_size(deg), r, settled))
     return tuple(out)

@@ -319,7 +319,6 @@ class Poly(Record):
 
 _P_ZERO = Poly(())
 _P_ONE = Poly((1,))
-_P_T = Poly((0, 1))
 
 
 def _pseudo_rem(a, b):

@@ -36,17 +36,18 @@ once, by its Galois norm. Row scalings leave the rank unchanged
 and divide out of the determinant. A word-indexed SymMatrix is eliminated
 so, for its rank and its determinant alike (_bareiss).
 
-Table ranks are integer ranks instead (rank_rows): over QQ, over
-QQ(zeta_N) on the regular representation (_echelon), and over QQ(t) at
-integer points of t. So each table route is checked against rank(mat) on
-other matrices (words, not derivation maps), and over QQ(t) and
-QQ(zeta_N) with other arithmetic too.
+Table ranks are integer ranks instead (SymEngine.keep): over QQ, over
+QQ(zeta_N) on the regular representation (_echelon), each engine taking
+the field off its braiding, and over QQ(t) at integer points of t. So each
+table route is checked against rank(mat) on other matrices (words, not
+derivation maps), and over QQ(t) and QQ(zeta_N) with other arithmetic too.
 
 A table rank over QQ(t) starts from the integer rank at a small seed point
-of t, a certified lower bound (evaluation never raises a rank). Tables
-(growth.compute_blocks) run at the seed, over QQ, and IntegerPoints
-settles a block's rank when its seed rank is full or meets the coideal
-bound (IntegerPoints.bound). The other blocks (in the cartan presets, only
+of t, a certified lower bound (evaluation never raises a rank). The QQ(t)
+table engine, IntegerPoints, is a SymEngine over the braiding at the seed,
+so it builds blocks over QQ, and it settles a block's rank as it keeps it:
+at once when its seed rank is full or meets the coideal bound
+(IntegerPoints.bound). The other blocks (in the cartan presets, only
 the Serre blocks) pay for an evaluation at an integer point B above every
 coefficient a relevant minor can have, so that a nonzero minor stays
 nonzero at t = B (_certified_rank). B is sized from the seed rank, so one
@@ -82,7 +83,7 @@ class SymMatrix(Record):
 
 class Image(Record):
     """The image of Sh on block deg, by its rank and maps in its basis x_k:
-    right[c][k] (left[c][k], kept over QQ(t) only) holds the coordinates of
+    right[c][k] (left[c][k], IntegerPoints only) holds the coordinates of
     d^R_c x_k (d^L_c x_k) in the basis of block deg - e_c, and mul[a][i]
     those of a sh y_i, y_i the basis of block deg - e_a, in the x_k, as
     (k, scalar) pairs, zeros left out."""
@@ -126,7 +127,9 @@ class SymEngine:
     sym results are raw word -> coefficient dicts shared across calls, so
     all sub-multidegrees of a block are computed once. Integer-valued
     Fraction braidings are thinned to ints, which keeps coefficient
-    arithmetic on classical (all-ones) braidings in plain int.
+    arithmetic on classical (all-ones) braidings in plain int. The field
+    blocks are eliminated over is read off the braiding once: QQ(zeta_N)
+    when an entry is a Cyclotomic of order N, QQ otherwise.
 
     Tables never call sym. Sh((a,) + v) = a sh Sh(v) (Sh takes concatenation
     to the braided shuffle product; Rosso, Invent. Math. 133, 1998), so
@@ -150,6 +153,8 @@ class SymEngine:
             return x
 
         self.b = tuple(tuple(slim(x) for x in row) for row in braiding)
+        self.field = next((CyclotomicField(x.order) for row in self.b
+                           for x in row if isinstance(x, Cyclotomic)), QQ)
         self.memo = {(): {(): 1}}
         self.images = {}
 
@@ -199,7 +204,7 @@ class SymEngine:
         self.memo[w] = out
         return out
 
-    def rows(self, deg, field):
+    def rows(self, deg):
         """The rows of block deg: column (a, i) is a sh x_i, for each
         letter a of deg in _lowers order and x_i over the basis of block
         deg - e_a, as its right derivatives, a row group per letter c over
@@ -216,7 +221,7 @@ class SymEngine:
                 continue
             stack.pop()
             if d != deg and d not in images:
-                self.keep(d, self._columns(d), field)
+                self.keep(d, self._columns(d))
         return self._columns(deg)
 
     def _columns(self, deg):
@@ -232,18 +237,18 @@ class SymEngine:
                     images, images[low].right, a, i, c, top, 1, chi)])
         return [list(r) for r in zip(*cols)]
 
-    def keep(self, deg, rows, field):
-        """Rank over field of block deg from the rows this engine built for
-        it (rows), and keep its Image: its basis is the pivot columns of
-        one elimination, right their row groups and mul every column's
-        coordinates in them (_coordinates). Over QQ(t) the rows are at the
-        seed point, over QQ, and left is kept too."""
+    def keep(self, deg, rows):
+        """Rank over the engine's field of block deg from the rows this
+        engine built for it (rows), and keep its Image: its basis is the
+        pivot columns of one elimination, right their row groups, mul every
+        column's coordinates in them (_coordinates) and left what _left
+        keeps."""
         deg = tuple(deg)
         images = self.images
         if not any(deg):
             images[deg] = Image(1, {}, {}, {})
             return 1
-        pivots, coords = _coordinates(QQ if field == QT else field, rows)
+        pivots, coords = _coordinates(self.field, rows)
         lowers = _lowers(deg)
         right, mul = {}, {}
         start = 0  # row group c and column group a = c have the same length
@@ -252,26 +257,22 @@ class SymEngine:
             right[c] = [[row[p] for row in rows[start:stop]] for p in pivots]
             mul[c] = coords[start:stop]
             start = stop
-        image = images[deg] = Image(len(pivots), right, mul, {})
-        if field == QT:
-            columns = [(a, low, i) for a, low in lowers
-                       for i in range(images[low].rank)]
-            for b, top in lowers:
-                image.left[b] = [_shuffled(images, images[low].left, a, i, b,
-                                           top, self.b[a - 1][b - 1], 1)
-                                 for a, low, i in map(columns.__getitem__, pivots)]
-        return image.rank
+        images[deg] = Image(len(pivots), right, mul, self._left(lowers, pivots))
+        return len(pivots)
+
+    def _left(self, lowers, pivots):
+        return {}  # left maps: only IntegerPoints keeps them, for its bound
 
 
-def matrix_rows(datum, deg, engine):
+def matrix_rows(deg, engine):
     """(None, rows) of block deg (SymEngine.rows) for rank_rows: the
     spanning vectors of Im Sh_deg as columns of their right derivatives, so
     the rows have the rank of the block. The entries are the engine's raw
-    scalars. A QQ(t) table passes the engine of its IntegerPoints, over the
-    braiding at the seed point, and its rows are over QQ. The None holds the
-    place of the pair that perfbench's probe of matrix_rows unpacks.
+    scalars; an IntegerPoints engine's are at its seed point, over QQ. The
+    None holds the place of the pair that perfbench's probe of matrix_rows
+    unpacks.
     """
-    return None, engine.rows(deg, datum.field)
+    return None, engine.rows(deg)
 
 
 def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
@@ -467,9 +468,10 @@ class Settled(Record):
     _defaults = {"passes": 0}
 
 
-class IntegerPoints:
-    """A QQ(t) braiding read at integer values of t, where its Sh blocks are
-    QQ matrices with the same rank as long as the point is chosen well.
+class IntegerPoints(SymEngine):
+    """The table engine of a QQ(t) braiding, read at integer values of t,
+    where its Sh blocks are QQ matrices with the same rank as long as the
+    point is chosen well.
 
     Every entry of Sh is an integer polynomial in the braiding entries, so
     evaluating t commutes with Sh wherever no braiding denominator vanishes.
@@ -482,10 +484,10 @@ class IntegerPoints:
     1-norm at most c <= N, so it does not vanish at the certificate points
     either; smaller blocks are 1 x 1 with entry 1 and need no certificate.
 
-    The seed is the least integer x >= 2 with Q(x) != 0. One engine over
-    the braiding there builds the table's blocks; their seed ranks are
-    certified lower bounds. rank settles each kept block (Settled, kept in
-    settled) by the first of:
+    The seed is the least integer x >= 2 with Q(x) != 0. The engine is a
+    SymEngine over the braiding there, so it builds the table's blocks over
+    QQ, and their seed ranks are certified lower bounds. keep settles each
+    block it keeps (Settled, kept in settled) by the first of:
 
     * full rank at the seed;
     * the coideal bound (bound), when it equals the seed rank;
@@ -505,8 +507,8 @@ class IntegerPoints:
         while not den.eval_at(seed):
             seed += 1
         self.seed = seed
-        self.engine = SymEngine(self.braiding_at(seed))
         self.settled = {}
+        super().__init__(self.braiding_at(seed))
 
     def braiding_at(self, x):
         """The braiding at t = x as Fractions."""
@@ -517,36 +519,38 @@ class IntegerPoints:
         n = sum(deg)
         return prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
 
-    def rank(self, deg, seed_rows):
-        """Rank over QQ(t) of block deg from its spanning rows at the seed
-        (matrix_rows over the engine); returns (rank, certificate passes),
-        and keeps the block's Settled record in settled.
-
-        Then every kept block not settled yet, lower blocks that the engine
-        built on demand among them (a partly warm cache, a lone block), is
-        settled in the order the engine kept them, which is lowest first.
-        """
+    def keep(self, deg, rows):
+        """Rank over QQ(t) of block deg from its rows at the seed. A block
+        not settled yet is kept, with its left maps, and settled at once
+        (_certify); rows keeps the lower blocks it builds on demand here
+        first, lowest first, so each settles after its lower blocks."""
         deg = tuple(deg)
-        images = self.engine.images
-        if deg not in images:
-            self.engine.keep(deg, seed_rows, QT)
-        for d in images:
-            if d not in self.settled:
-                self.settled[d] = self._certify(d)
-        got = self.settled[deg]
-        return got.rank, got.passes
+        if deg not in self.settled:
+            super().keep(deg, rows)
+            self.settled[deg] = self._certify(deg)
+        return self.settled[deg].rank
+
+    def _left(self, lowers, pivots):
+        """d^L_b of each pivot column a sh x_i, in the basis of deg - e_b."""
+        images = self.images
+        columns = [(a, low, i) for a, low in lowers
+                   for i in range(images[low].rank)]
+        return {b: [_shuffled(images, images[low].left, a, i, b, top,
+                              self.b[a - 1][b - 1], 1)
+                    for a, low, i in map(columns.__getitem__, pivots)]
+                for b, top in lowers}
 
     def _certify(self, deg):
         """The Settled record of kept block deg, every lower block settled."""
         size = block_size(deg)
-        seed = self.engine.images[deg].rank
+        seed = self.images[deg].rank
         if seed == size:
             return Settled(seed, SEED)
         if self.bound(deg) == seed:
             return Settled(seed, BOUND)
         r, passes = _certified_rank(
             seed, size, self.block_norm(deg),
-            lambda x: SymEngine(self.braiding_at(x)).rows(deg, QQ))
+            lambda x: SymEngine(self.braiding_at(x)).rows(deg))
         return Settled(r, POINT, passes)
 
     def bound(self, deg):
@@ -568,7 +572,7 @@ class IntegerPoints:
         rank certifies it; it can be that tight when each lower block's rank
         is its seed rank.
         """
-        images = self.engine.images
+        images = self.images
         lowers = _lowers(deg)
         pairs = [(a, c, images[tuple(
                      d - (k == a) - (k == c) for k, d in enumerate(deg, 1))].rank)
@@ -585,20 +589,15 @@ class IntegerPoints:
         return 2 * total - rank_rows(QQ, vectors)
 
 
-def rank_rows(field, rows, deg=None, engine=None, points=None):
+def rank_rows(field, rows, deg=None, engine=None):
     """Exact rank of a block given as rows of raw symmetrizer scalars (or
     field scalars) over QQ or QQ(zeta_N), by the integer Bareiss
-    (_echelon).
-
-    A table block (growth) passes its multidegree deg and the engine whose
-    rows built it (matrix_rows), which keeps the block's Image
-    (SymEngine.keep); over QQ(t) also points, the IntegerPoints of the
-    datum's braiding, which certifies the rank of the rows at its seed.
-    """
-    if points is not None:
-        return points.rank(deg, rows)[0]
+    (_echelon). A table block (growth) passes its multidegree deg and the
+    engine whose rows built it (matrix_rows) instead: engine.keep keeps the
+    block's Image and returns its rank over the datum's field, which an
+    IntegerPoints engine certifies over QQ(t)."""
     if engine is not None:
-        return engine.keep(deg, rows, field)
+        return engine.keep(deg, rows)
     if not rows:
         return 0
     return len(_echelon(field, rows)[1])

@@ -43,10 +43,6 @@ def multidegree(word, m):
     return tuple(deg)
 
 
-def total_degree(word):
-    return len(word)
-
-
 def block_size(deg):
     """Number of words of the multidegree: the multinomial coefficient."""
     total = 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfmin import datum as datum_module
 from hopfmin.datum import (
     DatumValidationError,
     Datum,
@@ -93,6 +94,32 @@ def test_validate_refuses_a_power_too_long_before_taking_it(digit_limit):
         errors = validate(d)
         assert len(errors) == 1
         assert errors[0].startswith(f"q[1][1] = alpha[1](gamma[1]) {reason}")
+
+
+def test_validate_tries_each_coordinate_once_on_a_valid_datum(
+        monkeypatch, digit_limit):
+    # the power check grows with the exponent, so each coordinate is tried
+    # at its largest one; pairs are tried only when one of those fails, so
+    # 200 letters cost 200 checks, not 200 * 200
+    calls = []
+    real = datum_module.power_too_long
+
+    def counting(base, n):
+        calls.append(n)
+        return real(base, n)
+
+    monkeypatch.setattr(datum_module, "power_too_long", counting)
+    d = make_datum(1, [(k,) for k in range(1, 201)], [(Fraction(2),)] * 200,
+                   QQ)
+    assert validate(d) == []
+    assert len(calls) <= 200
+    # a coordinate that fails: every pair is tried, and each failing pair
+    # is named, in order
+    d = make_datum(1, [(1,), (10 ** 9,), (-10 ** 9,)], [(Fraction(3),)] * 3,
+                   QQ)
+    assert [e.split(" holds")[0] for e in validate(d)] == [
+        f"q[{i}][{j}] = alpha[{i}](gamma[{j}])" for i in (2, 3)
+        for j in (1, 2, 3)]
 
 
 def test_validate_takes_cyclotomic_powers_by_squaring(digit_limit):

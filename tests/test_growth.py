@@ -163,22 +163,60 @@ def test_lone_cyclotomic_block_builds_its_lower_blocks():
     assert got.rank == 1
 
 
-def test_compute_blocks_builds_one_engine_per_call(monkeypatch):
+@pytest.mark.parametrize("datum", [
+    _ZETA3_A2, _TRIVIAL3, specialize_datum(preset_cartan("B2"), 5),
+    preset_cartan("A2"),
+], ids=["zeta3", "QQ", "zeta5", "QQ(t)"])
+def test_compute_blocks_builds_one_engine_per_call(monkeypatch, datum):
+    # one table engine, which builds every block and its lower images: a
+    # SymEngine over QQ and QQ(zeta_N), an IntegerPoints over QQ(t), whose
+    # certificate builds engines at its points that are not table engines
     from hopfmin import growth
 
-    class CountingEngine(growth.SymEngine):
-        built = 0
+    built = []
 
-        def __init__(self, braiding):
-            type(self).built += 1
-            super().__init__(braiding)
+    def counting(cls):
+        return lambda braiding: built.append(cls) or cls(braiding)
 
-    monkeypatch.setattr(growth, "SymEngine", CountingEngine)
-    degs = multidegrees_up_to(2, 6)
-    got = compute_blocks(_ZETA3_A2, degs)
-    # one table engine, which builds every block and its lower images
-    assert CountingEngine.built == 1
+    monkeypatch.setattr(growth, "SymEngine", counting(growth.SymEngine))
+    monkeypatch.setattr(growth, "IntegerPoints",
+                        counting(growth.IntegerPoints))
+    degs = multidegrees_up_to(datum.m, 6)
+    got = compute_blocks(datum, degs)
+    assert len(built) == 1
     assert [b.deg for b in got] == [tuple(g) for g in degs]
+
+
+def test_no_qq_t_block_is_certified_twice(monkeypatch):
+    # (2, 3) is kept, and settled, on demand while (4, 4) is built; asked
+    # for next, it reads its record
+    from hopfmin import shapovalov
+
+    certified = []
+    real = shapovalov.IntegerPoints._certify
+
+    def counting(self, deg):
+        certified.append(deg)
+        return real(self, deg)
+
+    monkeypatch.setattr(shapovalov.IntegerPoints, "_certify", counting)
+    got = compute_blocks(preset_cartan("A2"), [(4, 4), (2, 3)])
+    assert [b.rank for b in got] == [5, 3]
+    assert (2, 3) in certified
+    assert len(certified) == len(set(certified))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("order, base", [(1, 1), (2, -1)])
+def test_width_one_cyclotomic_tables_match_rational_tables(name, order,
+                                                          base):
+    # QQ(zeta_1) and QQ(zeta_2) have width phi(N) = 1: the engine reads the
+    # field off a braiding of Cyclotomic values and must rank as over QQ
+    # at t = zeta_N
+    cyclotomic = specialize_datum(preset_cartan(name), order)
+    assert cyclotomic.field == CyclotomicField(order)
+    assert (hilbert_table(cyclotomic, 7).dims()
+            == hilbert_table(preset_cartan(name, base=Fraction(base)), 7).dims())
 
 
 @pytest.mark.parametrize("datum, max_total", _FIELD_CASES,

@@ -18,6 +18,7 @@ from hopfmin.shapovalov import (
     POINT,
     SEED,
     IntegerPoints,
+    Settled,
     SymEngine,
     rank,
     rank_rows,
@@ -35,10 +36,6 @@ def _assert_table_matches_symbolic(datum, max_total):
     table = hilbert_table(datum, max_total)
     for b in table.blocks:
         assert b.rank == rank(symmetrizer(datum, b.deg)), b.deg
-
-
-def _seed_rows(points, datum, deg):
-    return points.engine.rows(deg, datum.field)
 
 
 @pytest.mark.parametrize("preset, name, max_total", [
@@ -65,9 +62,10 @@ def test_seed_rank_drop_takes_an_extra_pass():
     d = _qt_datum((("1-t", "t"), ("t^-1", "t")))
     points = IntegerPoints(d.braiding_matrix)
     assert points.seed == 2
-    rows = _seed_rows(points, d, (2, 1))
+    rows = points.rows((2, 1))
     assert rank_rows(QQ, rows) == 0
-    assert points.rank((2, 1), rows) == (1, 2)
+    assert points.keep((2, 1), rows) == 1
+    assert points.settled[(2, 1)] == Settled(1, POINT, 2)
     _assert_table_matches_symbolic(d, 5)
 
 
@@ -110,11 +108,11 @@ def test_coideal_bound_of_a2_block_two_two():
     # and the bound 2 * 4 - 5 = 3 is the rank
     d = preset_cartan("A2")
     points = IntegerPoints(d.braiding_matrix)
-    assert points.rank((2, 2), _seed_rows(points, d, (2, 2))) == (3, 0)
-    assert points.settled[(2, 2)].how == BOUND
+    assert points.keep((2, 2), points.rows((2, 2))) == 3
+    assert points.settled[(2, 2)] == Settled(3, BOUND, 0)
     assert points.bound((2, 2)) == 3
     # the seed basis kept for the block has three vectors
-    assert points.engine.images[(2, 2)].rank == 3
+    assert points.images[(2, 2)].rank == 3
 
 
 @pytest.mark.parametrize("datum, max_total", [
@@ -128,14 +126,14 @@ def test_point_rows_have_the_rank_of_the_full_block(datum, max_total):
             if b.settled[0] == POINT]
     assert paid
     for deg in paid:
-        s = rank_rows(QQ, _seed_rows(points, datum, deg)) + 1
+        s = rank_rows(QQ, points.rows(deg)) + 1
         first = factorial(s) * points.block_norm(deg) ** s + 2
         for x in (points.seed, first):
             engine = SymEngine(points.braiding_at(x))
             words = words_of_multidegree(deg)
             cols = [engine.sym(w) for w in words]
             full = [[col.get(u, 0) for col in cols] for u in words]
-            assert (rank_rows(QQ, engine.rows(deg, QQ))
+            assert (rank_rows(QQ, engine.rows(deg))
                     == rank_rows(QQ, full)), (deg, x)
 
 
@@ -150,7 +148,8 @@ def test_lone_block_settles_its_lower_blocks():
 def test_full_seed_rank_needs_no_pass():
     d = preset_cartan("A2")
     points = IntegerPoints(d.braiding_matrix)
-    assert points.rank((1, 1), _seed_rows(points, d, (1, 1))) == (2, 0)
+    assert points.keep((1, 1), points.rows((1, 1))) == 2
+    assert points.settled[(1, 1)] == Settled(2, SEED, 0)
 
 
 def test_minor_bound_from_norms():
@@ -174,8 +173,17 @@ class _RationalOnlyEngine(SymEngine):
         super().__init__(braiding)
 
 
+class _RationalOnlyPoints(IntegerPoints):
+    # the seed engine is built over the braiding at the seed point
+    def __init__(self, braiding):
+        super().__init__(braiding)
+        assert not any(isinstance(x, RatFunc) for row in self.b for x in row)
+        _RationalOnlyEngine.built += 1
+
+
 def test_tables_never_build_ratfunc_engines(monkeypatch, capsys):
     monkeypatch.setattr(growth, "SymEngine", _RationalOnlyEngine)
+    monkeypatch.setattr(growth, "IntegerPoints", _RationalOnlyPoints)
     monkeypatch.setattr(shapovalov, "SymEngine", _RationalOnlyEngine)
     _RationalOnlyEngine.built = 0
     table = hilbert_table(_qt_datum((("1-t", "t"), ("t^-1", "t"))), 4)

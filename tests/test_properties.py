@@ -29,6 +29,7 @@ from hopfmin.oracles import POOL, planted_q, random_q
 from hopfmin.scalars import (
     QQ, QT, Cyclotomic, CyclotomicField, Poly, cyclotomic_polynomial, poly_str)
 from hopfmin.shapovalov import (
+    IntegerPoints,
     SymEngine,
     _eliminate,
     _int_row,
@@ -96,7 +97,7 @@ def test_regular_representation_matches_symbolic_rank(case):
     for deg in multidegrees_up_to(datum.m, 4):
         mat = symmetrizer(datum, deg)
         expected = rank(mat)
-        rows = matrix_rows(datum, deg, SymEngine(datum.braiding_matrix))[1]
+        rows = matrix_rows(deg, SymEngine(datum.braiding_matrix))[1]
         assert rank_rows(field, rows) == expected, deg
         assert rank_rows(field, mat.entries) == expected, deg
 
@@ -371,11 +372,12 @@ def test_kept_maps_match_word_vectors(case):
     # derivatives d^R_c x_k (d^L_c x_k)
     braiding, field = case
     m = len(braiding)
-    engine = SymEngine(braiding)
+    engine = (IntegerPoints(tuple(tuple(map(QT.coerce, row)) for row in braiding))
+              if field == QT else SymEngine(braiding))
     basis = {(0,) * m: [Element.of_word(())]}
     for deg in multidegrees_up_to(m, 4 if m < 3 else 3)[1:]:
         if deg not in engine.images:
-            engine.keep(deg, engine.rows(deg, field), field)
+            engine.keep(deg, engine.rows(deg))
         image = engine.images[deg]
         lowers = [(a, deg[:a - 1] + (deg[a - 1] - 1,) + deg[a:])
                   for a in range(1, m + 1) if deg[a - 1]]

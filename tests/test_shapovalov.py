@@ -169,7 +169,7 @@ def test_rank_integer_path_matches_symbolic_over_rationals():
             mat = symmetrizer(d, deg)
             assert all(type(x) is Fraction for row in mat.entries for x in row)
             assert rank(mat) == _fraction_rank(mat)
-            _, raw = matrix_rows(d, deg, SymEngine(d.braiding_matrix))
+            _, raw = matrix_rows(deg, SymEngine(d.braiding_matrix))
             assert rank_rows(QQ, raw) == rank(mat)
             if len(mat.words) >= 3:
                 # plant a dependent row: a Fraction combination of two others

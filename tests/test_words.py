@@ -21,7 +21,6 @@ from hopfmin.words import (
     multidegrees_up_to,
     shuffle,
     shuffle_words,
-    total_degree,
     words_of_multidegree,
 )
 
@@ -35,7 +34,6 @@ def _random_braiding(rng, m):
 def test_multidegree_and_total():
     assert multidegree((1, 3, 1, 2), 3) == (2, 1, 1)
     assert multidegree((), 2) == (0, 0)
-    assert total_degree((1, 3, 1, 2)) == 4
 
 
 def test_block_size_is_multinomial():

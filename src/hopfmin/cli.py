@@ -65,7 +65,6 @@ EXIT_BLOCK = 2
 EXIT_POLE = 3
 EXIT_SELFTEST = 4
 
-CACHE_ENV = "HOPFMIN_CACHE"
 SCHEMA_VERSION = 1
 # Version of the rank computation behind cached entries; bump it whenever a
 # change to the rank code could change a cached answer.
@@ -112,6 +111,8 @@ def _load_datum(args):
                 raise
             raise DatumValidationError([str(exc)]) from exc
     else:
+        if base is not None:
+            raise DatumValidationError(["--base applies to presets only"])
         path = args.datum
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -119,8 +120,6 @@ def _load_datum(args):
         except OSError as exc:
             raise DatumValidationError([f"cannot read {path}: {exc}"]) from exc
         datum = parse_datum(text)
-        if base is not None:
-            raise DatumValidationError(["--base applies to presets only"])
     if args.specialize is not None:
         datum = specialize_datum(datum, args.specialize)
     return datum
@@ -160,12 +159,13 @@ def _read_cache(path):
 
 class _Cache:
     """Rank cache file: JSON keyed by datum hash, then by multidegree, with
-    the rank-algorithm version it was written under."""
+    the rank-algorithm version it was written under. It serves a whole table
+    or nothing: each block is built from the images of the blocks below it,
+    so a partly cached table spares no work."""
 
     def __init__(self, path, ranks):
         self.path = path
         self.ranks = ranks
-        self.written = {}
 
     @classmethod
     def open(cls, path):
@@ -182,28 +182,29 @@ class _Cache:
                   f"recomputing", file=sys.stderr)
             return cls(path, {})
 
-    def get(self, datum_key, deg):
-        """Cached (size, rank), or None unless the entry is a plausible
-        answer for the block: its true size and a rank in 0..size."""
-        blocks = self.ranks.get(datum_key)
-        entry = blocks.get(_deg_key(deg)) if isinstance(blocks, dict) else None
-        if (isinstance(entry, list) and len(entry) == 2
-                and all(type(x) is int for x in entry)):
+    def table(self, datum_key, degs):
+        """BlockDim for each multidegree of degs, or None unless every block
+        has a plausible entry: its true size and a rank in 0..size."""
+        entries = self.ranks.get(datum_key)
+        if not isinstance(entries, dict):
+            return None
+        blocks = []
+        for deg in degs:
+            entry = entries.get(_deg_key(deg))
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(x) is int for x in entry)):
+                return None
             size, rank = entry
-            if size == block_size(deg) and 0 <= rank <= size:
-                return size, rank
-        return None
+            if size != block_size(deg) or not 0 <= rank <= size:
+                return None
+            blocks.append(BlockDim(deg, size, rank))
+        return tuple(blocks)
 
-    def put(self, datum_key, deg, size, rank):
-        self.written.setdefault(datum_key, {})[_deg_key(deg)] = [size, rank]
-
-    def save(self):
-        """Write this process's entries over a fresh read of the file, so
+    def save(self, datum_key, blocks):
+        """Write the blocks' entries over a fresh read of the file, so
         entries another process saved since open() are kept. A file written
         by a newer rank algorithm is left as it is, and a path that cannot be
         written only gets a warning."""
-        if not self.written:
-            return
         import tempfile
 
         try:
@@ -216,11 +217,10 @@ class _Cache:
             ranks = {}
         except (OSError, ValueError):
             ranks = {}
-        for datum_key, entries in self.written.items():
-            blocks = ranks.get(datum_key)
-            if not isinstance(blocks, dict):
-                blocks = ranks[datum_key] = {}
-            blocks.update(entries)
+        entries = ranks.get(datum_key)
+        if not isinstance(entries, dict):
+            entries = ranks[datum_key] = {}
+        entries.update({_deg_key(b.deg): [b.size, b.rank] for b in blocks})
         doc = {"rank_algorithm": RANK_ALGORITHM,
                "schema_version": SCHEMA_VERSION, "ranks": ranks}
         directory = os.path.dirname(os.path.abspath(self.path))
@@ -258,9 +258,9 @@ def _verdict_doc(verdict, max_total):
 
 
 def _settled_doc(computed):
-    """How the computed QQ(t) blocks were certified (cached blocks are not
-    counted): how many by full seed rank, by the coideal bound and by an
-    evaluation point, and each block that paid for a point, with its
+    """How the computed QQ(t) blocks were certified (a table read from the
+    cache counts none): how many by full seed rank, by the coideal bound and
+    by an evaluation point, and each block that paid for a point, with its
     passes."""
     hows = [b.settled[0] for b in computed]
     return {
@@ -282,27 +282,15 @@ def cmd_analyze(args):
     degs = multidegrees_up_to(
         datum.m, guarded_total(datum.m, args.max_total, args.block_limit))
     check_block_sizes(degs, args.block_limit)
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    cache = _Cache.open(cache_path) if cache_path else None
+    cache = _Cache.open(args.cache) if args.cache else None
     datum_key = datum_hash(datum)
-    found = {}
-    missing = []
-    hits = 0
-    for deg in degs:
-        got = cache.get(datum_key, deg) if cache else None
-        if got is None:
-            missing.append(deg)
-        else:
-            found[deg] = got
-            hits += 1
-    computed = compute_blocks(datum, missing, block_limit=args.block_limit)
-    for b in computed:
-        found[b.deg] = (b.size, b.rank)
+    blocks = cache.table(datum_key, degs) if cache else None
+    computed = ()
+    if blocks is None:
+        blocks = computed = compute_blocks(datum, degs,
+                                           block_limit=args.block_limit)
         if cache:
-            cache.put(datum_key, b.deg, b.size, b.rank)
-    if cache:
-        cache.save()
-    blocks = tuple(BlockDim(deg, *found[deg]) for deg in degs)
+            cache.save(datum_key, blocks)
     table = HilbertTable(args.max_total, blocks)
     totals = table.totals()
     verdict = growth_classify(totals, window=args.window)
@@ -322,8 +310,8 @@ def cmd_analyze(args):
         "verdict": _verdict_doc(verdict, args.max_total),
         "timings": {
             "total_ms": int((time.monotonic() - t0) * 1000),
-            "cache_hits": hits,
-            "cache_misses": len(missing),
+            "cache_hits": len(blocks) - len(computed),
+            "cache_misses": len(computed),
         },
     }
     if datum.field == QT:
@@ -575,8 +563,7 @@ def _build_parser():
                    help="trailing window for the growth verdict (default 3)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
-    p.add_argument("--cache", help="rank cache file "
-                                   f"(default from ${CACHE_ENV})")
+    p.add_argument("--cache", help="rank cache file")
     p.add_argument("--jobs", type=_int_in(1), default=1,
                    help="at least 1; accepted for scripts that pass it, "
                         "but blocks run serially in this process")

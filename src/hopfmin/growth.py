@@ -95,11 +95,11 @@ def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
     any work starts, so oversized inputs fail fast and name the offending
     multidegree. Then one engine serves all the blocks: matrix_rows builds
     each block from the maps the engine keeps of the lower images, lower
-    blocks missing from degs (cache hits, a lone block) on demand, and
-    rank_rows eliminates it once and keeps its maps. For QQ(t) data the
-    engine is an IntegerPoints, which builds the blocks at its seed point
-    and settles each one as it keeps it, so no block is built over RatFunc
-    scalars; settled is read from it.
+    blocks missing from degs (below a lone block, or gaps a library caller
+    leaves) on demand, and rank_rows eliminates it once and keeps its maps.
+    For QQ(t) data the engine is an IntegerPoints, which builds the blocks
+    at its seed point and settles each one as it keeps it, so no block is
+    built over RatFunc scalars; settled is read from it.
     """
     degs = [tuple(d) for d in degs]
     check_block_sizes(degs, block_limit)

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, cache, selftest."""
 
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
+from hopfmin.growth import BlockDim
 from hopfmin.scalars import ORDER_LIMIT
 from hopfmin.words import BLOCK_COUNT_LIMIT, LETTER_LIMIT
 
@@ -55,6 +57,25 @@ def test_analyze_timings_show_how_blocks_were_settled(capsys, tmp_path):
                          "--specialize", "3", "--max-total", "4",
                          "--format", "json")
     assert "settled" not in json.loads(out)["timings"]
+
+
+def test_extended_table_settles_every_block(capsys, tmp_path):
+    # each block is built from the blocks below it, so a cache written to
+    # total 6 serves no part of a table to 8: the run computes and settles
+    # every block, as a cold run does
+    cache = str(tmp_path / "ranks.json")
+    argv = ["analyze", "--preset", "cartan:A2", "--format", "json",
+            "--cache", cache]
+    code, out, err = run(capsys, *argv, "--max-total", "6")
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--max-total", "8")
+    assert code == 0 and err == ""
+    timings = json.loads(out)["timings"]
+    assert timings["settled"] == {
+        "seed": 18, "bound": 25, "point": 2,
+        "points": [{"deg": [1, 2], "passes": 1},
+                   {"deg": [2, 1], "passes": 1}]}
+    assert (timings["cache_hits"], timings["cache_misses"]) == (0, 45)
 
 
 def test_analyze_csv(capsys):
@@ -139,6 +160,52 @@ def test_base_rejected_for_reductive(capsys):
     assert "--base applies" in err
 
 
+def test_base_rejected_for_datum_files_before_the_file_is_read(capsys):
+    code, out, err = run(capsys, "analyze", "--datum", "/no/such/file.json",
+                         "--base", "2", "--max-total", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --base applies to presets only\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--preset", "cartan:A2", "--base", "1/0"),
+     "error: division by zero in '1/0'\n"),
+    (("--preset", "cartan:A2", "--base", "2", "--specialize", "3"),
+     "error: can only specialize rational-function data, not rational\n"),
+])
+def test_bad_scalar_options_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, "analyze", *argv, "--max-total", "2")
+    assert (code, out, err) == (1, "", message)
+
+
+def test_non_integer_max_total_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--preset", "cartan:A1", "--max-total", "x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --max-total: expected an integer, got 'x'" in err
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_zero(tmp_path, monkeypatch):
+    # a consumer that stops reading (e.g. head) breaks the pipe on the first
+    # write; the run ends quietly with exit 0
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["analyze", "--preset", "cartan:A1", "--max-total", "2"])
+    finally:
+        os.close(fd)
+    assert code == 0
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--max-total", "3"])
@@ -166,19 +233,21 @@ def test_cache_entry_out_of_range_is_recomputed(tmp_path, capsys):
             "--format", "json", "--cache", str(cache))
     code, cold, err = run(capsys, *args)
     assert code == 0
+    good = json.loads(cache.read_text())
     doc = json.loads(cache.read_text())
     ranks = next(iter(doc["ranks"].values()))
     assert ranks["1,2"] == [3, 2]
-    ranks["1,2"] = [3, 99]  # rank above the block size
-    ranks["2,1"] = [4, 1]   # wrong block size
-    cache.write_text(json.dumps(doc))
-    code, warm, err = run(capsys, *args)
-    assert code == 0
-    a, b = json.loads(cold), json.loads(warm)
-    assert b["timings"]["cache_misses"] == 2
-    assert a["blocks"] == b["blocks"]
-    ranks = next(iter(json.loads(cache.read_text())["ranks"].values()))
-    assert ranks["1,2"] == [3, 2] and ranks["2,1"] == [3, 2]
+    for bad in ([3, 99], [4, 2]):  # rank above the block size, wrong size
+        ranks["1,2"] = bad
+        cache.write_text(json.dumps(doc))
+        # one bad entry recomputes the whole table, and saves it
+        code, warm, err = run(capsys, *args)
+        assert code == 0
+        a, b = json.loads(cold), json.loads(warm)
+        assert b["timings"]["cache_hits"] == 0
+        assert b["timings"]["cache_misses"] == len(b["blocks"])
+        assert a["blocks"] == b["blocks"]
+        assert json.loads(cache.read_text()) == good
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -208,15 +277,6 @@ def test_corrupt_cache_recovers(tmp_path, capsys):
     assert code == 0
     assert "ignoring unreadable cache" in err
     assert json.loads(cache.read_text())["schema_version"] == 1
-
-
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env-cache.json"
-    monkeypatch.setenv("HOPFMIN_CACHE", str(cache))
-    code, out, err = run(capsys, "analyze", "--preset", "cartan:A1",
-                         "--max-total", "3", "--format", "json")
-    assert code == 0
-    assert cache.exists()
 
 
 @pytest.mark.parametrize("version", [None, 1])
@@ -285,20 +345,21 @@ def test_cache_with_malformed_datum_entry_is_recomputed(tmp_path, capsys):
 def test_cache_save_merges_entries_of_other_writers(tmp_path):
     path = str(tmp_path / "cache.json")
     first, second = _Cache.open(path), _Cache.open(path)
-    first.put("datum-a", (1, 0), 1, 1)
-    second.put("datum-a", (0, 1), 1, 1)
-    second.put("datum-b", (0,), 1, 1)
-    first.save()
-    second.save()
+    first.save("datum-a", [BlockDim((1, 0), 1, 1)])
+    second.save("datum-a", [BlockDim((0, 1), 1, 1)])
+    second.save("datum-b", [BlockDim((0,), 1, 1)])
     ranks = json.loads((tmp_path / "cache.json").read_text())["ranks"]
     assert ranks == {"datum-a": {"1,0": [1, 1], "0,1": [1, 1]},
                      "datum-b": {"0": [1, 1]}}
     # a writer's own entries win over what the file holds for the same block
-    third = _Cache.open(path)
-    third.put("datum-a", (1, 0), 1, 0)
-    third.save()
-    ranks = json.loads((tmp_path / "cache.json").read_text())["ranks"]
-    assert ranks["datum-a"] == {"1,0": [1, 0], "0,1": [1, 1]}
+    _Cache.open(path).save("datum-a", [BlockDim((1, 0), 1, 0)])
+    cache = _Cache.open(path)
+    assert cache.table("datum-a", [(0, 1), (1, 0)]) == (
+        BlockDim((0, 1), 1, 1), BlockDim((1, 0), 1, 0))
+    assert cache.table("datum-b", [(0,)]) == (BlockDim((0,), 1, 1),)
+    # a table with a block the file lacks is a miss
+    assert cache.table("datum-a", [(0, 1), (1, 1)]) is None
+    assert cache.table("datum-c", [(0,)]) is None
 
 
 @pytest.mark.parametrize("target", ["missing-dir/c.json", "a-dir"])
@@ -325,6 +386,22 @@ def test_det_json(capsys):
     assert doc["rank"] == 1
     assert doc["factors_pretty"] == ["Phi_3(t^1)", "Phi_4(t^1)", "Phi_6(t^1)"]
     assert doc["remainder"] == "1"
+
+
+def test_det_matches_gram_determinant(capsys):
+    from hopfmin.datum import preset_doubled
+    from hopfmin.det import gram_determinant
+
+    code, out, err = run(capsys, "det", "--preset", "doubled:A2",
+                         "--deg", "1,1,1,1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    datum = preset_doubled("A2")
+    report = gram_determinant(datum, (1, 1, 1, 1))
+    assert (doc["size"], doc["rank"]) == (report.size, report.rank)
+    assert doc["determinant"] == datum.field.render(report.determinant)
+    assert doc["remainder"] == datum.field.render(report.remainder)
+    assert doc["factors"] == [list(f) for f in report.factors]
 
 
 def test_det_cyclotomic_string_with_fraction_coordinates(tmp_path, capsys):
@@ -661,6 +738,21 @@ def test_datum_too_long_to_write_out_exits_one(tmp_path, capsys, argv,
                                 "alphas": [[14000]], "gammas": [["2"]]}))
     code, out, err = run(capsys, argv[0], "--datum", str(path), *argv[1:])
     assert code == 0 and err == ""
+
+
+def test_cyclotomic_q_entry_too_long_to_write_out_exits_one(tmp_path, capsys,
+                                                          digit_limit):
+    # 1 + zeta_5 is a unit of infinite order, so the coordinates of its
+    # 100000th power pass the limit of 4300 digits; the power is bounded as
+    # it is taken, when the datum is validated
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "field": "cyclotomic(5)",
+                                "alphas": [[100000]], "gammas": [["1+t"]]}))
+    code, out, err = run(capsys, "analyze", "--datum", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: q[1][1] = alpha[1](gamma[1]) holds an "
+                          "integer of more than")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -124,7 +124,7 @@ def test_cache_gaps_settle_their_missing_lower_blocks():
 
     d = preset_cartan("A2")
     full = {b.deg: b for b in compute_blocks(d, multidegrees_up_to(2, 8))}
-    # gaps, as left by a partly warm cache
+    # gaps, as a library caller may leave them
     degs = [deg for i, deg in enumerate(multidegrees_up_to(2, 8)) if i % 3]
     got = compute_blocks(d, degs)
     assert got == tuple(full[deg] for deg in degs)
@@ -224,7 +224,7 @@ def test_width_one_cyclotomic_tables_match_rational_tables(name, order,
 def test_cache_gaps_build_their_missing_lower_blocks(datum, max_total):
     every = multidegrees_up_to(datum.m, max_total)
     full = dict(zip(every, compute_blocks(datum, every)))
-    # gaps, as left by a partly warm cache
+    # gaps, as a library caller may leave them
     degs = [deg for i, deg in enumerate(every) if i % 3]
     got = compute_blocks(datum, degs)
     assert got == tuple(full[deg] for deg in degs)
@@ -284,7 +284,8 @@ def test_compute_blocks_keeps_input_order_across_cache_gaps():
     d = preset_cartan("A2")
     every = multidegrees_up_to(2, 5)
     full = dict(zip(every, compute_blocks(d, every)))
-    # gaps, as left by cache hits, and one degree out of total order
+    # gaps, as a library caller may leave them, and one degree out of
+    # total order
     degs = [deg for i, deg in enumerate(every) if i % 3]
     degs.append((1, 0))
     got = compute_blocks(d, degs)

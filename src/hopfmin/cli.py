@@ -278,7 +278,8 @@ def cmd_analyze(args):
     t0 = time.monotonic()
     datum = _load_datum(args)
     # enumerate no total past the first one the guard refuses; the guard
-    # runs before the cache lookup, so it refuses cached blocks too
+    # needs only the letter count, so it runs before any q entry is built,
+    # and before the cache lookup, so it refuses cached blocks too
     degs = multidegrees_up_to(
         datum.m, guarded_total(datum.m, args.max_total, args.block_limit))
     check_block_sizes(degs, args.block_limit)

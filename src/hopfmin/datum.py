@@ -76,24 +76,26 @@ class Datum(Record):
 
     @cached_property
     def q_matrix(self):
-        """q[i][j] = alpha_i(gamma_j), 0-indexed, computed once. A cyclotomic
-        power is bounded as it is taken: one too long to write out raises
-        DatumValidationError."""
-        digits = sys.get_int_max_str_digits()
-        out = []
+        """q[i][j] = alpha_i(gamma_j), 0-indexed, computed once: the one
+        place a character's power is taken. DatumValidationError names each
+        entry too long to write out, in row-major order. Powers are tried
+        before they are taken, each entry's only when a point coordinate
+        fails at its largest |exponent|."""
+        top = [max(abs(a[k]) for a in self.alphas) for k in range(self.rank)]
+        check = any(power_too_long(coord, n) for gamma in self.gammas
+                    for coord, n in zip(gamma, top))
+        out, errors = [], []
         for i, alpha in enumerate(self.alphas, start=1):
             row = []
             for j, gamma in enumerate(self.gammas, start=1):
-                acc = self.field.one()
-                for exp, coord in zip(alpha, gamma):
-                    power = (coord.power(exp, digits) if isinstance(
-                        coord, Cyclotomic) else coord ** exp)
-                    if power is None:
-                        raise DatumValidationError([
-                            f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {too_long()}"])
-                    acc = acc * power
-                row.append(acc)
+                value, reason = _entry(alpha, gamma, self.field, check)
+                if reason:
+                    errors.append(
+                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {reason}")
+                row.append(value)
             out.append(tuple(row))
+        if errors:
+            raise DatumValidationError(errors)
         return tuple(out)
 
     @cached_property
@@ -104,6 +106,24 @@ class Datum(Record):
         return tuple(tuple(q[j][i] for j in range(m)) for i in range(m))
 
 
+def _entry(alpha, gamma, field, check):
+    """prod_k gamma[k] ** alpha[k] from the first power on, and None; or
+    None and why it cannot be written out: a power power_too_long refuses
+    (tried when check is set), a cyclotomic power bounded as it is taken,
+    or a product that does not render."""
+    value = None
+    for exp, coord in zip(alpha, gamma):
+        reason = power_too_long(coord, exp) if check else None
+        if reason:
+            return None, reason
+        power = (coord.power(exp, sys.get_int_max_str_digits())
+                 if isinstance(coord, Cyclotomic) else coord ** exp)
+        if power is None:
+            return None, too_long()
+        value = power if value is None else value * power
+    return (value, None) if _renders(field, value) else (None, too_long())
+
+
 def make_datum(rank, alphas, gammas, field):
     """Build a datum, coercing coordinates into the field; no validation."""
     al = tuple(tuple(int(e) for e in a) for a in alphas)
@@ -112,7 +132,8 @@ def make_datum(rank, alphas, gammas, field):
 
 
 def validate(datum):
-    """All problems with the datum, as human-readable strings; empty when ok."""
+    """All problems with the datum's shapes, characters and points, as
+    human-readable strings; empty when ok. Datum.q_matrix checks q entries."""
     errors = []
     if datum.rank < 1:
         errors.append(f"rank must be positive, found {datum.rank}")
@@ -140,38 +161,13 @@ def validate(datum):
                 errors.append(f"gamma[{j}][{k}] is zero")
             elif not _renders(datum.field, value):
                 errors.append(f"gamma[{j}][{k}] {too_long()}")
-    if not errors:
-        # a power too long to write out is refused before it is taken: each
-        # coordinate at its largest |exponent| first, the pairs if one fails
-        top = [max(abs(a[k]) for a in datum.alphas) for k in range(datum.rank)]
-        if any(power_too_long(coord, n)
-               for gamma in datum.gammas for coord, n in zip(gamma, top)):
-            for i, alpha in enumerate(datum.alphas, start=1):
-                for j, gamma in enumerate(datum.gammas, start=1):
-                    reasons = [r for r in map(power_too_long, gamma, alpha)
-                               if r]
-                    if reasons:
-                        errors.append(f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) "
-                                      f"{reasons[0]}")
-    if not errors:
-        try:
-            q = datum.q_matrix
-        except DatumValidationError as exc:
-            return exc.errors
-        for i, row in enumerate(q, start=1):
-            for j, value in enumerate(row, start=1):
-                if not _renders(datum.field, value):
-                    errors.append(
-                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {too_long()}")
     return errors
 
 
 def _renders(field, value):
     """Whether value can be written out: no integer in it has more digits
-    than the interpreter converts to text (sys.get_int_max_str_digits(); 0
-    means no limit). Every output writes out the datum's points and q
-    entries, so a datum with one that cannot be written out is refused
-    before any block is computed."""
+    than the interpreter converts to text (sys.get_int_max_str_digits(), 0
+    for no limit), as every output writes out the points or q entries."""
     try:
         field.render(value)
     except ValueError:
@@ -180,6 +176,7 @@ def _renders(field, value):
 
 
 def require_valid(datum):
+    """The datum if validate finds nothing; q entries wait for q_matrix."""
     errors = validate(datum)
     if errors:
         raise DatumValidationError(errors)

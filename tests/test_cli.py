@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from hopfmin import datum as datum_module
 from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
 from hopfmin.growth import BlockDim
 from hopfmin.scalars import ORDER_LIMIT
@@ -670,6 +671,32 @@ def test_table_of_too_many_blocks_exits_two_at_once(tmp_path):
     assert proc.stderr == (f"error: the table to total 6 has "
                            f"{math.comb(106, 6)} blocks, over the limit of "
                            f"{BLOCK_COUNT_LIMIT}\n")
+
+
+@pytest.mark.parametrize("alphas", [
+    # the q matrix of 1000 letters is a million entries
+    [[k] for k in range(1, 1001)],
+    # q[1][1] = 2**15000 cannot be written out, an exit 1 once built
+    [[15000]] + [[k] for k in range(1, 100)],
+], ids=["1000-letters", "entry-too-long"])
+def test_block_count_guard_runs_before_any_q_entry(tmp_path, capsys,
+                                                  monkeypatch, digit_limit,
+                                                  alphas):
+    # the guard needs only the letter count, so it refuses the table before
+    # one q entry is built
+    built = []
+    real = datum_module._entry
+    monkeypatch.setattr(datum_module, "_entry",
+                        lambda *args: built.append(args) or real(*args))
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({"rank": 1, "field": "rational",
+                                "alphas": alphas,
+                                "gammas": [["2"]] * len(alphas)}))
+    code, out, err = run(capsys, "analyze", "--datum", str(path))
+    assert (code, out, built) == (2, "", [])
+    assert err == (f"error: the table to total 6 has "
+                   f"{math.comb(len(alphas) + 6, 6)} blocks, over the limit "
+                   f"of {BLOCK_COUNT_LIMIT}\n")
 
 
 @pytest.mark.parametrize("argv, block", [

@@ -85,22 +85,33 @@ def test_datum_is_an_immutable_record_with_cached_matrices():
         "field=RationalField())")
 
 
-def test_validate_refuses_a_power_too_long_before_taking_it(digit_limit):
+def _q_errors(d):
+    """The errors building d's q matrix raises, [] when it builds; d passes
+    validate, which leaves the matrix unbuilt."""
+    assert validate(d) == [] and "q_matrix" not in d.__dict__
+    try:
+        d.q_matrix
+    except DatumValidationError as exc:
+        return exc.errors
+    return []
+
+
+def test_q_matrix_refuses_a_power_too_long_before_taking_it(digit_limit):
     # 3**(10**9) would take hours; the exponent alone refuses it
     for gamma, field, reason in [(3, QQ, "holds an integer of more than 4300"),
                                  (Fraction(1, 3), QQ, "holds an integer"),
                                  (_tp(1), QT, "has degree 1000000000 in t")]:
         d = make_datum(2, [(1, 10 ** 9)], [(Fraction(1), gamma)], field)
-        errors = validate(d)
+        errors = _q_errors(d)
         assert len(errors) == 1
         assert errors[0].startswith(f"q[1][1] = alpha[1](gamma[1]) {reason}")
 
 
-def test_validate_tries_each_coordinate_once_on_a_valid_datum(
+def test_q_matrix_tries_each_coordinate_once_on_a_valid_datum(
         monkeypatch, digit_limit):
     # the power check grows with the exponent, so each coordinate is tried
-    # at its largest one; pairs are tried only when one of those fails, so
-    # 200 letters cost 200 checks, not 200 * 200
+    # at its largest one; entries are tried only when one of those fails,
+    # so 200 letters cost 200 checks, not 200 * 200
     calls = []
     real = datum_module.power_too_long
 
@@ -111,30 +122,30 @@ def test_validate_tries_each_coordinate_once_on_a_valid_datum(
     monkeypatch.setattr(datum_module, "power_too_long", counting)
     d = make_datum(1, [(k,) for k in range(1, 201)], [(Fraction(2),)] * 200,
                    QQ)
-    assert validate(d) == []
+    assert _q_errors(d) == [] and d.q_matrix[199][0] == 2 ** 200
     assert len(calls) <= 200
-    # a coordinate that fails: every pair is tried, and each failing pair
+    # a coordinate that fails: every entry is tried, and each failing entry
     # is named, in order
     d = make_datum(1, [(1,), (10 ** 9,), (-10 ** 9,)], [(Fraction(3),)] * 3,
                    QQ)
-    assert [e.split(" holds")[0] for e in validate(d)] == [
+    assert [e.split(" holds")[0] for e in _q_errors(d)] == [
         f"q[{i}][{j}] = alpha[{i}](gamma[{j}])" for i in (2, 3)
         for j in (1, 2, 3)]
 
 
-def test_validate_takes_cyclotomic_powers_by_squaring(digit_limit):
+def test_q_matrix_takes_cyclotomic_powers_by_squaring(digit_limit):
     # 1 + zeta_5 has infinite order, and its coordinates outgrow the digit
     # limit on the way to the power; zeta_5 ** 1000000001 is zeta_5
     field = CyclotomicField(5)
     zeta = field.zeta()
     d = make_datum(1, [(10 ** 9,)], [(1 + zeta,)], field)
-    assert validate(d) == ["q[1][1] = alpha[1](gamma[1]) holds an integer "
-                           "of more than 4300 digits, the interpreter's "
-                           "limit for writing one out"]
+    assert _q_errors(d) == ["q[1][1] = alpha[1](gamma[1]) holds an integer "
+                            "of more than 4300 digits, the interpreter's "
+                            "limit for writing one out"]
     d = make_datum(1, [(10 ** 9 + 1,)], [(zeta,)], field)
-    assert validate(d) == [] and d.q_matrix == ((zeta,),)
+    assert _q_errors(d) == [] and d.q_matrix == ((zeta,),)
     d = make_datum(1, [(-10 ** 9 - 1,)], [(zeta,)], field)
-    assert validate(d) == [] and d.q_matrix == ((zeta ** 4,),)
+    assert _q_errors(d) == [] and d.q_matrix == ((zeta ** 4,),)
 
 
 def test_validate_messages():
@@ -151,9 +162,10 @@ def test_validate_messages():
     assert validate(empty) == ["datum has no characters"]
 
 
-def test_validate_refuses_entries_too_long_to_write_out(digit_limit):
-    # every output writes out the points and the q matrix, so an integer
-    # past the limit is refused up front
+def test_q_matrix_refuses_entries_too_long_to_write_out(digit_limit):
+    # every output writes out the points or the q matrix, so an integer
+    # past the limit is refused before any block: a point by validate, a q
+    # entry as the q matrix is built
     big = Fraction(2 ** 15000)
     unused = Datum(2, ((1, 0), (1, 0)), ((Fraction(1), big),
                                          (Fraction(2), Fraction(1))), QQ)
@@ -161,15 +173,15 @@ def test_validate_refuses_entries_too_long_to_write_out(digit_limit):
         "gamma[1][2] holds an integer of more than 4300 digits, the "
         "interpreter's limit for writing one out"]
     powered = make_datum(1, [(15000,)], [(2,)], QQ)
-    assert validate(powered) == [
+    assert _q_errors(powered) == [
         "q[1][1] = alpha[1](gamma[1]) holds an integer of more than 4300 "
         "digits, the interpreter's limit for writing one out"]
     t_powered = make_datum(1, [(15000,)], [(2 * _tp(1),)], QT)
-    assert validate(t_powered)[0].startswith("q[1][1] ")
-    assert validate(make_datum(1, [(14000,)], [(2,)], QQ)) == []
+    assert _q_errors(t_powered)[0].startswith("q[1][1] ")
+    assert _q_errors(make_datum(1, [(14000,)], [(2,)], QQ)) == []
     # 0 lifts the limit
     sys.set_int_max_str_digits(0)
-    assert validate(powered) == []
+    assert _q_errors(make_datum(1, [(15000,)], [(2,)], QQ)) == []
 
 
 @pytest.mark.parametrize("entry, message", [

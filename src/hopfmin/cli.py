@@ -243,11 +243,6 @@ def _datum_doc(datum):
     return json.loads(emit_datum(datum))
 
 
-def _q_matrix_doc(datum):
-    render = datum.field.render
-    return [[render(x) for x in row] for row in datum.q_matrix]
-
-
 def _verdict_doc(verdict, max_total):
     return {
         "kind": verdict.kind,
@@ -301,7 +296,7 @@ def cmd_analyze(args):
         "command": "analyze",
         "datum": _datum_doc(datum),
         "hash": datum_key,
-        "q_matrix": _q_matrix_doc(datum),
+        "q_matrix": datum.q_text,
         "max_total": args.max_total,
         "window": args.window,
         "block_limit": args.block_limit,

@@ -77,26 +77,31 @@ class Datum(Record):
     @cached_property
     def q_matrix(self):
         """q[i][j] = alpha_i(gamma_j), 0-indexed, computed once: the one
-        place a character's power is taken. DatumValidationError names each
-        entry too long to write out, in row-major order. Powers are tried
-        before they are taken, each entry's only when a point coordinate
-        fails at its largest |exponent|."""
+        place a character's power is taken and a q entry written out, its
+        text kept as q_text. DatumValidationError names each entry too long
+        to write out, in row-major order. Powers are tried before they are
+        taken, each entry's only when a point coordinate fails at its
+        largest |exponent|."""
         top = [max(abs(a[k]) for a in self.alphas) for k in range(self.rank)]
         check = any(power_too_long(coord, n) for gamma in self.gammas
                     for coord, n in zip(gamma, top))
-        out, errors = [], []
-        for i, alpha in enumerate(self.alphas, start=1):
-            row = []
-            for j, gamma in enumerate(self.gammas, start=1):
-                value, reason = _entry(alpha, gamma, self.field, check)
-                if reason:
-                    errors.append(
-                        f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {reason}")
-                row.append(value)
-            out.append(tuple(row))
+        rows = [[_entry(alpha, gamma, self.field, check)
+                 for gamma in self.gammas] for alpha in self.alphas]
+        errors = [f"q[{i}][{j}] = alpha[{i}](gamma[{j}]) {reason}"
+                  for i, row in enumerate(rows, start=1)
+                  for j, (_, _, reason) in enumerate(row, start=1) if reason]
         if errors:
             raise DatumValidationError(errors)
-        return tuple(out)
+        self.__dict__["q_text"] = tuple(
+            tuple(text for _, text, _ in row) for row in rows)
+        return tuple(tuple(value for value, _, _ in row) for row in rows)
+
+    @cached_property
+    def q_text(self):
+        """q_matrix as the field writes it out: the text q_matrix made as it
+        checked each entry, so no entry is written out twice."""
+        self.q_matrix
+        return self.__dict__["q_text"]
 
     @cached_property
     def braiding_matrix(self):
@@ -107,21 +112,22 @@ class Datum(Record):
 
 
 def _entry(alpha, gamma, field, check):
-    """prod_k gamma[k] ** alpha[k] from the first power on, and None; or
-    None and why it cannot be written out: a power power_too_long refuses
-    (tried when check is set), a cyclotomic power bounded as it is taken,
-    or a product that does not render."""
+    """(prod_k gamma[k] ** alpha[k] from the first power on, its text,
+    None); or (None, None, why it cannot be written out): a power
+    power_too_long refuses (tried when check is set), a cyclotomic power
+    bounded as it is taken, or a product _text cannot write out."""
     value = None
     for exp, coord in zip(alpha, gamma):
         reason = power_too_long(coord, exp) if check else None
         if reason:
-            return None, reason
+            return None, None, reason
         power = (coord.power(exp, sys.get_int_max_str_digits())
                  if isinstance(coord, Cyclotomic) else coord ** exp)
         if power is None:
-            return None, too_long()
+            return None, None, too_long()
         value = power if value is None else value * power
-    return (value, None) if _renders(field, value) else (None, too_long())
+    text = _text(field, value)
+    return (value, text, None) if text else (None, None, too_long())
 
 
 def make_datum(rank, alphas, gammas, field):
@@ -159,20 +165,18 @@ def validate(datum):
                 continue
             if not value:
                 errors.append(f"gamma[{j}][{k}] is zero")
-            elif not _renders(datum.field, value):
+            elif _text(datum.field, value) is None:
                 errors.append(f"gamma[{j}][{k}] {too_long()}")
     return errors
 
 
-def _renders(field, value):
-    """Whether value can be written out: no integer in it has more digits
-    than the interpreter converts to text (sys.get_int_max_str_digits(), 0
-    for no limit), as every output writes out the points or q entries."""
+def _text(field, value):
+    """value as field writes it out, or None when it holds an integer past
+    the interpreter's limit of digits (sys.get_int_max_str_digits())."""
     try:
-        field.render(value)
+        return field.render(value)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def require_valid(datum):

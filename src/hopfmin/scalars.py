@@ -24,7 +24,7 @@ FieldMismatchError rather than guessing an embedding.
 
 The field objects share one protocol too (_Field): equality and hashing by
 the name tag, one() and zero() as coerce(1) and coerce(0), and render(s) as
-str(coerce(s)), the form parse reads back.
+str(coerce(s)), the form parse reads back; coerce copies no field value.
 
 Record is the immutable base of the package's value types (Poly, RatFunc,
 Datum, the block and report types): fields named once, equality, hashing
@@ -853,9 +853,9 @@ def _tokenize(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             try:
                 value = int(text[i:j])
@@ -997,6 +997,7 @@ class _Field:
         return self.coerce(0)
 
     def render(self, s):
+        """s as text parse reads back: str of s, after coerce for an int."""
         return str(self.coerce(s))
 
     def __eq__(self, other):
@@ -1016,7 +1017,7 @@ class RationalField(_Field):
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, RatFunc):
             q = x.as_fraction()
             if q is not None:
@@ -1104,6 +1105,6 @@ def field_from_name(name):
         return QT
     if name.startswith("cyclotomic(") and name.endswith(")"):
         inner = name[len("cyclotomic("):-1]
-        if inner.isdigit():
+        if inner.isascii() and inner.isdigit():
             return CyclotomicField(int(inner))
     raise ValueError(f"unknown field tag {name!r}")

@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hopfmin import datum as datum_module
 from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
 from hopfmin.growth import BlockDim
-from hopfmin.scalars import ORDER_LIMIT
+from hopfmin.scalars import ORDER_LIMIT, QQ, RationalField
 from hopfmin.words import BLOCK_COUNT_LIMIT, LETTER_LIMIT
 
 
@@ -771,7 +773,7 @@ def test_cyclotomic_q_entry_too_long_to_write_out_exits_one(tmp_path, capsys,
                                                           digit_limit):
     # 1 + zeta_5 is a unit of infinite order, so the coordinates of its
     # 100000th power pass the limit of 4300 digits; the power is bounded as
-    # it is taken, when the datum is validated
+    # it is taken, where Datum.q_matrix builds the entry
     path = tmp_path / "datum.json"
     path.write_text(json.dumps({"rank": 1, "field": "cyclotomic(5)",
                                 "alphas": [[100000]], "gammas": [["1+t"]]}))
@@ -832,6 +834,30 @@ def test_huge_exponent_exits_one_at_once(tmp_path, field, alphas, gamma,
         preexec_fn=_one_gigabyte)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
+def test_each_q_entry_is_written_out_once(tmp_path, capsys, monkeypatch):
+    # Datum.q_matrix keeps the text its check makes, and the document reads
+    # it; q[i][j] = 3 ** (i + 1) is never a point, which is 3
+    m = 20
+    rendered = []
+    real = RationalField.render
+    monkeypatch.setattr(RationalField, "render",
+                        lambda self, s: rendered.append(s) or real(self, s))
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({"rank": 1, "field": "rational",
+                                "alphas": [[k] for k in range(2, m + 2)],
+                                "gammas": [["3"]] * m}))
+    code, out, err = run(capsys, "analyze", "--datum", str(path),
+                         "--max-total", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["q_matrix"] == [[str(3 ** k)] * m
+                                           for k in range(2, m + 2)]
+    assert Counter(s for s in rendered if s != 3) == {
+        Fraction(3) ** k: m for k in range(2, m + 2)}
+    assert len(rendered) == m * m + rendered.count(3)
+    third = Fraction(1, 3)
+    assert QQ.coerce(third) is third
 
 
 def test_huge_power_of_a_root_of_unity_is_taken(tmp_path, capsys):

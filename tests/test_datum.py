@@ -47,6 +47,9 @@ def test_q_matrix_a2():
 
 def test_q_matrix_b2():
     d = preset_cartan("B2")
+    # the text is kept where each entry is checked, and asking for it
+    # first builds the matrix, as an analyze served from the cache does
+    assert d.q_text == (("t^2", "t^-2"), ("t^-2", "t^4"))
     assert d.q_matrix == ((_tp(2), _tp(-2)), (_tp(-2), _tp(4)))
 
 
@@ -72,7 +75,7 @@ def test_q_matrix_from_characters():
 
 def test_datum_is_an_immutable_record_with_cached_matrices():
     d = preset_cartan("A1")
-    for name in ("rank", "alphas", "gammas", "field", "q_matrix"):
+    for name in ("rank", "alphas", "gammas", "field", "q_matrix", "q_text"):
         with pytest.raises(AttributeError):
             setattr(d, name, None)
     assert d.q_matrix is d.q_matrix  # computed once, kept in __dict__

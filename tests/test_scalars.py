@@ -294,6 +294,20 @@ def test_parse_scalar_grammar():
         parse_scalar("1/(t-t)")
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (QQ.parse, "2\u00b2", "unexpected character '\u00b2' at position 1"),
+    (QQ.parse, "\u0663", "unexpected character '\u0663' at position 0"),
+    (field_from_name, "cyclotomic(\u00b2)", "unknown field tag"),
+    (field_from_name, "cyclotomic(\u0661\u0662)", "unknown field tag"),
+], ids=["superscript-two", "arabic-three", "superscript-order",
+        "arabic-order"])
+def test_only_ascii_digits_are_read(read, text, message):
+    # str.isdigit is true for these, and int() refuses the superscript and
+    # reads the Arabic-Indic digits as 3 and 12
+    with pytest.raises(ValueError, match=message):
+        read(text)
+
+
 def test_literal_nesting_is_bounded():
     # the parser recurses once per parenthesis and per sign
     deep = NESTING_LIMIT

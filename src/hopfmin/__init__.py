@@ -27,8 +27,7 @@ _EXPORTS = {
     **dict.fromkeys(("SymMatrix", "rank", "symmetrizer"), "shapovalov"),
     **dict.fromkeys(("dim_L", "parallel_report", "shapovalov_value"), "sl2"),
     **dict.fromkeys((
-        "BlockSizeError", "Element", "braid_at", "concat", "shuffle",
-        "words_of_multidegree",
+        "BlockSizeError", "braid_at", "shuffle", "words_of_multidegree",
     ), "words"),
 }
 

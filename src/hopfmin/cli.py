@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import __version__
 from .datum import (
     DatumValidationError,
+    datum_doc,
     datum_from_q_matrix,
     datum_hash,
-    emit_datum,
     parse_datum,
     positive_roots,
     preset_cartan,
@@ -239,10 +239,6 @@ class _Cache:
                   file=sys.stderr)
 
 
-def _datum_doc(datum):
-    return json.loads(emit_datum(datum))
-
-
 def _verdict_doc(verdict, max_total):
     return {
         "kind": verdict.kind,
@@ -294,7 +290,7 @@ def cmd_analyze(args):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": "analyze",
-        "datum": _datum_doc(datum),
+        "datum": datum_doc(datum),
         "hash": datum_key,
         "q_matrix": datum.q_text,
         "max_total": args.max_total,
@@ -364,7 +360,7 @@ def cmd_det(args):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": "det",
-        "datum": _datum_doc(datum),
+        "datum": datum_doc(datum),
         "hash": datum_hash(datum),
         "deg": list(deg),
         "size": report.size,

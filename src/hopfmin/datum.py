@@ -104,6 +104,13 @@ class Datum(Record):
         return self.__dict__["q_text"]
 
     @cached_property
+    def gamma_text(self):
+        """The points as the field writes them out: the text validate kept
+        as it checked each coordinate, or made here for a datum it never
+        passed."""
+        return tuple(tuple(map(self.field.render, g)) for g in self.gammas)
+
+    @cached_property
     def braiding_matrix(self):
         """b[i][j] = alpha_j(gamma_i): the q matrix transposed."""
         q = self.q_matrix
@@ -115,14 +122,22 @@ def _entry(alpha, gamma, field, check):
     """(prod_k gamma[k] ** alpha[k] from the first power on, its text,
     None); or (None, None, why it cannot be written out): a power
     power_too_long refuses (tried when check is set), a cyclotomic power
-    bounded as it is taken, or a product _text cannot write out."""
+    bounded as it is taken, or a product _text cannot write out. A root of
+    unity in QQ(zeta_N) has an order dividing 2N, so its exponent is taken
+    mod 2N, once it is that large."""
     value = None
     for exp, coord in zip(alpha, gamma):
         reason = power_too_long(coord, exp) if check else None
         if reason:
             return None, None, reason
-        power = (coord.power(exp, sys.get_int_max_str_digits())
-                 if isinstance(coord, Cyclotomic) else coord ** exp)
+        if isinstance(coord, Cyclotomic):
+            digits = sys.get_int_max_str_digits()
+            period = 2 * coord.order
+            if abs(exp) >= period and coord.power(period, digits) == 1:
+                exp %= period
+            power = coord.power(exp, digits)
+        else:
+            power = coord ** exp
         if power is None:
             return None, None, too_long()
         value = power if value is None else value * power
@@ -139,7 +154,8 @@ def make_datum(rank, alphas, gammas, field):
 
 def validate(datum):
     """All problems with the datum's shapes, characters and points, as
-    human-readable strings; empty when ok. Datum.q_matrix checks q entries."""
+    human-readable strings; empty when ok, and then the text of each point
+    is kept as Datum.gamma_text. Datum.q_matrix checks q entries."""
     errors = []
     if datum.rank < 1:
         errors.append(f"rank must be positive, found {datum.rank}")
@@ -153,20 +169,27 @@ def validate(datum):
             errors.append(f"alpha[{i}] has length {len(alpha)}, expected {datum.rank}")
         elif not any(alpha):
             errors.append(f"alpha[{i}] is zero")
+    texts = []
     for j, gamma in enumerate(datum.gammas, start=1):
         if len(gamma) != datum.rank:
             errors.append(f"gamma[{j}] has length {len(gamma)}, expected {datum.rank}")
             continue
+        row = []
         for k, coord in enumerate(gamma, start=1):
             try:
                 value = datum.field.coerce(coord)
             except FieldMismatchError as exc:
                 errors.append(f"gamma[{j}][{k}]: {exc}")
                 continue
+            text = _text(datum.field, value) if value else None
             if not value:
                 errors.append(f"gamma[{j}][{k}] is zero")
-            elif _text(datum.field, value) is None:
+            elif text is None:
                 errors.append(f"gamma[{j}][{k}] {too_long()}")
+            row.append(text)
+        texts.append(tuple(row))
+    if not errors:
+        datum.__dict__["gamma_text"] = tuple(texts)
     return errors
 
 
@@ -329,15 +352,15 @@ def specialize_datum(datum, n):
     return require_valid(Datum(datum.rank, datum.alphas, gammas, field))
 
 
+def datum_doc(datum):
+    """The datum as a JSON object: rank, field tag, characters, points."""
+    return {"rank": datum.rank, "field": datum.field.name,
+            "alphas": datum.alphas, "gammas": datum.gamma_text}
+
+
 def emit_datum(datum, indent=None):
     """Canonical JSON text for the datum; parse_datum inverts this."""
-    doc = {
-        "rank": datum.rank,
-        "field": datum.field.name,
-        "alphas": [list(a) for a in datum.alphas],
-        "gammas": [[datum.field.render(c) for c in g] for g in datum.gammas],
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(datum_doc(datum), indent=indent, sort_keys=True)
 
 
 def parse_datum(text):

@@ -23,8 +23,7 @@ from .shapovalov import (
     rank,
     symmetrizer,
 )
-from .words import (
-    Element, braid_at, multidegrees_up_to, shuffle, words_of_multidegree)
+from .words import braid_at, multidegrees_up_to, shuffle, words_of_multidegree
 
 POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
         Fraction(-2), Fraction(2, 3), Fraction(-1, 3), Fraction(3),
@@ -245,10 +244,8 @@ def shuffle_morphism(sym_braiding, shuffle_braiding, pairs):
     in sym_braiding and the shuffle in shuffle_braiding."""
     engine = SymEngine(sym_braiding)
     for count, (u, v) in enumerate(pairs, 1):
-        lhs = Element(engine.sym(u + v))
-        rhs = shuffle(shuffle_braiding,
-                      Element(engine.sym(u)), Element(engine.sym(v)))
-        if lhs != rhs:
+        if engine.sym(u + v) != shuffle(shuffle_braiding, engine.sym(u),
+                                        engine.sym(v)):
             return f"Sh(u.v) != Sh(u) sh Sh(v) for u, v = {(u, v)}", count
     return None, len(pairs)
 

@@ -554,7 +554,7 @@ def _reduce_mod_phi(coeffs, tail):
     return tuple(coeffs)
 
 
-class Cyclotomic(_Scalar):
+class Cyclotomic(_Scalar, Record):
     """Element of QQ(zeta_N) as num / den, in the power basis of zeta.
 
     num holds the phi(N) int coordinates of 1, zeta, ..., zeta**(phi(N)-1)
@@ -566,7 +566,7 @@ class Cyclotomic(_Scalar):
     norm, an int. coords is the Fraction view that rendering reads.
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = _fields = ("order", "num", "den")
 
     def __init__(self, order, num, den=1):
         """num: phi(order) int coordinates, already reduced; den > 0."""
@@ -575,9 +575,9 @@ class Cyclotomic(_Scalar):
             if g != 1:
                 num = tuple(a // g for a in num)
                 den //= g
-        self.order = order
-        self.num = num
-        self.den = den
+        _setattr(self, "order", order)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     @classmethod
     def of(cls, order, coeffs):
@@ -601,9 +601,6 @@ class Cyclotomic(_Scalar):
     def coords(self):
         """The coordinates as Fractions."""
         return tuple(Fraction(a, self.den) for a in self.num)
-
-    def __reduce__(self):
-        return Cyclotomic, (self.order, self.num, self.den)
 
     def _coerce(self, x):
         if isinstance(x, Cyclotomic):

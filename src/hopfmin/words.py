@@ -1,8 +1,10 @@
 """Words in the letters 1..m and the two graded products on their span.
 
-A word is a tuple of letters; its multidegree counts each letter. The free
-algebra multiplies words by concatenation. The shuffle algebra interleaves
-them, and each time a letter x from the left word ends up after a letter y
+A word is a tuple of letters; its multidegree counts each letter. A vector
+in the span of the words is a word -> coefficient dict with no zero
+coefficient, as shapovalov.SymEngine.sym returns. The free algebra
+multiplies words by concatenation, tuple addition u + v. The shuffle algebra
+interleaves them (shuffle_words, and shuffle on vectors), and each time a letter x from the left word ends up after a letter y
 from the right word the coefficient picks up the braiding scalar b(x, y).
 Both products are graded by multidegree and share the unit: the empty word.
 
@@ -149,111 +151,6 @@ def braid_at(b, word, k):
     return b[x - 1][y - 1], word[:k] + (y, x) + word[k + 2:]
 
 
-class Element:
-    """Finite linear combination of words with exact scalar coefficients.
-
-    Zero coefficients are dropped on construction, iteration is sorted by
-    word, and equality is coefficientwise.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
-            if word in data:
-                coeff = data[word] + coeff
-            if coeff:
-                data[word] = coeff
-            else:
-                data.pop(word, None)
-        self._terms = data
-
-    @classmethod
-    def of_word(cls, word, coeff=1):
-        el = cls.__new__(cls)
-        el._terms = {tuple(word): coeff} if coeff else {}
-        return el
-
-    @classmethod
-    def zero(cls):
-        el = cls.__new__(cls)
-        el._terms = {}
-        return el
-
-    def terms(self):
-        """Sorted (word, coefficient) pairs."""
-        return sorted(self._terms.items())
-
-    def coeff(self, word):
-        return self._terms.get(tuple(word), 0)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            merged = out.get(word, 0) + coeff
-            if merged:
-                out[word] = merged
-            else:
-                out.pop(word, None)
-        el = Element.__new__(Element)
-        el._terms = out
-        return el
-
-    def __neg__(self):
-        el = Element.__new__(Element)
-        el._terms = {w: -c for w, c in self._terms.items()}
-        return el
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, scalar):
-        if not scalar:
-            return Element.zero()
-        el = Element.__new__(Element)
-        el._terms = {w: c * scalar for w, c in self._terms.items()}
-        return el
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "Element()"
-        parts = [f"{coeff!r}*{''.join(map(str, word))}"
-                 for word, coeff in self.terms()]
-        return " + ".join(parts)
-
-
-def concat(x, y):
-    """Concatenation product, extended bilinearly to Elements."""
-    out = {}
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            w = u + v
-            merged = out.get(w, 0) + cu * cv
-            if merged:
-                out[w] = merged
-            else:
-                out.pop(w, None)
-    el = Element.__new__(Element)
-    el._terms = out
-    return el
-
-
 def shuffle_words(b, u, v):
     """Braided shuffle of two words, as a word -> coefficient dict.
 
@@ -298,12 +195,16 @@ def shuffle_words(b, u, v):
 
 
 def shuffle(b, x, y):
-    """Braided shuffle product of Elements over the braiding matrix b."""
-    out = Element.zero()
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
+    """Braided shuffle product over the braiding matrix b of two word ->
+    coefficient dicts, as such a dict with no zero coefficient."""
+    out = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
             c = cu * cv
-            part = Element.__new__(Element)
-            part._terms = {w: s * c for w, s in shuffle_words(b, u, v).items()}
-            out = out + part
+            for w, s in shuffle_words(b, u, v).items():
+                merged = out.get(w, 0) + s * c
+                if merged:
+                    out[w] = merged
+                else:
+                    out.pop(w, None)
     return out

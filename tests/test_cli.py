@@ -14,7 +14,7 @@ import pytest
 from hopfmin import datum as datum_module
 from hopfmin.cli import RANK_ALGORITHM, SL2_DEPTH_LIMIT, _Cache, main
 from hopfmin.growth import BlockDim
-from hopfmin.scalars import ORDER_LIMIT, QQ, RationalField
+from hopfmin.scalars import ORDER_LIMIT, QQ, Cyclotomic, RationalField
 from hopfmin.words import BLOCK_COUNT_LIMIT, LETTER_LIMIT
 
 
@@ -838,7 +838,8 @@ def test_huge_exponent_exits_one_at_once(tmp_path, field, alphas, gamma,
 
 def test_each_q_entry_is_written_out_once(tmp_path, capsys, monkeypatch):
     # Datum.q_matrix keeps the text its check makes, and the document reads
-    # it; q[i][j] = 3 ** (i + 1) is never a point, which is 3
+    # it; q[i][j] = 3 ** (i + 1) is never a point, which is 3. validate
+    # keeps each point's text too, for the hash and the document's datum
     m = 20
     rendered = []
     real = RationalField.render
@@ -855,7 +856,7 @@ def test_each_q_entry_is_written_out_once(tmp_path, capsys, monkeypatch):
                                            for k in range(2, m + 2)]
     assert Counter(s for s in rendered if s != 3) == {
         Fraction(3) ** k: m for k in range(2, m + 2)}
-    assert len(rendered) == m * m + rendered.count(3)
+    assert len(rendered) == m * m + m
     third = Fraction(1, 3)
     assert QQ.coerce(third) is third
 
@@ -869,6 +870,31 @@ def test_huge_power_of_a_root_of_unity_is_taken(tmp_path, capsys):
                          "--max-total", "2", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["q_matrix"] == [["t"]]
+
+
+def test_a_huge_power_of_a_root_of_unity_is_taken_mod_2n(monkeypatch):
+    # every root of unity in QQ(zeta_N) has an order dividing 2N, so each
+    # of the 16 q entries takes a few products, not one per bit of 10**4000
+    e = 10 ** 4000
+    points = ["t", "t^3", "-t", "t^7"]
+    datum = datum_module.parse_datum(json.dumps({
+        "rank": 1, "field": "cyclotomic(1000)",
+        "alphas": [[e + i] for i in range(4)], "gammas": [[g] for g in points]}))
+    # zeta_1000 ** e = 1, so q[i][j] = gamma_j ** i, 0-indexed
+    field = datum.field
+    want = tuple(tuple(field.render(field.parse(g) ** i) for g in points)
+                 for i in range(4))
+    calls = 0
+    real = Cyclotomic.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "a power ran through its whole exponent"
+        return real(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    assert datum.q_text == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -75,10 +75,17 @@ def test_q_matrix_from_characters():
 
 def test_datum_is_an_immutable_record_with_cached_matrices():
     d = preset_cartan("A1")
-    for name in ("rank", "alphas", "gammas", "field", "q_matrix", "q_text"):
+    for name in ("rank", "alphas", "gammas", "field", "q_matrix", "q_text",
+                 "gamma_text"):
         with pytest.raises(AttributeError):
             setattr(d, name, None)
     assert d.q_matrix is d.q_matrix  # computed once, kept in __dict__
+    # validate keeps the text of the points; a datum it never passed
+    # writes them out when first asked
+    assert d.__dict__["gamma_text"] == (("t^2",),)
+    unchecked = make_datum(1, [[1]], [[Fraction(1, 2)]], QQ)
+    assert "gamma_text" not in unchecked.__dict__
+    assert unchecked.gamma_text == (("1/2",),)
     assert d == preset_cartan("A1") and hash(d) == hash(preset_cartan("A1"))
     assert d != preset_cartan("A1", base=2)
     assert repr(d) == ("Datum(rank=1, alphas=((1,),), gammas=((t^2,),), "

@@ -78,3 +78,13 @@ def test_the_scan_sees_a_call_time_import():
     tree = ast.parse("def f():\n    from .growth import compute_blocks\n"
                      "def g():\n    import hopfmin.det\n")
     assert _imports_in_functions(tree) == [("growth", 2), ("det", 4)]
+
+
+def test_every_exported_name_resolves():
+    # a name loads its module on first access, so a stale entry would fail
+    # only when someone first touched it
+    for name in hopfmin.__all__:
+        getattr(hopfmin, name)
+    assert set(hopfmin.__all__) <= set(dir(hopfmin))
+    assert {"Element", "concat"}.isdisjoint(hopfmin.__all__)
+    assert not hasattr(hopfmin, "Element") and not hasattr(hopfmin, "concat")

@@ -39,7 +39,7 @@ from hopfmin.shapovalov import (
     rank_rows,
     symmetrizer,
 )
-from hopfmin.words import Element, multidegrees_up_to, shuffle
+from hopfmin.words import multidegrees_up_to, shuffle
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -293,8 +293,8 @@ def _insertion_mismatch(braiding, a, v, shuffle_braiding):
     """Whether Sh((a,) + v) differs from the braided shuffle of the letter a
     with Sh(v), the shuffle taken over shuffle_braiding."""
     engine = SymEngine(braiding)
-    got = shuffle(shuffle_braiding, Element.of_word((a,)), Element(engine.sym(v)))
-    return got != Element(engine.sym((a,) + v))
+    got = shuffle(shuffle_braiding, {(a,): 1}, engine.sym(v))
+    return got != engine.sym((a,) + v)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -305,11 +305,25 @@ def test_letter_insertion_is_the_shuffle_by_a_letter(case):
     assert not _insertion_mismatch(braiding, a, v, braiding)
 
 
+def _sum(terms):
+    """The word vector sum of s * x over (scalar s, word vector x) pairs,
+    with no zero coefficient."""
+    out = {}
+    for s, x in terms:
+        for w, c in x.items():
+            merged = out.get(w, 0) + s * c
+            if merged:
+                out[w] = merged
+            else:
+                out.pop(w, None)
+    return out
+
+
 def _derivative(x, c, side):
-    """d^R_c x (u -> x[u c]) or d^L_c x (u -> x[c u]) of an Element."""
+    """d^R_c x (u -> x[u c]) or d^L_c x (u -> x[c u]) of a word vector."""
     if side == "right":
-        return Element({w[:-1]: s for w, s in x.terms() if w[-1:] == (c,)})
-    return Element({w[1:]: s for w, s in x.terms() if w[:1] == (c,)})
+        return {w[:-1]: s for w, s in x.items() if w[-1:] == (c,)}
+    return {w[1:]: s for w, s in x.items() if w[:1] == (c,)}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -322,27 +336,24 @@ def test_derivatives_of_a_letter_shuffle(case, c):
     braiding, a, v = case
     m = len(braiding)
     c = min(c, m)
-    x = Element(SymEngine(braiding).sym(v))
-    letter = Element.of_word((a,))
+    x = SymEngine(braiding).sym(v)
+    letter = {(a,): 1}
     ax = shuffle(braiding, letter, x)
     chi = prod(braiding[a - 1][k] ** v.count(k + 1) for k in range(m))
-    right = shuffle(braiding, letter, _derivative(x, c, "right"))
-    left = shuffle(braiding, letter, _derivative(x, c, "left"))
-    left = left.scaled(braiding[a - 1][c - 1])
+    right = [(1, shuffle(braiding, letter, _derivative(x, c, "right")))]
+    left = [(braiding[a - 1][c - 1],
+             shuffle(braiding, letter, _derivative(x, c, "left")))]
     if a == c:
-        right = right + x.scaled(chi)
-        left = left + x
-    assert _derivative(ax, c, "right") == right
-    assert _derivative(ax, c, "left") == left
+        right.append((chi, x))
+        left.append((1, x))
+    assert _derivative(ax, c, "right") == _sum(right)
+    assert _derivative(ax, c, "left") == _sum(left)
 
 
 def _combination(coords, basis):
     """sum_k coords[k] * basis[k], for coords a list or (k, scalar) pairs."""
     pairs = coords if coords and isinstance(coords[0], tuple) else enumerate(coords)
-    out = Element.zero()
-    for k, v in pairs:
-        out = out + basis[k].scaled(v)
-    return out
+    return _sum((v, basis[k]) for k, v in pairs)
 
 
 @st.composite
@@ -374,7 +385,7 @@ def test_kept_maps_match_word_vectors(case):
     m = len(braiding)
     engine = (IntegerPoints(tuple(tuple(map(QT.coerce, row)) for row in braiding))
               if field == QT else SymEngine(braiding))
-    basis = {(0,) * m: [Element.of_word(())]}
+    basis = {(0,) * m: [{(): 1}]}
     for deg in multidegrees_up_to(m, 4 if m < 3 else 3)[1:]:
         if deg not in engine.images:
             engine.keep(deg, engine.rows(deg))
@@ -384,7 +395,7 @@ def test_kept_maps_match_word_vectors(case):
         got = [None] * image.rank
         for a, low in lowers:
             for i, y in enumerate(basis[low]):
-                column = shuffle(braiding, Element.of_word((a,)), y)
+                column = shuffle(braiding, {(a,): 1}, y)
                 coords = image.mul[a][i]
                 for k, v in coords:
                     if got[k] is None:

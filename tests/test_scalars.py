@@ -216,16 +216,22 @@ def test_cyclotomic_integer_coordinates_and_pickle():
         assert (back, hash(back), str(back)) == (v, hash(v), str(v))
 
 
-def test_poly_and_ratfunc_refuse_assignment_and_pickle():
+def test_poly_ratfunc_and_cyclotomic_refuse_assignment_and_pickle():
+    # a value's fields, and so its hash, cannot change under a datum
     p = Poly((1, 2))
     f = RatFunc(Poly((1,)), Poly((0, 1)))
-    for value, name in [(p, "coeffs"), (f, "num"), (f, "den")]:
+    c = Cyclotomic.zeta(5)
+    before = hash(c)
+    for value, name in [(p, "coeffs"), (f, "num"), (f, "den"), (c, "order"),
+                        (c, "num"), (c, "den")]:
         with pytest.raises(AttributeError):
-            setattr(value, name, Poly((3,)))
+            setattr(value, name, (0, 0, 0, 0))
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert not hasattr(p, "__dict__") and not hasattr(f, "__dict__")
-    for v in (p, Poly(()), f, RatFunc.const(Fraction(-4, 6))):
+    assert (c.num, c.den, hash(c)) == ((0, 1, 0, 0), 1, before)
+    assert not any(hasattr(v, "__dict__") for v in (p, f, c))
+    for v in (p, Poly(()), f, RatFunc.const(Fraction(-4, 6)), c,
+              Cyclotomic.of(12, [Fraction(1, 2), 0, Fraction(-3, 4)])):
         back = pickle.loads(pickle.dumps(v))
         assert (back, hash(back), str(back)) == (v, hash(v), str(v))
 

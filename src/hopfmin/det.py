@@ -19,7 +19,7 @@ from math import factorial, isqrt, prod
 from . import shapovalov
 from .growth import compute_blocks
 from .scalars import (
-    QT, _P_ONE, Poly, RatFunc, Record, cyclotomic_polynomial,
+    QT, _P_ONE, Poly, RatFunc, Record, _phi_terms, _synthetic_division,
     squarefree_cofactors)
 from .words import DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes
 
@@ -115,29 +115,6 @@ def _cyclotomic_at_2(k, primes):
     return top // bottom
 
 
-def _divide_out(coeffs, terms, dd):
-    """coeffs over the monic polynomial of degree dd whose lower nonzero
-    terms are terms, (i, c) pairs: the quotient's coefficients, or None
-    when it does not divide. Synthetic division on one copy of coeffs:
-    each quotient coefficient is left where it was read, above the
-    remainder."""
-    rem = list(coeffs)
-    for top in range(len(rem) - 1, dd - 1, -1):
-        f = rem[top]
-        if f:
-            base = top - dd
-            for i, c in terms:
-                if c == 1:
-                    rem[base + i] -= f
-                elif c == -1:
-                    rem[base + i] += f
-                else:
-                    rem[base + i] -= f * c
-    if any(rem[:dd]):
-        return None
-    return rem[dd:]
-
-
 def cyclotomic_factors(num, bound):
     """Split Phi_k(t) off the nonzero integer Poly num for k up to bound,
     in ascending k, each as often as it divides: ((k, 1, mult), ...) and
@@ -151,8 +128,8 @@ def cyclotomic_factors(num, bound):
     what is left at t = 2, since a divisor in ZZ[t] divides at every
     integer point (a value 0 rejects nothing). So a bound of a million
     tries only the k with phi(k) up to the degree, about twice the degree
-    of them, and divides by a few. Each Phi_k is monic, so the division
-    runs over its nonzero terms alone (_divide_out).
+    of them, and divides by a few. Each Phi_k is monic, so the synthetic
+    division runs over its nonzero terms alone (scalars._phi_terms).
     """
     coeffs = list(num.coeffs)
     at_2 = num.eval_at(2)
@@ -161,16 +138,13 @@ def cyclotomic_factors(num, bound):
         if phi >= len(coeffs):  # above the degree of what is left
             continue
         value = _cyclotomic_at_2(k, primes)
-        if at_2 % value:
-            continue
-        cand = cyclotomic_polynomial(k).coeffs
-        terms = [(i, c) for i, c in enumerate(cand[:-1]) if c]
         mult = 0
         while phi < len(coeffs) and not at_2 % value:
-            quotient = _divide_out(coeffs, terms, phi)
-            if quotient is None:
+            rem = list(coeffs)
+            _synthetic_division(rem, phi, 1, _phi_terms(k)[1])
+            if any(rem[:phi]):
                 break
-            coeffs, at_2 = quotient, at_2 // value
+            coeffs, at_2 = rem[phi:], at_2 // value
             mult += 1
         if mult:
             found.append((k, 1, mult))

@@ -12,6 +12,10 @@ that equal values compare equal structurally and render to identical strings:
   are int arithmetic, and an inverse is the product of the other Galois
   conjugates over the norm, an int.
 
+One synthetic division on int coefficient lists (_synthetic_division)
+serves exact quotients in ZZ[t], pseudo-remainders and reduction mod
+Phi_N; so a value at zeta_N is a remainder mod Phi_N (specialize).
+
 Every scalar supports +, -, *, ** with integer exponents (negative allowed
 for invertible values), division, exact equality, hashing, and a falsy zero.
 RatFunc and Cyclotomic share one protocol (_Scalar): each supplies _coerce,
@@ -177,6 +181,36 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _lower_terms(coeffs):
+    """The nonzero terms of a polynomial below its leading one, as (i, c)
+    pairs: the divisor form _synthetic_division takes."""
+    return [(i, c) for i, c in enumerate(coeffs[:-1]) if c]
+
+
+def _synthetic_division(coeffs, degree, lead, terms):
+    """Divide the int list coeffs in place by lead * t**degree plus the
+    (i, c) terms below it: coeffs[:degree] becomes the remainder and
+    coeffs[degree:] the quotient. False, coeffs part-way, when a lead
+    other than 1 does not divide a quotient coefficient."""
+    for top in range(len(coeffs) - 1, degree - 1, -1):
+        f = coeffs[top]
+        if f:
+            if lead != 1:
+                f, r = divmod(f, lead)
+                if r:
+                    return False
+                coeffs[top] = f
+            base = top - degree
+            for i, c in terms:
+                if c == 1:
+                    coeffs[base + i] -= f
+                elif c == -1:
+                    coeffs[base + i] += f
+                else:
+                    coeffs[base + i] -= f * c
+    return True
+
+
 class Poly(Record):
     """Polynomial in t over the integers, coefficients ascending, trimmed.
 
@@ -274,28 +308,12 @@ class Poly(Record):
         """Exact quotient in ZZ[t]; raises ValueError when not divisible."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return _P_ZERO
+        dd = other.degree
         rem = list(self.coeffs)
-        dc = other.coeffs
-        dd = len(dc) - 1
-        dl = dc[-1]
-        qd = len(rem) - 1 - dd
-        if qd < 0:
+        if not _synthetic_division(rem, dd, other.lc, _lower_terms(
+                other.coeffs)) or any(rem[:dd]):
             raise ValueError("not divisible")
-        q = [0] * (qd + 1)
-        for k in range(qd, -1, -1):
-            head = rem[k + dd]
-            if head % dl:
-                raise ValueError("not divisible")
-            f = head // dl
-            q[k] = f
-            if f:
-                for i, c in enumerate(dc):
-                    rem[k + i] -= f * c
-        if any(rem[:dd] if dd else []):
-            raise ValueError("not divisible")
-        return Poly(tuple(q))
+        return Poly(tuple(rem[dd:]))
 
     def divides(self, other):
         try:
@@ -322,23 +340,13 @@ _P_ONE = Poly((1,))
 
 
 def _pseudo_rem(a, b):
-    """Pseudo-remainder of a by b over ZZ[t]: lc(b)**k * a mod b."""
-    rem = list(a.coeffs)
-    dc = b.coeffs
-    dd = len(dc) - 1
-    dl = dc[-1]
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        head = rem[-1]
-        k = len(rem) - 1 - dd
-        rem = [c * dl for c in rem]
-        for i, c in enumerate(dc):
-            rem[k + i] -= head * c
-        rem.pop()
-    return Poly(tuple(rem))
+    """Pseudo-remainder of a by b over ZZ[t]: lc(b)**k * a mod b, with
+    k = deg a - deg b + 1 (0 below deg b), which makes the division exact."""
+    dd = b.degree
+    scale = b.lc ** max(a.degree - dd + 1, 0)
+    rem = [c * scale for c in a.coeffs]
+    _synthetic_division(rem, dd, b.lc, _lower_terms(b.coeffs))
+    return Poly(tuple(rem[:dd]))
 
 
 def poly_gcd(a, b):
@@ -536,22 +544,20 @@ class RatFunc(_Scalar, Record):
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_tail(n):
-    """The coefficients of Phi_n below its leading 1, as ints; since
-    Phi_n is monic, zeta**d = -sum(tail[i] * zeta**i) for d = phi(n)."""
-    return cyclotomic_polynomial(n).coeffs[:-1]
+def _phi_terms(n):
+    """(phi(n), the nonzero terms of Phi_n below its leading 1): Phi_n as
+    the monic divisor _synthetic_division takes."""
+    coeffs = cyclotomic_polynomial(n).coeffs
+    return len(coeffs) - 1, tuple(_lower_terms(coeffs))
 
 
-def _reduce_mod_phi(coeffs, tail):
-    """Reduce an int coefficient list, at least len(tail) long, in place
-    modulo the monic polynomial with low coefficients tail (_phi_tail)."""
-    d = len(tail)
-    for k in range(len(coeffs) - 1, d - 1, -1):
-        head = coeffs.pop()
-        if head:
-            for i, c in enumerate(tail, k - d):
-                coeffs[i] -= head * c
-    return tuple(coeffs)
+def _mod_phi(coeffs, n):
+    """The phi(n) coordinates of an int coefficient list of any length
+    modulo Phi_n, the list taken as scratch."""
+    d, terms = _phi_terms(n)
+    coeffs += [0] * (d - len(coeffs))
+    _synthetic_division(coeffs, d, 1, terms)
+    return tuple(coeffs[:d])
 
 
 class Cyclotomic(_Scalar, Record):
@@ -582,12 +588,10 @@ class Cyclotomic(_Scalar, Record):
     @classmethod
     def of(cls, order, coeffs):
         """sum(coeffs[k] * zeta**k) for int or Fraction coeffs of any length."""
-        tail = _phi_tail(order)
         fracs = [Fraction(c) for c in coeffs]
-        fracs += [Fraction(0)] * (len(tail) - len(fracs))
         den = lcm(*[c.denominator for c in fracs])
-        return cls(order, _reduce_mod_phi(
-            [c.numerator * (den // c.denominator) for c in fracs], tail), den)
+        return cls(order, _mod_phi(
+            [c.numerator * (den // c.denominator) for c in fracs], order), den)
 
     @classmethod
     def zeta(cls, order):
@@ -652,8 +656,7 @@ class Cyclotomic(_Scalar, Record):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
-        return Cyclotomic(self.order,
-                          _reduce_mod_phi(out, _phi_tail(self.order)),
+        return Cyclotomic(self.order, _mod_phi(out, self.order),
                           self.den * o.den)
 
     __rmul__ = __mul__
@@ -661,17 +664,11 @@ class Cyclotomic(_Scalar, Record):
     def matrix(self):
         """The phi(N) x phi(N) matrix of multiplication by this value on
         the power basis, as rows of ints (Fractions where den > 1): entry
-        (k, l) is coordinate k of self * zeta**l."""
-        tail = _phi_tail(self.order)
-        d = len(tail)
-        cols = []
-        v = list(self.num)
-        for _ in range(d):
-            cols.append(v)
-            top = v[-1]
-            v = [0] + v[:-1]
-            if top:
-                v = [a - top * c for a, c in zip(v, tail)]
+        (k, l) is coordinate k of self * zeta**l, column l the remainder
+        of t**l times column 0."""
+        cols = [self.num]
+        for _ in range(1, len(self.num)):
+            cols.append(_mod_phi([0, *cols[-1]], self.order))
         den = self.den
         if den == 1:
             return list(zip(*cols))
@@ -684,14 +681,13 @@ class Cyclotomic(_Scalar, Record):
         if self.is_zero():
             raise ZeroDivisionError("zero cyclotomic value has no inverse")
         order, num = self.order, self.num
-        tail = _phi_tail(order)
         adj = self._coerce(1)
         for k in range(2, order):
             if _int_gcd(k, order) == 1:
                 conj = [0] * order
                 for i, a in enumerate(num):
                     conj[i * k % order] = a
-                adj = adj * Cyclotomic(order, _reduce_mod_phi(conj, tail))
+                adj = adj * Cyclotomic(order, _mod_phi(conj, order))
         norm = (adj * Cyclotomic(order, num)).num
         if any(norm[1:]):
             raise ArithmeticError("cyclotomic norm is not rational")
@@ -722,20 +718,24 @@ class Cyclotomic(_Scalar, Record):
 
 
 def specialize(f, n):
-    """Evaluate a RatFunc at t = zeta_n inside QQ(zeta_n).
+    """Evaluate a RatFunc at t = zeta_n inside QQ(zeta_n): num and den
+    mod Phi_n, after den's factor t**j moves up as zeta**(-j mod n). Only a
+    non-constant remainder of den is inverted, so a Laurent monomial
+    point costs no Galois norm.
 
     Raises SpecializationPoleError when the denominator vanishes there,
     which happens exactly when Phi_n divides it.
     """
-    zeta = Cyclotomic.zeta(n)
-    den = f.den.eval_at(zeta)
-    if isinstance(den, int):
-        den = Cyclotomic.const(n, den)
-    if den.is_zero():
+    j = f.den.trailing_zeros()
+    den = _mod_phi(list(f.den.coeffs[j:]), n)  # ValueError for n < 1
+    if not any(den):
         raise SpecializationPoleError(
             f"pole at t = zeta_{n}: denominator is divisible by Phi_{n}")
-    num = f.num.eval_at(zeta)
-    return num / den
+    num = _mod_phi([0] * (-j % n) + list(f.num.coeffs), n)
+    if any(den[1:]):
+        return Cyclotomic(n, num) / Cyclotomic(n, den)
+    value = Cyclotomic(n, num, abs(den[0]))
+    return value if den[0] > 0 else -value
 
 
 # ---------------------------------------------------------------------------

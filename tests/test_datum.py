@@ -28,6 +28,7 @@ from hopfmin.scalars import (
     ORDER_LIMIT,
     QQ,
     QT,
+    Cyclotomic,
     CyclotomicField,
     FieldMismatchError,
     RatFunc,
@@ -271,6 +272,25 @@ def test_specialize_datum_values():
         specialize_datum(d, 3)
     with pytest.raises(DatumValidationError, match="order 1001 is over"):
         specialize_datum(preset_cartan("A1"), ORDER_LIMIT + 1)
+
+
+def test_laurent_monomial_points_take_no_inverse(monkeypatch):
+    # c * t**j at zeta_N is zeta**(-j mod N) * c, with no Galois norm
+    calls = []
+    inverse = Cyclotomic.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    specialize_datum(preset_doubled("G2"), 1000)
+    e = 10 ** 4000
+    d = parse_datum(json.dumps({
+        "rank": 1, "field": "cyclotomic(1000)",
+        "alphas": [[e + i] for i in range(4)],
+        "gammas": [["t"], ["t^3"], ["-t"], ["t^7"]]}))
+    assert d.q_matrix and calls == []
 
 
 def test_datum_hash_distinguishes():

@@ -8,8 +8,12 @@ coordinates; Sh((a,) + v) = a sh Sh(v), the identity tables build their
 blocks by, against the braided shuffle; the maps table blocks keep,
 against word vectors; and QQ and cyclotomic tables, built from the lower
 images, against their full Sh blocks; the datum hash against hashlib's
-SHA-256; and the cyclotomic factor search against the search over every
-Phi_k(t^j)."""
+SHA-256; the cyclotomic factor search against the search over every
+Phi_k(t^j); and the one synthetic division: exact quotients and
+pseudo-remainders in ZZ[t] against Fraction long division, values at
+zeta_N (Cyclotomic.of, specialize) against Horner's rule through
+Cyclotomic products, and the columns of Cyclotomic.matrix against
+products by powers of zeta."""
 
 import hashlib
 import itertools
@@ -27,7 +31,9 @@ from hopfmin.det import cyclotomic_factors, gram_determinant
 from hopfmin.growth import compute_blocks, hilbert_table
 from hopfmin.oracles import POOL, planted_q, random_q
 from hopfmin.scalars import (
-    QQ, QT, Cyclotomic, CyclotomicField, Poly, cyclotomic_polynomial, poly_str)
+    QQ, QT, Cyclotomic, CyclotomicField, Poly, RatFunc,
+    SpecializationPoleError, _pseudo_rem, cyclotomic_polynomial, poly_str,
+    specialize)
 from hopfmin.shapovalov import (
     IntegerPoints,
     SymEngine,
@@ -549,3 +555,94 @@ def _cyclotomic_products(draw):
 def test_factor_search_matches_search_over_every_power(case):
     num, bound = case
     assert cyclotomic_factors(num, bound) == _search_every_power(num, bound)
+
+
+_POLYS = st.lists(st.integers(-4, 4), max_size=7).map(Poly)
+
+
+def _fraction_divmod(a, b):
+    """Quotient and remainder of a by b in QQ[t], by long division on
+    Fraction coefficients."""
+    rem = [Fraction(c) for c in a.coeffs]
+    dd = b.degree
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + dd] / b.lc
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= quot[k] * c
+    return quot, rem[:dd]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_POLYS, _POLYS.filter(bool))
+def test_exact_division_matches_fraction_long_division(a, b):
+    assert (a * b).exact_div(b) == a
+    quot, rem = _fraction_divmod(a, b)
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        with pytest.raises(ValueError):
+            a.exact_div(b)
+    else:
+        assert a.exact_div(b) == Poly([int(c) for c in quot])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_POLYS, _POLYS.filter(bool))
+def test_pseudo_remainder_matches_fraction_long_division(a, b):
+    scale = Poly.const(b.lc ** max(a.degree - b.degree + 1, 0))
+    rem = _fraction_divmod(a * scale, b)[1]
+    assert all(c.denominator == 1 for c in rem)
+    assert _pseudo_rem(a, b) == Poly([int(c) for c in rem])
+
+
+_VALUE_ORDERS = st.one_of(st.integers(1, 30), st.sampled_from((105, 210)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_VALUE_ORDERS, st.lists(st.integers(-9, 9), max_size=120),
+       st.integers(1, 6))
+def test_values_at_zeta_are_remainders_mod_phi(n, coeffs, den):
+    x = Cyclotomic.of(n, [Fraction(c, den) for c in coeffs])
+    assert x == Poly(coeffs).eval_at(Cyclotomic.zeta(n)) * Fraction(1, den)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_VALUE_ORDERS, st.lists(_COORDS, max_size=60))
+def test_matrix_columns_are_products_by_powers_of_zeta(n, coeffs):
+    x = Cyclotomic.of(n, coeffs)
+    cols = list(zip(*x.matrix()))
+    assert len(cols) == len(x.num)
+    for k, col in enumerate(cols):
+        assert col == (x * Cyclotomic.zeta(n) ** k).coords
+
+
+@st.composite
+def _points(draw):
+    """An order and a RatFunc whose denominator is t**j, c * t**j, or a
+    non-monomial, sometimes a multiple of a cyclotomic polynomial."""
+    n = draw(st.integers(1, 30))
+    j, c = draw(st.integers(0, 40)), draw(st.sampled_from((1, -1, 2, -6)))
+    den = Poly.monomial(c, j)
+    kind = draw(st.sampled_from(("t^j", "c*t^j", "poly", "phi")))
+    if kind == "t^j":
+        den = Poly.monomial(1, j)
+    elif kind == "poly":
+        den = den * draw(_POLYS.filter(lambda p: p.degree > 0))
+    elif kind == "phi":
+        m = draw(st.one_of(st.just(n), st.integers(1, 30)))
+        den = den * cyclotomic_polynomial(m) * draw(_POLYS.filter(bool))
+    return n, RatFunc(draw(_POLYS), den)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_points())
+def test_specialize_matches_horner_at_zeta(case):
+    n, f = case
+    zeta = Cyclotomic.zeta(n)
+    den = f.den.eval_at(zeta)
+    if not den:
+        with pytest.raises(SpecializationPoleError):
+            specialize(f, n)
+    else:
+        assert specialize(f, n) == f.num.eval_at(zeta) / den
+    with pytest.raises(ValueError):
+        specialize(f, 0)

@@ -251,7 +251,7 @@ def shuffle_morphism(sym_braiding, shuffle_braiding, pairs):
 
 
 def multilinear_det_matches_elimination(cases):
-    """The closed form of a multilinear block's determinant against Bareiss
+    """The closed form of a multilinear block's determinant against the
     elimination of its Sh block, on each (datum, deg) case. Elimination
     gives 0 exactly below full rank, so equal determinants also mean the
     closed form is nonzero exactly when the block has full rank."""

@@ -661,19 +661,6 @@ class Cyclotomic(_Scalar, Record):
 
     __rmul__ = __mul__
 
-    def matrix(self):
-        """The phi(N) x phi(N) matrix of multiplication by this value on
-        the power basis, as rows of ints (Fractions where den > 1): entry
-        (k, l) is coordinate k of self * zeta**l, column l the remainder
-        of t**l times column 0."""
-        cols = [self.num]
-        for _ in range(1, len(self.num)):
-            cols.append(_mod_phi([0, *cols[-1]], self.order))
-        den = self.den
-        if den == 1:
-            return list(zip(*cols))
-        return [[Fraction(a, den) for a in row] for row in zip(*cols)]
-
     def inverse(self):
         """1 / self by the Galois norm: adj, the product of the conjugates
         sigma_k(num) (zeta -> zeta**k) over the units k != 1 mod N, makes
@@ -1048,9 +1035,11 @@ class RationalFunctionField(_Field):
         return parse_scalar(text)
 
 
-# the largest order N of a cyclotomic field a datum may live over. Ranks
-# there cost about phi(N)**3: at N = 1000 (phi 400) the table of cartan:A2
-# to total 2 took 11 s on one CPU
+# the largest order N of a cyclotomic field a datum may live over. It bounds
+# the Galois-norm inverse that elimination takes once per pivot row,
+# phi(N) - 1 products of values with phi(N) coordinates: at N = 1000
+# (phi 400) one inverse of a dense value took 3.5-6.4 s on one CPU, while
+# the table of cartan:A2 to total 2, whose pivots are sparse, took 0.12 s
 ORDER_LIMIT = 1000
 
 

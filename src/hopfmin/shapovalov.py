@@ -26,21 +26,21 @@ derivations of the Nichols algebra (Andruskiewitsch and Schneider, Pointed
 Hopf algebras, 2002) as a linear representation (Berstel and Reutenauer,
 Noncommutative Rational Series, 2011), built by a recursion (SymEngine).
 
-Ranks and determinants come from one fraction-free Bareiss elimination.
-Its divisions only have to be exact in the ring the rows live in (Sylvester's
-identity), so each field's clearing rule, _clearing, takes raw symmetrizer
-scalars into that ring once per row: coprime ints with floor division over
-QQ, integer polynomials with exact division (Bareiss over ZZ[t]) over QQ(t),
-field scalars over a cyclotomic field, where each step's pivot is inverted
-once, by its Galois norm. Row scalings leave the rank unchanged
-and divide out of the determinant. A word-indexed SymMatrix is eliminated
-so, for its rank and its determinant alike (_bareiss).
+Ranks and determinants come from one elimination (_eliminate), with one
+rule per ring its rows live in; each field's clearing rule, _clearing,
+takes raw symmetrizer scalars into that ring once per row. QQ rows become
+coprime ints and QQ(t) rows integer polynomials, eliminated by fraction-free
+Bareiss steps (Bareiss, Math. Comp. 22, 1968), whose divisions only have to
+be exact in that ring (Sylvester's identity): floor division, and exact
+division in ZZ[t]. Cyclotomic rows stay field scalars, eliminated by Gauss
+steps, which invert each pivot once, by its Galois norm. Row scalings leave
+the rank unchanged and divide out of the determinant. Table blocks
+(SymEngine.keep) and word-indexed SymMatrix blocks (rank,
+determinant_by_elimination) are eliminated alike.
 
-Table ranks are integer ranks instead (SymEngine.keep): over QQ, over
-QQ(zeta_N) on the regular representation (_echelon), each engine taking
-the field off its braiding, and over QQ(t) at integer points of t. So each
-table route is checked against rank(mat) on other matrices (words, not
-derivation maps), and over QQ(t) and QQ(zeta_N) with other arithmetic too.
+Over QQ(t) table ranks are integer ranks instead, at integer points of t.
+So each table route is checked against rank(mat) on other matrices (words,
+not derivation maps), and over QQ(t) with other arithmetic too.
 
 A table rank over QQ(t) starts from the integer rank at a small seed point
 of t, a certified lower bound (evaluation never raises a rank). The QQ(t)
@@ -66,7 +66,7 @@ from operator import floordiv
 
 from .scalars import (
     QQ, QT, _P_ONE, Cyclotomic, CyclotomicField, Poly, RatFunc, Record,
-    cyclotomic_polynomial, poly_gcd)
+    poly_gcd)
 from .words import (
     DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes, words_of_multidegree)
 
@@ -292,25 +292,32 @@ def symmetrizer(datum, deg, block_limit=DEFAULT_BLOCK_LIMIT):
 
 
 def _eliminate(rows, div, pivots=None):
-    """Fraction-free Bareiss elimination in place; returns (rank, sign,
-    last_pivot).
+    """Elimination in place, by one rule per ring the rows live in; returns
+    (rank, sign, minor), minor the determinant of the pivot rows on the
+    pivot columns, so that on a square matrix of full rank sign * minor is
+    the determinant.
 
     Pivots are the first nonzero entry of each column scanning down from the
     current row; columns without one are skipped. So the pivot columns are
     the greedily independent columns; each is appended to the list pivots
-    when one is given. Each updated entry is a minor of the input
-    (Sylvester's identity) divided by the previous pivot, itself a minor, so
-    div only has to divide exactly in the ring the rows live in: floor
-    division on ints, polynomial division on QQ(t) rows over denominator 1,
-    division in a field. On a square matrix of full rank, sign * last_pivot
-    is the determinant. Entries of finished rows are left stale but are
-    never read again.
+    when one is given.
+
+    Given div, the steps are fraction-free Bareiss steps: each updated entry
+    is a minor of the input (Sylvester's identity) divided by the previous
+    pivot, itself a minor, so div only has to divide exactly in the ring
+    the rows live in (floor division on ints, polynomial division on QQ(t)
+    rows over denominator 1), and minor is the last pivot. With div None
+    the rows are over a field and the steps are Gauss steps: the pivot is
+    multiplied into minor and set to 1, the rest of its row is scaled by
+    its inverse, taken once, and each row below adds a multiple of that
+    rest over its nonzero entries only. Entries below a pivot are left
+    stale but are never read again.
     """
     n = len(rows)
     if n == 0:
         return 0, 1, None
     ncols = len(rows[0])
-    prev = None
+    minor = None
     rank = 0
     sign = 1
     for col in range(ncols):
@@ -328,24 +335,40 @@ def _eliminate(rows, div, pivots=None):
             pivots.append(col)
         prow = rows[rank]
         p = prow[col]
-        for i in range(rank + 1, n):
-            ri = rows[i]
-            a = ri[col]
-            if a:
-                for j in range(col + 1, ncols):
-                    val = p * ri[j] - a * prow[j]
-                    ri[j] = div(val, prev) if prev is not None else val
-            else:
-                for j in range(col + 1, ncols):
-                    v = ri[j]
-                    if v:
-                        val = p * v
-                        ri[j] = div(val, prev) if prev is not None else val
-        prev = p
+        if div is None:
+            minor = p if minor is None else minor * p
+            prow[col] = 1
+            rest = [j for j in range(col + 1, ncols) if prow[j]]
+            if rest:
+                inverse = 1 / p
+                for j in rest:
+                    prow[j] = prow[j] * inverse
+                for i in range(rank + 1, n):
+                    ri = rows[i]
+                    a = ri[col]
+                    if a:
+                        a = -a
+                        for j in rest:
+                            ri[j] = ri[j] + a * prow[j]
+        else:
+            for i in range(rank + 1, n):
+                ri = rows[i]
+                a = ri[col]
+                if a:
+                    for j in range(col + 1, ncols):
+                        val = p * ri[j] - a * prow[j]
+                        ri[j] = div(val, minor) if minor is not None else val
+                else:
+                    for j in range(col + 1, ncols):
+                        v = ri[j]
+                        if v:
+                            val = p * v
+                            ri[j] = div(val, minor) if minor is not None else val
+            minor = p
         rank += 1
         if rank == n:
             break
-    return rank, sign, prev
+    return rank, sign, minor
 
 
 def _int_row(row):
@@ -383,40 +406,26 @@ def _qt_row(row):
     return [e.num * den.exact_div(e.den) for e in row], den
 
 
-def _field_clearing(field):
-    """The Bareiss rule of a field that needs no clearing: its own scalars,
-    every zero one shared object, multiplier 1, and field division that
-    inverts each divisor once. A Bareiss step divides every entry by the
-    same previous pivot, so div keeps the last divisor, by identity, with
-    its inverse and multiplies; a cyclotomic inverse is one Galois norm in
-    int arithmetic (Cyclotomic.inverse)."""
-    coerce = field.coerce
-    zero = field.zero()
-    pivot = inverse = None
-
-    def clear(row):
-        return [coerce(x) if x else zero for x in row], 1
-
-    def div(a, b):
-        nonlocal pivot, inverse
-        if b is not pivot:
-            pivot, inverse = b, 1 / b
-        return a * inverse
-
-    return clear, div
-
-
 def _clearing(field):
-    """The Bareiss rule of a field as (clear_row, div): clear_row takes a
-    row of raw symmetrizer scalars into the ring the elimination runs on,
-    where div is an exact division, and returns it with its multiplier.
-    QQ rows become coprime ints (floor division), QQ(t) rows integer
-    polynomials (Poly.exact_div), cyclotomic rows field scalars."""
+    """The elimination rule of a field as (clear_row, div): clear_row takes
+    a row of raw symmetrizer scalars into the ring _eliminate runs on and
+    returns it with its multiplier. QQ rows become coprime ints and QQ(t)
+    rows integer polynomials, for Bareiss steps with div an exact division
+    there (floor division, Poly.exact_div). Cyclotomic rows stay field
+    scalars, every zero one shared object, with multiplier 1, and div None
+    asks for Gauss steps: each pivot is inverted once, by its Galois norm
+    in int arithmetic (Cyclotomic.inverse)."""
     if field == QQ:
         return _int_row, floordiv
     if field == QT:
         return _qt_row, Poly.exact_div
-    return _field_clearing(field)
+    coerce = field.coerce
+    zero = field.zero()
+
+    def clear(row):
+        return [coerce(x) if x else zero for x in row], 1
+
+    return clear, None
 
 
 def _certified_rank(seed, dim, norm, rows_at):
@@ -590,117 +599,75 @@ class IntegerPoints(SymEngine):
 
 
 def rank_rows(field, rows, deg=None, engine=None):
-    """Exact rank of a block given as rows of raw symmetrizer scalars (or
-    field scalars) over QQ or QQ(zeta_N), by the integer Bareiss
-    (_echelon). A table block (growth) passes its multidegree deg and the
-    engine whose rows built it (matrix_rows) instead: engine.keep keeps the
-    block's Image and returns its rank over the datum's field, which an
-    IntegerPoints engine certifies over QQ(t)."""
+    """Exact rank over field of a block given as rows of raw symmetrizer
+    scalars (or field scalars): _eliminate on the nonzero rows, cleared by
+    the field's _clearing rule. A table block (growth) passes its
+    multidegree deg and the engine whose rows built it (matrix_rows)
+    instead: engine.keep keeps the block's Image and returns its rank over
+    the datum's field, which an IntegerPoints engine certifies over QQ(t)."""
     if engine is not None:
         return engine.keep(deg, rows)
-    if not rows:
-        return 0
-    return len(_echelon(field, rows)[1])
-
-
-def _echelon(field, rows):
-    """(ints, pivots, last, width): rows over QQ or QQ(zeta_N) as coprime int
-    rows with the same relations among their columns, all-zero rows
-    dropped, after Bareiss; the pivot columns of rows (the greedily
-    independent ones); the last pivot; and the int columns per column.
-
-    Over QQ(zeta_N), width = phi(N) = d and each entry becomes its d x d
-    multiplication matrix (Cyclotomic.matrix), the regular representation.
-    Column j then becomes d columns, j times 1, zeta, ..., spanning a
-    QQ(zeta_N)-line; so the int pivot columns come in whole groups, and the
-    int rank is d times the rank.
-    """
-    width = 1
-    if isinstance(field, CyclotomicField):
-        width = cyclotomic_polynomial(field.order).degree
-        zeros = [0] * width
-        expanded = []
-        for row in rows:
-            if any(row):
-                sub = [[] for _ in range(width)]
-                for x in row:
-                    for part, mrow in zip(sub, field.coerce(x).matrix()
-                                          if x else [zeros] * width):
-                        part += mrow
-                expanded += sub
-        rows = expanded
-    ints = [_int_row(row)[0] for row in rows if any(row)]
-    cols = []
-    r, _, last = _eliminate(ints, floordiv, cols)
-    if r % width:
-        raise ArithmeticError(
-            f"rank {r} over QQ is not a multiple of phi(N) = {width}")
-    return ints, [p // width for p in cols[::width]], last, width
+    clear, div = _clearing(field)
+    return _eliminate([clear(row)[0] for row in rows if any(row)], div)[0]
 
 
 def _coordinates(field, rows):
-    """(pivots, coords): the pivot columns of rows (_echelon), and each
-    column's coordinates in them as (index, scalar) pairs, zeros left out.
+    """(pivots, coords): the pivot columns of rows (the greedily independent
+    ones, _eliminate), and each column's coordinates in them as (index,
+    scalar) pairs, zeros left out.
 
-    The first eliminated rows are triangular on the int pivot columns, and
-    by Sylvester's identity the last pivot D is the minor on them; by
-    Cramer's rule D times a coordinate is a minor too, so back substitution
-    on D times a column divides exactly. Over QQ(zeta_N) the int column
-    p * d + s is column p times zeta**s.
+    The first eliminated rows are triangular on the pivot columns. Over a
+    field their pivots are 1, so back substitution on a column divides by
+    nothing. On int rows the last pivot D is the minor on the pivot columns
+    (Sylvester's identity); by Cramer's rule D times a coordinate is a minor
+    too, so back substitution on D times a column divides exactly.
     """
     ncols = len(rows[0]) if rows else 0
-    ints, pivots, last, width = _echelon(field, rows)
-    den = abs(last or 1)  # D and -D serve alike
+    clear, div = _clearing(field)
+    cleared = [clear(row)[0] for row in rows if any(row)]
+    pivots = []
+    r, _, minor = _eliminate(cleared, div, pivots)
+    den = abs(minor) if div and r else 1  # D and -D serve alike
     where = {p: k for k, p in enumerate(pivots)}
-    cols = [p * width + s for p in pivots for s in range(width)]
     coords = []
     for q in range(ncols):
         if q in where:
             coords.append([(where[q], 1)])
             continue
-        y = [0] * len(cols)
-        for k in range(len(cols) - 1, -1, -1):
-            row = ints[k]
-            acc = den * row[q * width]
-            for m in range(k + 1, len(cols)):
+        y = [0] * r
+        for k in range(r - 1, -1, -1):
+            row = cleared[k]
+            acc = row[q] * den
+            for m in range(k + 1, r):
                 if y[m]:
-                    acc -= row[cols[m]] * y[m]
-            y[k] = acc // row[cols[k]]
-        if width == 1:
-            coords.append([(k, v // den if v % den == 0 else Fraction(v, den))
-                           for k, v in enumerate(y) if v])
-        else:
-            parts = [tuple(y[k:k + width]) for k in range(0, len(y), width)]
-            coords.append([(k, Cyclotomic(field.order, part, den))
-                           for k, part in enumerate(parts) if any(part)])
+                    acc -= row[pivots[m]] * y[m]
+            p = row[pivots[k]]
+            y[k] = acc if p == 1 else acc // p
+        coords.append([(k, v if den == 1 else v // den if v % den == 0
+                        else Fraction(v, den)) for k, v in enumerate(y) if v])
     return pivots, coords
 
 
-def _bareiss(mat):
-    """(rank, sign, last pivot, row multipliers) of the Bareiss elimination
-    of a SymMatrix: its rows cleared by the field's _clearing rule, then
-    _eliminate."""
-    clear, div = _clearing(mat.field)
-    cleared = [clear(row) for row in mat.entries]
-    return (*_eliminate([row for row, _ in cleared], div),
-            [scale for _, scale in cleared])
-
-
 def rank(mat):
-    """Exact rank of a SymMatrix over its field (_bareiss)."""
-    return _bareiss(mat)[0]
+    """Exact rank of a SymMatrix over its field (rank_rows)."""
+    return rank_rows(mat.field, mat.entries)
 
 
 def determinant_by_elimination(mat):
-    """(rank, determinant) of a square SymMatrix by Bareiss elimination.
+    """(rank, determinant) of a square SymMatrix by _eliminate.
 
-    The determinant is the signed last pivot of _bareiss over the product
-    of the row multipliers, or the field's zero below full rank.
+    The determinant is the signed minor of the elimination of the rows
+    cleared by the field's _clearing rule, over the product of the row
+    multipliers, or the field's zero below full rank.
     """
     field = mat.field
-    r, sign, last, scales = _bareiss(mat)
-    if r < len(scales):
+    clear, div = _clearing(field)
+    cleared = [clear(row) for row in mat.entries]
+    r, sign, minor = _eliminate([row for row, _ in cleared], div)
+    if r < len(cleared):
         return r, field.zero()
+    scales = [scale for _, scale in cleared]
     if field == QT:
-        return r, RatFunc(last if sign > 0 else -last, prod(scales, start=_P_ONE))
-    return r, field.coerce(sign * last) / field.coerce(prod(scales))
+        return r, RatFunc(minor if sign > 0 else -minor,
+                          prod(scales, start=_P_ONE))
+    return r, field.coerce(sign * minor) / field.coerce(prod(scales))

@@ -210,9 +210,9 @@ def test_no_qq_t_block_is_certified_twice(monkeypatch):
 @pytest.mark.parametrize("order, base", [(1, 1), (2, -1)])
 def test_width_one_cyclotomic_tables_match_rational_tables(name, order,
                                                           base):
-    # QQ(zeta_1) and QQ(zeta_2) have width phi(N) = 1: the engine reads the
-    # field off a braiding of Cyclotomic values and must rank as over QQ
-    # at t = zeta_N
+    # QQ(zeta_1) and QQ(zeta_2) are QQ, phi(N) = 1: the engine reads the
+    # field off a braiding of Cyclotomic values, eliminates on Cyclotomic
+    # scalars and must rank as over QQ at t = zeta_N
     cyclotomic = specialize_datum(preset_cartan(name), order)
     assert cyclotomic.field == CyclotomicField(order)
     assert (hilbert_table(cyclotomic, 7).dims()

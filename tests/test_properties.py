@@ -1,6 +1,7 @@
 """Property tests against independent routes: small random QQ(t)
-braidings ranked at integer points and cyclotomic data ranked through the
-regular representation, both against symbolic elimination; QQ rows ranked
+braidings ranked at integer points against symbolic elimination, and
+cyclotomic blocks and table rows ranked over the field against a
+test-local regular representation ranked over QQ; QQ rows ranked
 as integer rows; multilinear block determinants from their closed form,
 and every block determinant and rank det reports, against elimination;
 cyclotomic arithmetic on integer coordinates against Fraction
@@ -10,10 +11,9 @@ against word vectors; and QQ and cyclotomic tables, built from the lower
 images, against their full Sh blocks; the datum hash against hashlib's
 SHA-256; the cyclotomic factor search against the search over every
 Phi_k(t^j); and the one synthetic division: exact quotients and
-pseudo-remainders in ZZ[t] against Fraction long division, values at
+pseudo-remainders in ZZ[t] against Fraction long division, and values at
 zeta_N (Cyclotomic.of, specialize) against Horner's rule through
-Cyclotomic products, and the columns of Cyclotomic.matrix against
-products by powers of zeta."""
+Cyclotomic products."""
 
 import hashlib
 import itertools
@@ -95,17 +95,34 @@ def _small_cyclotomic_data(draw):
 @given(_small_cyclotomic_data())
 @example((3, (("t", "t/2"), ("t^2", "t"))))
 @example((12, (("t", "t/2", "-1"), ("1/3", "-t", "t^2"), ("t", "1", "t"))))
-def test_regular_representation_matches_symbolic_rank(case):
+def test_cyclotomic_ranks_match_regular_representation(case):
     order, q = case
     field = CyclotomicField(order)
     datum = datum_from_q_matrix(
         tuple(tuple(field.parse(x) for x in row) for row in q), field)
     for deg in multidegrees_up_to(datum.m, 4):
         mat = symmetrizer(datum, deg)
-        expected = rank(mat)
+        expected = _regular_rank(field, mat.entries)
+        assert rank(mat) == expected, deg
         rows = matrix_rows(deg, SymEngine(datum.braiding_matrix))[1]
-        assert rank_rows(field, rows) == expected, deg
-        assert rank_rows(field, mat.entries) == expected, deg
+        assert rank_rows(field, rows) == _regular_rank(field, rows) == expected, deg
+
+
+def _regular_rank(field, rows):
+    """Rank over QQ(zeta_N) in other arithmetic: each entry x becomes its
+    phi(N) x phi(N) matrix on the regular representation, column l the
+    coordinates of x * zeta**l; the expanded rows are ranked over QQ, and
+    that rank is phi(N) times the rank over the field."""
+    powers = [field.zeta() ** l for l in range(len(field.zeta().num))]
+    d = len(powers)
+    expanded = []
+    for row in rows:
+        blocks = [[(field.coerce(x) * z).coords for z in powers] for x in row]
+        expanded += [[col[k] for cols in blocks for col in cols]
+                     for k in range(d)]
+    r = rank_rows(QQ, expanded)
+    assert r % d == 0, r
+    return r // d
 
 
 def _reference_coords(coeffs, order):
@@ -603,16 +620,6 @@ _VALUE_ORDERS = st.one_of(st.integers(1, 30), st.sampled_from((105, 210)))
 def test_values_at_zeta_are_remainders_mod_phi(n, coeffs, den):
     x = Cyclotomic.of(n, [Fraction(c, den) for c in coeffs])
     assert x == Poly(coeffs).eval_at(Cyclotomic.zeta(n)) * Fraction(1, den)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_VALUE_ORDERS, st.lists(_COORDS, max_size=60))
-def test_matrix_columns_are_products_by_powers_of_zeta(n, coeffs):
-    x = Cyclotomic.of(n, coeffs)
-    cols = list(zip(*x.matrix()))
-    assert len(cols) == len(x.num)
-    for k, col in enumerate(cols):
-        assert col == (x * Cyclotomic.zeta(n) ** k).coords
 
 
 @st.composite

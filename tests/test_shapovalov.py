@@ -28,11 +28,13 @@ from hopfmin.oracles import (
     symmetrizer_matches_permutation_sum,
 )
 from hopfmin.scalars import (
-    QQ, QT, Cyclotomic, Poly, RatFunc, cyclotomic_polynomial)
+    QQ, QT, Cyclotomic, CyclotomicField, Poly, RatFunc,
+    cyclotomic_polynomial)
 from hopfmin.shapovalov import (
     SymEngine,
     SymMatrix,
     _certified_rank,
+    _coordinates,
     _eliminate,
     _qt_row,
     determinant_by_elimination,
@@ -243,11 +245,13 @@ def test_gram_determinant_rational_matches_fraction_elimination():
 
 
 def test_cyclotomic_determinant_inverts_each_pivot_once(monkeypatch):
-    # a Bareiss step divides every entry by the same previous pivot, so
-    # field division inverts it once, not once per entry
+    # a Gauss step inverts its pivot once and scales the rest of the pivot
+    # row by it, so each of the 10 pivot rows of this 12 x 12 block, every
+    # one with entries right of its pivot, costs one inverse, not one per
+    # entry or per row below
     mat = symmetrizer(specialize_datum(preset_doubled("A2"), 5), (2, 1, 1, 0))
     assert len(mat.words) == 12
-    r = _eliminate([list(row) for row in mat.entries], truediv)[0]
+    r = _eliminate([list(row) for row in mat.entries], None)[0]
     inverse, calls = Cyclotomic.inverse, []
 
     def counted(x):
@@ -256,7 +260,7 @@ def test_cyclotomic_determinant_inverts_each_pivot_once(monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "inverse", counted)
     assert determinant_by_elimination(mat) == (r, 0)
-    assert 0 < len(calls) <= r == 10
+    assert len(calls) == r == 10
 
 
 def test_rank_handles_large_coefficients():
@@ -465,31 +469,109 @@ def _planted_matrix(rng, entry):
     return a
 
 
-@pytest.mark.parametrize("entry_kind", ["int", "fraction"])
-def test_eliminate_matches_leibniz_and_minor_rank(entry_kind):
+def _cyclotomic_entry(rng, order=5):
+    """A small random value of QQ(zeta_order), zero about a third of the
+    time, with coordinates that are not all integers."""
+    if rng.random() < 0.3:
+        return Cyclotomic.const(order, 0)
+    return Cyclotomic.of(order, [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                 for _ in range(3)])
+
+
+@pytest.mark.parametrize("entry_kind, div", [
+    ("int", floordiv), ("fraction", truediv), ("fraction", None),
+    ("cyclotomic", None)], ids=["int", "fraction", "fraction-gauss",
+                                "cyclotomic-gauss"])
+def test_eliminate_matches_leibniz_and_minor_rank(entry_kind, div):
+    # div None asks for Gauss steps, whose minor is the product of the
+    # pivots, where Bareiss steps leave it in the last pivot
     rng = random.Random(1968)
     if entry_kind == "int":
         def entry():
             return rng.choice((0, 0, 1, -1, 2, -3, 5))
-        div = floordiv
-    else:
+    elif entry_kind == "fraction":
         def entry():
             return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        div = truediv
+    else:
+        def entry():
+            return _cyclotomic_entry(rng)
     full_square = swapped = deficient = 0
     for _ in range(300):
         a = _planted_matrix(rng, entry)
         work = [list(row) for row in a]
-        r, sign, last = _eliminate(work, div)
+        r, sign, minor = _eliminate(work, div)
         assert r == _minor_rank(a), a
         deficient += r < min(len(a), len(a[0]))
         if len(a) == len(a[0]) and r == len(a):
             full_square += 1
             swapped += sign == -1
-            assert sign * last == _leibniz_det(a), a
+            assert sign * minor == _leibniz_det(a), a
     # the draw exercises rank drops and full-rank determinants, odd swap
     # parities included
     assert deficient >= 30 and full_square >= 50 and swapped >= 10
+
+
+def _column_rank(a, cols):
+    return _minor_rank([[row[j] for j in cols] for row in a]) if cols else 0
+
+
+def _check_coordinates(field, a):
+    """_coordinates of a against the greedily independent columns of a and
+    each column rebuilt from its coordinates; returns whether the last
+    pivot row has an entry right of its pivot, once a is eliminated."""
+    pivots, coords = _coordinates(field, [list(row) for row in a])
+    greedy = []
+    for q in range(len(a[0])):
+        if _column_rank(a, greedy + [q]) > len(greedy):
+            greedy.append(q)
+    assert pivots == greedy, a
+    for q, pairs in enumerate(coords):
+        for row in a:
+            assert row[q] == sum((v * row[pivots[k]] for k, v in pairs),
+                                 field.zero()), (a, q)
+    # up to scale, the last pivot row is the vector of the row space that
+    # vanishes on the other pivot columns, so its entry in a column is
+    # nonzero exactly when that column has a coordinate on the last pivot
+    last = len(pivots) - 1
+    return any(k == last for q in range(pivots[-1] + 1, len(a[0]))
+               for k, _ in coords[q]) if pivots else False
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(5), CyclotomicField(12)],
+                         ids=["qq", "zeta5", "zeta12"])
+def test_coordinates_rebuild_each_column_from_the_pivot_columns(field):
+    rng = random.Random(2024)
+    if field == QQ:
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    else:
+        def entry():
+            return _cyclotomic_entry(rng, field.order)
+    # a square 2 x 2 block, then a 2 x 3 one whose last pivot row has an
+    # entry right of its pivot, which must be scaled too
+    z = field.zeta() if field != QQ else Fraction(1, 2)
+    one = field.one()
+    assert not _check_coordinates(field, [[z, one], [one, z * z]])
+    assert _check_coordinates(field, [[z, one, one + one], [one, z, z * z]])
+    tails = 0
+    for _ in range(150):
+        # wide: up to 4 rows and 7 columns, with planted dependent and
+        # zero columns
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 7)
+        cols = []
+        for _ in range(m):
+            kind = rng.randrange(4)
+            if kind == 0 and cols:
+                x, y = entry(), entry()
+                u, v = rng.choice(cols), rng.choice(cols)
+                cols.append([x * s + y * t for s, t in zip(u, v)])
+            elif kind == 1:
+                cols.append([field.zero()] * n)
+            else:
+                cols.append([entry() for _ in range(n)])
+        tails += _check_coordinates(field, [list(r) for r in zip(*cols)])
+    assert tails >= 50
 
 
 def test_eliminate_reports_pivot_columns():

@@ -279,8 +279,7 @@ def cmd_analyze(args):
     blocks = cache.table(datum_key, degs) if cache else None
     computed = ()
     if blocks is None:
-        blocks = computed = compute_blocks(datum, degs,
-                                           block_limit=args.block_limit)
+        blocks = computed = compute_blocks(datum, degs)
         if cache:
             cache.save(datum_key, blocks)
     table = HilbertTable(args.max_total, blocks)

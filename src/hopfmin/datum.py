@@ -226,7 +226,8 @@ def datum_from_q_matrix(q, field):
 # presets
 
 # Cartan matrix and symmetrizer d for each supported finite type, with the
-# first simple root short where lengths differ.
+# first simple root short where lengths differ. A constant: the tests, not
+# preset_cartan, check that it is symmetrizable (d_i * a_ij = d_j * a_ji).
 CARTAN_TYPES = {
     "A1": (((2,),), (1,)),
     "A1XA1": (((2, 0), (0, 2)), (1, 1)),
@@ -257,52 +258,20 @@ def positive_roots(name):
     return POSITIVE_ROOTS[_type_key(name)]
 
 
-def check_symmetrizable(cartan, dvec):
-    m = len(cartan)
-    errors = []
-    for i in range(m):
-        if cartan[i][i] != 2:
-            errors.append(f"cartan[{i + 1}][{i + 1}] must be 2")
-        if dvec[i] < 1:
-            errors.append(f"d[{i + 1}] must be a positive integer")
-        for j in range(m):
-            if i != j and cartan[i][j] > 0:
-                errors.append(f"cartan[{i + 1}][{j + 1}] must be nonpositive")
-            if dvec[i] * cartan[i][j] != dvec[j] * cartan[j][i]:
-                errors.append(
-                    f"not symmetrizable: d[{i + 1}]*a[{i + 1}][{j + 1}] != "
-                    f"d[{j + 1}]*a[{j + 1}][{i + 1}]")
-    if errors:
-        raise DatumValidationError(errors)
-
-
-def preset_cartan_matrix(cartan, dvec, base=None):
-    """Datum with q[i][j] = base ** (d_i * a_ij); base defaults to t.
-
-    Characters are the standard basis; gamma_j has coordinate i equal to
-    base ** (d_i * a_ij), so alpha_i(gamma_j) lands on the symmetrized
-    Cartan pairing.
-    """
-    check_symmetrizable(cartan, dvec)
-    m = len(cartan)
+def preset_cartan(name, base=None):
+    """Datum with q[i][j] = base ** (d_i * a_ij), the symmetrized Cartan
+    pairing of the named type, built by datum_from_q_matrix; base defaults
+    to t over QQ(t), and is otherwise a nonzero rational over QQ."""
+    cartan, dvec = CARTAN_TYPES[_type_key(name)]
     if base is None:
-        field = QT
-        base = QT.gen()
+        field, base = QT, QT.gen()
     else:
-        field = QQ
-        base = Fraction(base)
+        field, base = QQ, Fraction(base)
         if not base:
             raise DatumValidationError(["base must be nonzero"])
-    alphas = tuple(tuple(1 if k == i else 0 for k in range(m)) for i in range(m))
-    gammas = tuple(
-        tuple(base ** (dvec[i] * cartan[i][j]) for i in range(m))
-        for j in range(m))
-    return require_valid(Datum(m, alphas, gammas, field))
-
-
-def preset_cartan(name, base=None):
-    cartan, dvec = CARTAN_TYPES[_type_key(name)]
-    return preset_cartan_matrix(cartan, dvec, base=base)
+    return datum_from_q_matrix(
+        [[base ** (d * a) for a in row] for d, row in zip(dvec, cartan)],
+        field)
 
 
 def preset_reductive(name):
@@ -322,7 +291,6 @@ def preset_doubled(name, base=None):
     """Characters {alpha_i} and {-alpha_i} with points {gamma_i} and
     {gamma_i ** -1}, so q is the Cartan pairing of the signed roots."""
     half = preset_cartan(name, base=base)
-    m = half.m
     alphas = half.alphas + tuple(tuple(-e for e in a) for a in half.alphas)
     inverted = tuple(tuple(1 / c for c in g) for g in half.gammas)
     gammas = half.gammas + inverted

@@ -171,7 +171,7 @@ def gram_determinant(datum, deg, factor_bound=24,
         det = multilinear_determinant(datum, deg)
     r = n
     if not det:
-        r = compute_blocks(datum, [deg], block_limit=None)[0].rank
+        r = compute_blocks(datum, [deg])[0].rank
         det = datum.field.zero()
         if r == n:
             det = shapovalov.determinant_by_elimination(

@@ -88,21 +88,20 @@ class DominanceReport(Record):
     __slots__ = _fields = ("table", "verdict", "dominance")
 
 
-def compute_blocks(datum, degs, block_limit=DEFAULT_BLOCK_LIMIT):
+def compute_blocks(datum, degs):
     """BlockDim for each multidegree, in the order given.
 
-    The one block loop. The size guard runs over all requested blocks before
-    any work starts, so oversized inputs fail fast and name the offending
-    multidegree. Then one engine serves all the blocks: matrix_rows builds
-    each block from the maps the engine keeps of the lower images, lower
-    blocks missing from degs (below a lone block, or gaps a library caller
-    leaves) on demand, and rank_rows eliminates it once and keeps its maps.
-    For QQ(t) data the engine is an IntegerPoints, which builds the blocks
-    at its seed point and settles each one as it keeps it, so no block is
-    built over RatFunc scalars; settled is read from it.
+    The one block loop. It checks no block size: its callers (analyze,
+    hilbert_table, det) each do, once, before any work starts. One engine
+    serves all the blocks: matrix_rows builds each block from the maps the
+    engine keeps of the lower images, lower blocks missing from degs (below
+    a lone block, or gaps a library caller leaves) on demand, and rank_rows
+    eliminates it once and keeps its maps. For QQ(t) data the engine is an
+    IntegerPoints, which builds the blocks at its seed point and settles
+    each one as it keeps it, so no block is built over RatFunc scalars;
+    settled is read from it.
     """
     degs = [tuple(d) for d in degs]
-    check_block_sizes(degs, block_limit)
     qt = datum.field == QT
     engine = (IntegerPoints if qt else SymEngine)(datum.braiding_matrix)
     out = []
@@ -121,8 +120,8 @@ def hilbert_table(datum, max_total, block_limit=DEFAULT_BLOCK_LIMIT):
     """Ranks of every block with total degree up to max_total."""
     degs = multidegrees_up_to(
         datum.m, guarded_total(datum.m, max_total, block_limit))
-    return HilbertTable(max_total, compute_blocks(
-        datum, degs, block_limit=block_limit))
+    check_block_sizes(degs, block_limit)
+    return HilbertTable(max_total, compute_blocks(datum, degs))
 
 
 def _differences(seq):

@@ -664,10 +664,13 @@ class Cyclotomic(_Scalar, Record):
     def inverse(self):
         """1 / self by the Galois norm: adj, the product of the conjugates
         sigma_k(num) (zeta -> zeta**k) over the units k != 1 mod N, makes
-        num * adj = N(num) an int, so 1 / self = den * adj / N(num)."""
+        num * adj = N(num) an int, so 1 / self = den * adj / N(num). A
+        rational value inverts as a rational, with no conjugate taken."""
         if self.is_zero():
             raise ZeroDivisionError("zero cyclotomic value has no inverse")
         order, num = self.order, self.num
+        if not any(num[1:]):
+            return self._coerce(Fraction(self.den, num[0]))
         adj = self._coerce(1)
         for k in range(2, order):
             if _int_gcd(k, order) == 1:

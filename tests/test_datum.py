@@ -8,9 +8,9 @@ import pytest
 
 from hopfmin import datum as datum_module
 from hopfmin.datum import (
+    CARTAN_TYPES,
     DatumValidationError,
     Datum,
-    check_symmetrizable,
     datum_from_q_matrix,
     datum_hash,
     emit_datum,
@@ -217,10 +217,60 @@ def test_preset_reductive_has_trivial_braiding():
     assert all(x == 1 for row in d.q_matrix for x in row)
 
 
-def test_check_symmetrizable():
-    check_symmetrizable(((2, -2), (-1, 2)), (1, 2))
-    with pytest.raises(DatumValidationError):
-        check_symmetrizable(((2, -2), (-1, 2)), (1, 1))
+@pytest.mark.parametrize("name", sorted(CARTAN_TYPES))
+def test_cartan_types_are_symmetrizable_cartan_matrices(name):
+    cartan, dvec = CARTAN_TYPES[name]
+    m = len(cartan)
+    assert len(dvec) == m and all(len(row) == m for row in cartan)
+    for i in range(m):
+        assert cartan[i][i] == 2
+        assert dvec[i] >= 1
+        for j in range(m):
+            if i != j:
+                assert cartan[i][j] <= 0
+            assert dvec[i] * cartan[i][j] == dvec[j] * cartan[j][i]
+
+
+# datum_hash and q_text of preset_cartan(name, base): the datum JSON, and
+# so every rank cache key, must keep its bytes
+_PRESET_CARTAN = {
+    ("A1", None): ("8c3cb4abbb8af8883b95475e115d10e85927c6bd29393df8fb41c1a6a75529f2",
+                   (("t^2",),)),
+    ("A1", "1/2"): ("40b25c2ccd02acd6ea0c1d6abe9d9b56bde7b9906348ed07545ddf339a78df85",
+                    (("1/4",),)),
+    ("A1", "-3"): ("76a806127508c31c1d463195cc0578cb765d0c48780fff5c38d1f1c82ad01a7c",
+                   (("9",),)),
+    ("A1XA1", None): ("2d4d15a63f6feae05b9b4c29c10d9cf94c63680fa8b689e5cefd0d2b305d0e2a",
+                      (("t^2", "1"), ("1", "t^2"))),
+    ("A1XA1", "1/2"): ("8c3c69c3ea4a377de9555215a311729c8ac127ba413e6e3c78f624e972e25498",
+                       (("1/4", "1"), ("1", "1/4"))),
+    ("A1XA1", "-3"): ("8850899d68f714320b2eab49aa0c6f86e7089121182db934315822e5edd62661",
+                      (("9", "1"), ("1", "9"))),
+    ("A2", None): ("d6b946f28485ad16ed418e731bac3e4d42d462a09b6a531791f6370c7e2e9c5c",
+                   (("t^2", "t^-1"), ("t^-1", "t^2"))),
+    ("A2", "1/2"): ("e8e8f1828e8d6ad32143ac73fc1fca818a486892e62a6ccb234d5d5a6306dfc1",
+                    (("1/4", "2"), ("2", "1/4"))),
+    ("A2", "-3"): ("95ccb38a09b85267ee63ab0cafcdf86f2ade7525d68cb03ac69d7fc12cb63719",
+                   (("9", "-1/3"), ("-1/3", "9"))),
+    ("B2", None): ("71d3dc8808f4f8f059a0b32445b2dfdc8e49cf93728d27308be8829d12e9f79d",
+                   (("t^2", "t^-2"), ("t^-2", "t^4"))),
+    ("B2", "1/2"): ("28d75b301ced5aa84b60f521994984e477021e370093f8932f29c83a92e06ad5",
+                    (("1/4", "4"), ("4", "1/16"))),
+    ("B2", "-3"): ("3802f72c2f4611a33ffcda7a8a2d932303f06d7dcd89a12816be64b59205f379",
+                   (("9", "1/9"), ("1/9", "81"))),
+    ("G2", None): ("d785af225e0d9eaa0cf391d729fb998b735a51760eb25856c4aa42ed4cd75c6e",
+                   (("t^2", "t^-3"), ("t^-3", "t^6"))),
+    ("G2", "1/2"): ("7652ff0deb48eac8097b26a815fca8272dcecac05f4b1cf3aa3d8ea2dfb8c323",
+                    (("1/4", "8"), ("8", "1/64"))),
+    ("G2", "-3"): ("569ea6146a6b4af5055001bf811f96c09bebe41cd6f406b275b96b580c644b1a",
+                   (("9", "-1/27"), ("-1/27", "729"))),
+}
+
+
+@pytest.mark.parametrize("name, base", list(_PRESET_CARTAN))
+def test_preset_cartan_keeps_its_hash_and_q_text(name, base):
+    d = preset_cartan(name, None if base is None else Fraction(base))
+    assert (datum_hash(d), d.q_text) == _PRESET_CARTAN[name, base]
 
 
 def test_preset_cartan_rational_base():

@@ -37,7 +37,7 @@ from hopfmin.oracles import (
 )
 from hopfmin.scalars import QQ, QT, CyclotomicField
 from hopfmin.shapovalov import POINT, SEED, Settled
-from hopfmin.words import BlockSizeError, multidegrees_up_to
+from hopfmin.words import BlockSizeError, block_size, multidegrees_up_to
 
 
 def test_block_dim_equality_and_hash_ignore_settled():
@@ -293,12 +293,12 @@ def test_compute_blocks_keeps_input_order_across_cache_gaps():
     assert got == tuple(full[deg] for deg in degs)
 
 
-def test_compute_blocks_guard_names_block():
+def test_hilbert_table_guard_names_block():
     d = preset_reductive("A2")
-    degs = multidegrees_up_to(d.m, 8)
     with pytest.raises(BlockSizeError) as exc:
-        compute_blocks(d, degs, block_limit=100)
+        hilbert_table(d, 8, block_limit=100)
     assert exc.value.size > 100
+    assert block_size(exc.value.multidegree) == exc.value.size
 
 
 def test_hilbert_table_fails_fast_on_huge_max_total():

@@ -198,6 +198,31 @@ def test_cyclotomic_inverse_random():
         Cyclotomic.const(5, 0).inverse()
 
 
+@pytest.mark.parametrize("order", [1, 3, 5, 12, 1000])
+@pytest.mark.parametrize("c", [1, -1, 7, -4, Fraction(2, 3), Fraction(-5, 4)])
+def test_cyclotomic_rational_inverse(order, c):
+    x = Cyclotomic.const(order, c)
+    assert x * x.inverse() == 1
+    assert x.inverse() == 1 / Fraction(c)
+    assert x.inverse().den > 0
+
+
+def test_cyclotomic_division_by_one_takes_no_conjugates(monkeypatch):
+    # a rational value inverts as a rational: x / 1 over QQ(zeta_1000) is
+    # one product, not phi(1000) - 1 Galois conjugates multiplied together
+    x = Cyclotomic.of(1000, [3, -1, Fraction(1, 2)])
+    calls = []
+    mul = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    assert x / 1 == x
+    assert len(calls) <= 1
+
+
 def test_cyclotomic_constant_hash_matches_fraction():
     x = Cyclotomic.const(7, Fraction(2, 3))
     assert x == Fraction(2, 3)

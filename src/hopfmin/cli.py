@@ -96,20 +96,15 @@ def _load_datum(args):
             raise DatumValidationError(
                 [f"preset must look like cartan:A2, reductive:B2 or doubled:G2, "
                  f"got {args.preset!r}"])
-        try:
-            if kind == "cartan":
-                datum = preset_cartan(type_name, base=base)
-            elif kind == "doubled":
-                datum = preset_doubled(type_name, base=base)
-            else:
-                if base is not None:
-                    raise DatumValidationError(
-                        ["--base applies to cartan and doubled presets only"])
-                datum = preset_reductive(type_name)
-        except ValueError as exc:
-            if isinstance(exc, DatumValidationError):
-                raise
-            raise DatumValidationError([str(exc)]) from exc
+        if kind == "cartan":
+            datum = preset_cartan(type_name, base=base)
+        elif kind == "doubled":
+            datum = preset_doubled(type_name, base=base)
+        else:
+            if base is not None:
+                raise DatumValidationError(
+                    ["--base applies to cartan and doubled presets only"])
+            datum = preset_reductive(type_name)
     else:
         if base is not None:
             raise DatumValidationError(["--base applies to presets only"])

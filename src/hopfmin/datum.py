@@ -250,7 +250,8 @@ def _type_key(name):
     key = name.upper()
     if key not in CARTAN_TYPES:
         known = ", ".join(sorted(CARTAN_TYPES))
-        raise ValueError(f"unknown Cartan type {name!r} (known: {known})")
+        raise DatumValidationError(
+            [f"unknown Cartan type {name!r} (known: {known})"])
     return key
 
 

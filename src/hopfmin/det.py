@@ -38,42 +38,59 @@ def _varchenko_exponent(n, k):
     return factorial(k - 2) * factorial(n - k + 1)
 
 
-def multilinear_determinant(datum, deg):
-    """Determinant of a multilinear block (every letter count 0 or 1) by
-    Varchenko's formula for the bilinear form of a hyperplane configuration
-    (Adv. Math. 97, 1993), without building the matrix.
-
-    With n letters present, det Sh is the product over subsets S of those
-    letters with k = |S| >= 2 of (1 - q_S)**((k-2)! (n-k+1)!), where q_S is
-    the product of b_ij over the ordered pairs i != j in S. The result is a
-    scalar of the datum's field (a Fraction over QQ), zero when some q_S is
-    1. Over QQ(t) the numerators and denominators of the factors multiply
-    as integer polynomials into one RatFunc, which normalises once instead
-    of after every factor.
-    """
+def _varchenko_factors(datum, deg):
+    """Varchenko's product on a multilinear block (every letter count 0 or
+    1) as {(top, bottom): exponent}: with n letters present, each subset S
+    of them of k >= 2 letters gives 1 - q_S = top / bottom to the power
+    (k-2)! (n-k+1)!, q_S the product of b_ij over the ordered pairs i != j
+    in S, and equal factors add their exponents. Over QQ(t) top and bottom
+    are integer Polys; over other fields bottom is one."""
     if any(d > 1 for d in deg):
         raise ValueError(f"multidegree {tuple(deg)} is not multilinear")
     b = datum.braiding_matrix
-    field = datum.field
+    qt = datum.field == QT
+    one = _P_ONE if qt else datum.field.one()
     letters = [i for i, d in enumerate(deg) if d]
     n = len(letters)
-    qt = field == QT
-    one = _P_ONE if qt else field.one()
-    num = den = one
+    out = {}
     for k in range(2, n + 1):
-        e = _varchenko_exponent(n, k)
         for subset in itertools.combinations(letters, k):
             q = [b[i][j] for i in subset for j in subset if i != j]
             if qt:
-                bottom = prod((x.den for x in q), start=_P_ONE)
-                factor = bottom - prod((x.num for x in q), start=_P_ONE)
+                bottom = prod((x.den for x in q), start=one)
+                top = bottom - prod((x.num for x in q), start=one)
             else:
-                bottom, factor = one, one - prod(q, start=one)
-            if not factor:
-                return field.zero()
-            for _ in range(e):
-                num, den = num * factor, den * bottom
-    return RatFunc(num, den) if qt else num
+                bottom, top = one, one - prod(q, start=one)
+            out[top, bottom] = (out.get((top, bottom), 0)
+                                + _varchenko_exponent(n, k))
+    return out
+
+
+def _expand(closed, side, one):
+    """The product of the tops (side 0) or bottoms (side 1) of Varchenko's
+    factors, each to its exponent."""
+    return prod((f[side] for f, e in closed.items() for _ in range(e)),
+                start=one)
+
+
+def multilinear_determinant(datum, deg):
+    """Determinant of a multilinear block (every letter count 0 or 1) by
+    Varchenko's formula for the bilinear form of a hyperplane configuration
+    (Adv. Math. 97, 1993), without building the matrix: a scalar of the
+    datum's field (a Fraction over QQ), zero when some q_S is 1. Over QQ(t)
+    the tops and the bottoms multiply as integer polynomials into one
+    RatFunc, which normalises once instead of after every factor.
+    """
+    return _closed_value(datum.field, _varchenko_factors(datum, deg))
+
+
+def _closed_value(field, closed):
+    """The scalar of field Varchenko's factors multiply to."""
+    if not all(top for top, _ in closed):
+        return field.zero()
+    if field != QT:
+        return _expand(closed, 0, field.one())
+    return RatFunc(_expand(closed, 0, _P_ONE), _expand(closed, 1, _P_ONE))
 
 
 def _small_totients(degree, bound):
@@ -115,40 +132,40 @@ def _cyclotomic_at_2(k, primes):
     return top // bottom
 
 
-def cyclotomic_factors(num, bound):
-    """Split Phi_k(t) off the nonzero integer Poly num for k up to bound,
-    in ascending k, each as often as it divides: ((k, 1, mult), ...) and
-    what is left of num.
+def cyclotomic_factors(parts, bound):
+    """Split Phi_k(t) for k up to bound off the product of the nonzero
+    integer Polys of (Poly, multiplicity) parts, each searched on its own:
+    ((k, 1, mult), ...) in ascending k, and what is left of the product.
 
     No Phi_k(t**j) with j >= 2 and k*j up to the bound is tried, since
     none can divide: it is squarefree, the product of the Phi_m with
     m | k*j, and each such m <= k*j has already been divided out. A
-    candidate is skipped unbuilt when its degree phi(k) is above the
-    degree of what is left, or when Phi_k(2) does not divide the value of
-    what is left at t = 2, since a divisor in ZZ[t] divides at every
-    integer point (a value 0 rejects nothing). So a bound of a million
-    tries only the k with phi(k) up to the degree, about twice the degree
-    of them, and divides by a few. Each Phi_k is monic, so the synthetic
-    division runs over its nonzero terms alone (scalars._phi_terms).
+    candidate is skipped unbuilt when its degree phi(k) is above that of
+    what is left of the part, or when Phi_k(2) does not divide the value of
+    what is left at t = 2 (a divisor in ZZ[t] divides at every integer
+    point; a value 0 rejects nothing). So a bound of a million tries only
+    the k with phi(k) up to the part's degree, about twice that many, and
+    divides by a few, each over its nonzero terms alone (scalars._phi_terms).
     """
-    coeffs = list(num.coeffs)
-    at_2 = num.eval_at(2)
-    found = []
-    for k, phi, primes in _small_totients(num.degree, bound):
-        if phi >= len(coeffs):  # above the degree of what is left
-            continue
-        value = _cyclotomic_at_2(k, primes)
-        mult = 0
-        while phi < len(coeffs) and not at_2 % value:
-            rem = list(coeffs)
-            _synthetic_division(rem, phi, 1, _phi_terms(k)[1])
-            if any(rem[:phi]):
-                break
-            coeffs, at_2 = rem[phi:], at_2 // value
-            mult += 1
-        if mult:
-            found.append((k, 1, mult))
-    return tuple(found), Poly(tuple(coeffs))
+    found = {}
+    rest = _P_ONE
+    for num, times in parts:
+        coeffs = list(num.coeffs)
+        at_2 = num.eval_at(2)
+        for k, phi, primes in _small_totients(num.degree, bound):
+            if phi >= len(coeffs):  # above the degree of what is left
+                continue
+            value = _cyclotomic_at_2(k, primes)
+            while phi < len(coeffs) and not at_2 % value:
+                rem = list(coeffs)
+                _synthetic_division(rem, phi, 1, _phi_terms(k)[1])
+                if any(rem[:phi]):
+                    break
+                coeffs, at_2 = rem[phi:], at_2 // value
+                found[k] = found.get(k, 0) + times
+        for _ in range(times):
+            rest = rest * Poly(tuple(coeffs))
+    return tuple((k, 1, found[k]) for k in sorted(found)), rest
 
 
 def gram_determinant(datum, deg, factor_bound=24,
@@ -160,15 +177,15 @@ def gram_determinant(datum, deg, factor_bound=24,
     Phi_k(t) for k up to factor_bound (cyclotomic_factors), reported as
     (k, 1, mult), Phi_k(t**1). That finds every Phi_k(t**j) with k*j up to
     the bound that divides, since Phi_k(t**j) is a product of distinct Phi_m
-    with m <= k*j. The unfactored remainder keeps whatever is left,
-    including the denominator.
+    with m <= k*j. A closed form is searched by its factors 1 - q_S, unless
+    its reduction cancelled more than powers of t (maybe a Phi_k). The
+    unfactored remainder keeps whatever is left, including the denominator.
     """
     deg = tuple(deg)
     check_block_sizes([deg], block_limit)
     n = block_size(deg)
-    det = None
-    if all(d <= 1 for d in deg):
-        det = multilinear_determinant(datum, deg)
+    closed = _varchenko_factors(datum, deg) if set(deg) <= {0, 1} else None
+    det = None if closed is None else _closed_value(datum.field, closed)
     r = n
     if not det:
         r = compute_blocks(datum, [deg])[0].rank
@@ -176,9 +193,15 @@ def gram_determinant(datum, deg, factor_bound=24,
         if r == n:
             det = shapovalov.determinant_by_elimination(
                 shapovalov.symmetrizer(datum, deg, block_limit=None))[1]
-    factors = ()
-    remainder = det
+    factors, remainder = (), det
     if datum.field == QT and det:
-        factors, num = cyclotomic_factors(det.num, factor_bound)
-        remainder = RatFunc(num, det.den)
+        parts, den = [(det.num, 1)], det.den
+        if closed is not None:  # and det nonzero, so it is the closed form
+            bottom = _expand(closed, 1, _P_ONE)
+            if (bottom.degree - bottom.trailing_zeros()
+                    == det.den.degree - det.den.trailing_zeros()):
+                parts = [(top, e) for (top, _), e in closed.items()]
+                den = bottom
+        factors, rest = cyclotomic_factors(parts, factor_bound)
+        remainder = RatFunc(rest, den)
     return DetReport(deg, n, r, det, factors, remainder)

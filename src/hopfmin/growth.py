@@ -34,10 +34,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QT, Record
-from .shapovalov import IntegerPoints, SymEngine, matrix_rows, rank_rows
+from .shapovalov import (  # BlockDim is re-exported as growth.BlockDim
+    BlockDim, IntegerPoints, SymEngine, matrix_rows, rank_rows)
 from .words import (
-    DEFAULT_BLOCK_LIMIT, block_size, check_block_sizes, guarded_total,
-    multidegrees_up_to)
+    DEFAULT_BLOCK_LIMIT, check_block_sizes, guarded_total, multidegrees_up_to)
 
 FINITE = "finite"
 POLYNOMIAL = "polynomial"
@@ -45,17 +45,6 @@ EXPONENTIAL_SUSPECTED = "exponential_suspected"
 INCONCLUSIVE = "inconclusive"
 
 EXPONENTIAL_RATIO = Fraction(3, 2)  # see the module docstring
-
-
-class BlockDim(Record):
-    """deg: int tuple; size, rank: ints. settled is how a computed QQ(t)
-    block's rank was certified, as (Settled.how, passes), and None
-    otherwise: a record of the run, not part of the result, so equality,
-    hashing and the repr leave it out."""
-
-    __slots__ = _fields = ("deg", "size", "rank", "settled")
-    _defaults = {"settled": None}
-    _hidden = ("settled",)
 
 
 class HilbertTable(Record):
@@ -96,23 +85,17 @@ def compute_blocks(datum, degs):
     serves all the blocks: matrix_rows builds each block from the maps the
     engine keeps of the lower images, lower blocks missing from degs (below
     a lone block, or gaps a library caller leaves) on demand, and rank_rows
-    eliminates it once and keeps its maps. For QQ(t) data the engine is an
-    IntegerPoints, which builds the blocks at its seed point and settles
-    each one as it keeps it, so no block is built over RatFunc scalars;
-    settled is read from it.
+    eliminates it once and keeps its maps and its BlockDim in the engine.
+    Over QQ(t) the engine is an IntegerPoints, which builds the blocks over
+    QQ at its seed point and certifies each rank.
     """
-    degs = [tuple(d) for d in degs]
-    qt = datum.field == QT
-    engine = (IntegerPoints if qt else SymEngine)(datum.braiding_matrix)
+    engine = (IntegerPoints if datum.field == QT else SymEngine)(
+        datum.braiding_matrix)
     out = []
-    for deg in degs:
+    for deg in map(tuple, degs):
         _, rows = matrix_rows(deg, engine)
-        r = rank_rows(datum.field, rows, deg=deg, engine=engine)
-        settled = None
-        if qt:
-            got = engine.settled[deg]
-            settled = (got.how, got.passes)
-        out.append(BlockDim(deg, block_size(deg), r, settled))
+        rank_rows(datum.field, rows, deg=deg, engine=engine)
+        out.append(engine.blocks[deg])
     return tuple(out)
 
 

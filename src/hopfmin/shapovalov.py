@@ -45,15 +45,15 @@ not derivation maps), and over QQ(t) with other arithmetic too.
 A table rank over QQ(t) starts from the integer rank at a small seed point
 of t, a certified lower bound (evaluation never raises a rank). The QQ(t)
 table engine, IntegerPoints, is a SymEngine over the braiding at the seed,
-so it builds blocks over QQ, and it settles a block's rank as it keeps it:
-at once when its seed rank is full or meets the coideal bound
-(IntegerPoints.bound). The other blocks (in the cartan presets, only
-the Serre blocks) pay for an evaluation at an integer point B above every
-coefficient a relevant minor can have, so that a nonzero minor stays
-nonzero at t = B (_certified_rank). B is sized from the seed rank, so one
-evaluation usually decides. The block is rebuilt at B by the same
-recursion as at the seed, over the braiding at t = B, and lists no word
-there either.
+so it builds blocks over QQ, and it settles a block's rank in the BlockDim
+it keeps of it (as every table engine does): at once when its seed rank is
+full or meets the coideal bound (IntegerPoints.bound). The other blocks (in
+the cartan presets, only the Serre blocks) pay for an evaluation at an
+integer point B above every coefficient a relevant minor can have, so that a
+nonzero minor stays nonzero at t = B (_certified_rank). B is sized from the
+seed rank, so one evaluation usually decides. The block is rebuilt at B by
+the same recursion as at the seed, over the braiding at t = B, and lists no
+word there either.
 
 Block determinants (det.gram_determinant) sit one layer up, above growth.
 """
@@ -79,6 +79,24 @@ class SymMatrix(Record):
     """
 
     __slots__ = _fields = ("multidegree", "words", "entries", "field")
+
+
+# How IntegerPoints settled the rank of a block (BlockDim.settled)
+SEED = "seed"
+BOUND = "bound"
+POINT = "point"
+
+
+class BlockDim(Record):
+    """What a table engine keeps of one block: deg, an int tuple; size, its
+    word count; rank, over the datum's field. settled is how IntegerPoints
+    certified the rank over QQ(t), as (SEED, BOUND or POINT, passes), and
+    None on other fields: a record of the run, not part of the result, so
+    equality, hashing and the repr leave it out."""
+
+    __slots__ = _fields = ("deg", "size", "rank", "settled")
+    _defaults = {"settled": None}
+    _hidden = ("settled",)
 
 
 class Image(Record):
@@ -143,7 +161,8 @@ class SymEngine:
 
     So a spanning vector a sh x of block d is a column over the bases of
     the blocks d - e_c (rows), and one elimination gives its rank and
-    basis (keep). images maps each multidegree built so far to its Image.
+    basis (keep). images and blocks map each block kept so far to its
+    Image and its BlockDim.
     """
 
     def __init__(self, braiding):
@@ -157,6 +176,7 @@ class SymEngine:
                            for x in row if isinstance(x, Cyclotomic)), QQ)
         self.memo = {(): {(): 1}}
         self.images = {}
+        self.blocks = {}
 
     def sym(self, w):
         """Sh(w) as a word -> coefficient dict.
@@ -239,17 +259,16 @@ class SymEngine:
 
     def keep(self, deg, rows):
         """Rank over the engine's field of block deg from the rows this
-        engine built for it (rows), and keep its Image: its basis is the
-        pivot columns of one elimination, right their row groups, mul every
-        column's coordinates in them (_coordinates) and left what _left
-        keeps."""
+        engine built for it. A block kept for the first time keeps its
+        Image, its basis the pivot columns of one elimination, right their
+        row groups, mul every column's coordinates in them (_coordinates)
+        and left what _left keeps, then its BlockDim (_certify)."""
         deg = tuple(deg)
+        if deg in self.blocks:
+            return self.blocks[deg].rank
         images = self.images
-        if not any(deg):
-            images[deg] = Image(1, {}, {}, {})
-            return 1
         pivots, coords = _coordinates(self.field, rows)
-        lowers = _lowers(deg)
+        lowers = _lowers(deg)  # none in degree 0, whose rows are [[1]]
         right, mul = {}, {}
         start = 0  # row group c and column group a = c have the same length
         for c, low in lowers:
@@ -258,7 +277,12 @@ class SymEngine:
             mul[c] = coords[start:stop]
             start = stop
         images[deg] = Image(len(pivots), right, mul, self._left(lowers, pivots))
-        return len(pivots)
+        self.blocks[deg] = self._certify(deg)
+        return self.blocks[deg].rank
+
+    def _certify(self, deg):
+        """The BlockDim of kept block deg, with the rank of its Image."""
+        return BlockDim(deg, block_size(deg), self.images[deg].rank)
 
     def _left(self, lowers, pivots):
         return {}  # left maps: only IntegerPoints keeps them, for its bound
@@ -461,22 +485,6 @@ def _norm1(poly):
     return sum(abs(c) for c in poly.coeffs)
 
 
-# How IntegerPoints settled the rank of a block (Settled.how)
-SEED = "seed"
-BOUND = "bound"
-POINT = "point"
-
-
-class Settled(Record):
-    """The certified rank of one QQ(t) table block and how it was found:
-    SEED (full rank at the seed point), BOUND (the coideal bound meets the
-    seed rank) or POINT (by _certified_rank, in passes >= 1 evaluations).
-    """
-
-    __slots__ = _fields = ("rank", "how", "passes")
-    _defaults = {"passes": 0}
-
-
 class IntegerPoints(SymEngine):
     """The table engine of a QQ(t) braiding, read at integer values of t,
     where its Sh blocks are QQ matrices with the same rank as long as the
@@ -496,15 +504,15 @@ class IntegerPoints(SymEngine):
     The seed is the least integer x >= 2 with Q(x) != 0. The engine is a
     SymEngine over the braiding there, so it builds the table's blocks over
     QQ, and their seed ranks are certified lower bounds. keep settles each
-    block it keeps (Settled, kept in settled) by the first of:
+    block after its lower ones, in its BlockDim (_certify), by the first of:
 
-    * full rank at the seed;
-    * the coideal bound (bound), when it equals the seed rank;
-    * _certified_rank at certificate points B; in the cartan presets, only
-      the Serre blocks, such as (1, 2) and (2, 1) of A2. A fresh engine over
-      the braiding at t = B builds the block's rows (SymEngine.rows), as at
-      the seed. In positive degree y -> (d^R_c y)_c is one to one, so they
-      have the rank of Sh at B.
+    * full rank at the seed (SEED);
+    * the coideal bound (bound), when it equals the seed rank (BOUND);
+    * _certified_rank at certificate points B (POINT, with its passes); in
+      the cartan presets, only the Serre blocks, such as (1, 2) and (2, 1)
+      of A2. A fresh engine over the braiding at t = B builds the block's
+      rows (SymEngine.rows), as at the seed. In positive degree
+      y -> (d^R_c y)_c is one to one, so they have the rank of Sh at B.
     """
 
     def __init__(self, braiding):
@@ -516,7 +524,6 @@ class IntegerPoints(SymEngine):
         while not den.eval_at(seed):
             seed += 1
         self.seed = seed
-        self.settled = {}
         super().__init__(self.braiding_at(seed))
 
     def braiding_at(self, x):
@@ -527,17 +534,6 @@ class IntegerPoints(SymEngine):
     def block_norm(self, deg):
         n = sum(deg)
         return prod(map(factorial, deg)) * self.norm ** (n * (n - 1) // 2)
-
-    def keep(self, deg, rows):
-        """Rank over QQ(t) of block deg from its rows at the seed. A block
-        not settled yet is kept, with its left maps, and settled at once
-        (_certify); rows keeps the lower blocks it builds on demand here
-        first, lowest first, so each settles after its lower blocks."""
-        deg = tuple(deg)
-        if deg not in self.settled:
-            super().keep(deg, rows)
-            self.settled[deg] = self._certify(deg)
-        return self.settled[deg].rank
 
     def _left(self, lowers, pivots):
         """d^L_b of each pivot column a sh x_i, in the basis of deg - e_b."""
@@ -550,17 +546,17 @@ class IntegerPoints(SymEngine):
                 for b, top in lowers}
 
     def _certify(self, deg):
-        """The Settled record of kept block deg, every lower block settled."""
+        """The certified BlockDim of kept block deg, lower blocks settled."""
         size = block_size(deg)
         seed = self.images[deg].rank
         if seed == size:
-            return Settled(seed, SEED)
+            return BlockDim(deg, size, seed, (SEED, 0))
         if self.bound(deg) == seed:
-            return Settled(seed, BOUND)
+            return BlockDim(deg, size, seed, (BOUND, 0))
         r, passes = _certified_rank(
             seed, size, self.block_norm(deg),
             lambda x: SymEngine(self.braiding_at(x)).rows(deg))
-        return Settled(r, POINT, passes)
+        return BlockDim(deg, size, r, (POINT, passes))
 
     def bound(self, deg):
         """An upper bound on the rank over QQ(t) of kept block deg, of total
@@ -594,7 +590,7 @@ class IntegerPoints(SymEngine):
                     x.left[a][i] if c == b else [0] * n)])
                 vectors.append([v for a, c, n in pairs for v in (
                     x.right[c][i] if a == b else [0] * n)])
-        total = sum(self.settled[low].rank for _, low in lowers)
+        total = sum(self.blocks[low].rank for _, low in lowers)
         return 2 * total - rank_rows(QQ, vectors)
 
 
@@ -603,8 +599,9 @@ def rank_rows(field, rows, deg=None, engine=None):
     scalars (or field scalars): _eliminate on the nonzero rows, cleared by
     the field's _clearing rule. A table block (growth) passes its
     multidegree deg and the engine whose rows built it (matrix_rows)
-    instead: engine.keep keeps the block's Image and returns its rank over
-    the datum's field, which an IntegerPoints engine certifies over QQ(t)."""
+    instead: engine.keep keeps the block's Image and BlockDim (in
+    engine.blocks) and returns its rank over the datum's field, which an
+    IntegerPoints engine certifies over QQ(t)."""
     if engine is not None:
         return engine.keep(deg, rows)
     clear, div = _clearing(field)

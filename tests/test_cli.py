@@ -128,10 +128,12 @@ def test_analyze_missing_file(capsys):
 
 
 def test_analyze_bad_preset(capsys):
-    code, out, err = run(capsys, "analyze", "--preset", "cartan:E8",
-                         "--max-total", "2")
-    assert code == 1
-    assert "unknown Cartan type" in err
+    for kind in ("cartan", "doubled", "reductive"):
+        code, out, err = run(capsys, "analyze", "--preset", f"{kind}:E8",
+                             "--max-total", "2")
+        assert code == 1
+        assert err == ("error: unknown Cartan type 'E8' "
+                       "(known: A1, A1XA1, A2, B2, G2)\n")
     code, out, err = run(capsys, "analyze", "--preset", "A2",
                          "--max-total", "2")
     assert code == 1

@@ -36,7 +36,8 @@ from hopfmin.oracles import (
     ranks_match_pbw,
 )
 from hopfmin.scalars import QQ, QT, CyclotomicField
-from hopfmin.shapovalov import POINT, SEED, Settled
+from hopfmin.shapovalov import (
+    BOUND, POINT, SEED, IntegerPoints, SymEngine, matrix_rows, rank_rows)
 from hopfmin.words import BlockSizeError, block_size, multidegrees_up_to
 
 
@@ -54,16 +55,16 @@ def test_block_dim_equality_and_hash_ignore_settled():
 
 
 def test_records_refuse_assignment():
-    block = BlockDim((1, 0), 1, 1)
-    settled = Settled(3, SEED)
+    block = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
+    table = HilbertTable(1, (block,))
     for record, name in [(block, "deg"), (block, "rank"),
-                         (block, "settled"), (settled, "rank"),
-                         (settled, "how"), (settled, "passes")]:
+                         (block, "settled"), (table, "max_total"),
+                         (table, "blocks")]:
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    assert (block.rank, settled.how) == (1, SEED)
+    assert (block.rank, block.settled) == (1, (SEED, 0))
 
 
 def test_record_reprs_are_unchanged():
@@ -72,17 +73,19 @@ def test_record_reprs_are_unchanged():
     assert repr(HilbertTable(1, (block,))) == (
         "HilbertTable(max_total=1, blocks=(BlockDim(deg=(1, 0), size=1, "
         "rank=1),))")
-    assert repr(Settled(3, SEED)) == "Settled(rank=3, how='seed', passes=0)"
-    assert repr(Settled(3, POINT, 2)) == (
-        "Settled(rank=3, how='point', passes=2)")
+    assert repr(BlockDim((2, 1), 3, 2, (POINT, 2))) == (
+        "BlockDim(deg=(2, 1), size=3, rank=2)")
 
 
 def test_records_take_their_fields_by_position_or_name():
-    assert Settled(3, POINT, 2) == Settled(passes=2, how=POINT, rank=3)
-    for args, kwargs in [((3,), {}), ((3, SEED, 0, 1), {}),
-                         ((3, SEED), {"rank": 3}), ((3, SEED), {"pass": 1})]:
+    block = BlockDim((2, 1), 3, 2, (POINT, 2))
+    named = BlockDim(settled=(POINT, 2), rank=2, size=3, deg=(2, 1))
+    assert block == named and named.settled == (POINT, 2)
+    for args, kwargs in [(((2, 1), 3), {}), (((2, 1), 3, 2, None, 0), {}),
+                         (((2, 1), 3, 2), {"deg": (2, 1)}),
+                         (((2, 1), 3, 2), {"how": POINT})]:
         with pytest.raises(TypeError):
-            Settled(*args, **kwargs)
+            BlockDim(*args, **kwargs)
 
 
 def test_pbw_dims_by_hand():
@@ -120,8 +123,6 @@ def test_hilbert_table_matches_kostant_a2():
 
 
 def test_cache_gaps_settle_their_missing_lower_blocks():
-    from hopfmin.shapovalov import BOUND
-
     d = preset_cartan("A2")
     full = {b.deg: b for b in compute_blocks(d, multidegrees_up_to(2, 8))}
     # gaps, as a library caller may leave them
@@ -154,6 +155,31 @@ _ZETA3_A2 = specialize_datum(preset_cartan("A2"), 3)
 _TRIVIAL3 = datum_from_q_matrix(((Fraction(1),) * 3,) * 3, QQ)
 _FIELD_CASES = [(_ZETA3_A2, 8), (_TRIVIAL3, 6),
                 (datum_from_q_matrix(random_q(random.Random(3), 2), QQ), 7)]
+
+
+@pytest.mark.parametrize("datum, max_total", [
+    (preset_cartan("A2"), 6), (_ZETA3_A2, 6), (_FIELD_CASES[2][0], 4),
+], ids=["QQ(t)", "zeta3", "QQ"])
+def test_every_engine_keeps_the_block_records(datum, max_total):
+    # an engine driven block by block keeps the record compute_blocks
+    # returns for each block, and over QQ(t) how the rank was certified
+    qt = datum.field == QT
+    engine = (IntegerPoints if qt else SymEngine)(datum.braiding_matrix)
+    degs = multidegrees_up_to(datum.m, max_total)
+    for deg in degs:
+        _, rows = matrix_rows(deg, engine)
+        rank_rows(datum.field, rows, deg=deg, engine=engine)
+    expected = compute_blocks(datum, degs)
+    assert engine.blocks == {b.deg: b for b in expected}
+    for b in expected:
+        settled = engine.blocks[b.deg].settled
+        assert settled == b.settled
+        if qt:
+            how, passes = settled
+            assert how in (SEED, BOUND, POINT)
+            assert passes >= 1 if how == POINT else passes == 0
+        else:
+            assert settled is None
 
 
 def test_lone_cyclotomic_block_builds_its_lower_blocks():

@@ -18,7 +18,6 @@ from hopfmin.shapovalov import (
     POINT,
     SEED,
     IntegerPoints,
-    Settled,
     SymEngine,
     rank,
     rank_rows,
@@ -65,7 +64,8 @@ def test_seed_rank_drop_takes_an_extra_pass():
     rows = points.rows((2, 1))
     assert rank_rows(QQ, rows) == 0
     assert points.keep((2, 1), rows) == 1
-    assert points.settled[(2, 1)] == Settled(1, POINT, 2)
+    got = points.blocks[(2, 1)]
+    assert (got.rank, got.settled) == (1, (POINT, 2))
     _assert_table_matches_symbolic(d, 5)
 
 
@@ -109,7 +109,8 @@ def test_coideal_bound_of_a2_block_two_two():
     d = preset_cartan("A2")
     points = IntegerPoints(d.braiding_matrix)
     assert points.keep((2, 2), points.rows((2, 2))) == 3
-    assert points.settled[(2, 2)] == Settled(3, BOUND, 0)
+    got = points.blocks[(2, 2)]
+    assert (got.rank, got.settled) == (3, (BOUND, 0))
     assert points.bound((2, 2)) == 3
     # the seed basis kept for the block has three vectors
     assert points.images[(2, 2)].rank == 3
@@ -149,7 +150,8 @@ def test_full_seed_rank_needs_no_pass():
     d = preset_cartan("A2")
     points = IntegerPoints(d.braiding_matrix)
     assert points.keep((1, 1), points.rows((1, 1))) == 2
-    assert points.settled[(1, 1)] == Settled(2, SEED, 0)
+    got = points.blocks[(1, 1)]
+    assert (got.rank, got.settled) == (2, (SEED, 0))
 
 
 def test_minor_bound_from_norms():

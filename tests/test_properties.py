@@ -10,7 +10,8 @@ blocks by, against the braided shuffle; the maps table blocks keep,
 against word vectors; and QQ and cyclotomic tables, built from the lower
 images, against their full Sh blocks; the datum hash against hashlib's
 SHA-256; the cyclotomic factor search against the search over every
-Phi_k(t^j); and the one synthetic division: exact quotients and
+Phi_k(t^j), and on a closed form's factors against the search on its
+reduced numerator; and the one synthetic division: exact quotients and
 pseudo-remainders in ZZ[t] against Fraction long division, and values at
 zeta_N (Cyclotomic.of, specialize) against Horner's rule through
 Cyclotomic products."""
@@ -27,7 +28,8 @@ import pytest
 from hopfmin.datum import (
     CARTAN_TYPES, datum_from_q_matrix, datum_hash, emit_datum, parse_datum,
     preset_cartan, preset_doubled, preset_reductive, specialize_datum)
-from hopfmin.det import cyclotomic_factors, gram_determinant
+from hopfmin.det import (
+    cyclotomic_factors, gram_determinant, multilinear_determinant)
 from hopfmin.growth import compute_blocks, hilbert_table
 from hopfmin.oracles import POOL, planted_q, random_q
 from hopfmin.scalars import (
@@ -571,7 +573,53 @@ def _cyclotomic_products(draw):
 @given(_cyclotomic_products())
 def test_factor_search_matches_search_over_every_power(case):
     num, bound = case
-    assert cyclotomic_factors(num, bound) == _search_every_power(num, bound)
+    assert (cyclotomic_factors([(num, 1)], bound)
+            == _search_every_power(num, bound))
+
+
+# Laurent monomials and other points, among them denominators with
+# cyclotomic factors, which reducing the closed form can cancel
+_SPLIT_ENTRIES = ("t", "t^-1", "-t", "2t", "t^2", "-1", "1-t", "t+1",
+                  "(t-1)/(t+3)", "t^2-t-2", "1/(t-2)", "1/(t+1)",
+                  "t/(t^2+t+1)")
+
+
+@st.composite
+def _multilinear_qt(draw):
+    """A QQ(t) braiding on two to four letters, some with a planted
+    q_S = 1: one entry of S is the inverse of the product of the others."""
+    m = draw(st.integers(2, 4))
+    q = [[QT.parse(draw(st.sampled_from(_SPLIT_ENTRIES))) for _ in range(m)]
+         for _ in range(m)]
+    if draw(st.booleans()):
+        subset = draw(st.lists(st.integers(0, m - 1), min_size=2,
+                               max_size=m, unique=True))
+        pairs = [(i, j) for i in subset for j in subset if i != j]
+        (i, j), rest = pairs[0], pairs[1:]
+        q[i][j] = prod((q[a][b] for a, b in rest), start=QT.one()).inverse()
+    return tuple(map(tuple, q))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_multilinear_qt())
+# 1 - q_12 q_21 = (t + 1)(2 - t) / (t + 1): Phi_2 cancels in the reduction
+@example(tuple(tuple(map(QT.parse, row))
+               for row in (("t", "t^2-1"), ("1/(t+1)", "t^2"))))
+def test_split_factor_search_matches_the_expanded_numerator(q):
+    # gram_determinant searches the closed form's factors 1 - q_S; the
+    # reference searches the expanded, reduced numerator
+    datum = datum_from_q_matrix(q, QT)
+    deg = (1,) * datum.m
+    expanded = multilinear_determinant(datum, deg)
+    for bound in (0, 24, 10 ** 6):
+        report = gram_determinant(datum, deg, factor_bound=bound)
+        assert report.determinant == expanded
+        if not expanded:
+            assert (report.factors, report.remainder) == ((), expanded)
+            break
+        factors, rest = cyclotomic_factors([(expanded.num, 1)], bound)
+        assert report.factors == factors
+        assert report.remainder == RatFunc(rest, expanded.den)
 
 
 _POLYS = st.lists(st.integers(-4, 4), max_size=7).map(Poly)

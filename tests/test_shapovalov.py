@@ -342,6 +342,25 @@ def test_nonzero_closed_form_builds_no_table(monkeypatch):
     assert report.determinant
 
 
+def test_doubled_g2_factors_are_found_on_the_closed_form_factors(
+        monkeypatch):
+    # the numerator has degree 336; the search runs on its factors 1 - q_S
+    searched = []
+    real = det._small_totients
+
+    def recording(degree, bound):
+        searched.append(degree)
+        return real(degree, bound)
+
+    monkeypatch.setattr(det, "_small_totients", recording)
+    report = gram_determinant(preset_doubled("G2"), (1, 1, 1, 1))
+    assert report.determinant.num.degree == 336
+    assert searched and max(searched) < 336
+    assert report.factors == ((1, 1, 46), (2, 1, 46), (3, 1, 34), (4, 1, 22),
+                              (6, 1, 34), (8, 1, 2), (12, 1, 10), (16, 1, 2))
+    assert report.remainder == RatFunc.t_power(-264)
+
+
 def _phi_of_power(k, j):
     """Phi_k(t**j), from the coefficients of Phi_k(t) spread j apart."""
     coeffs = cyclotomic_polynomial(k).coeffs
@@ -408,9 +427,9 @@ def test_factor_search_huge_bound_matches_default():
     # and Phi_k(2) | num(2) rejects all but a few of those unbuilt
     num, split, cofactor = _synthetic_numerator()
     assert num.degree == 300
-    assert cyclotomic_factors(num, 24) == (split, cofactor)
+    assert cyclotomic_factors([(num, 1)], 24) == (split, cofactor)
     t0 = time.perf_counter()
-    assert cyclotomic_factors(num, 10 ** 6) == (split, cofactor)
+    assert cyclotomic_factors([(num, 1)], 10 ** 6) == (split, cofactor)
     assert time.perf_counter() - t0 < 2
 
 
@@ -420,9 +439,9 @@ def test_factor_search_divides_by_coefficients_past_one():
     num, split, cofactor = _synthetic_numerator(extra=((105, 2),))
     phi_105 = cyclotomic_polynomial(105)
     assert -2 in phi_105.coeffs
-    assert cyclotomic_factors(num, 24) == (
+    assert cyclotomic_factors([(num, 1)], 24) == (
         split[:-1], cofactor * phi_105 * phi_105)
-    assert cyclotomic_factors(num, 10 ** 6) == (split, cofactor)
+    assert cyclotomic_factors([(num, 1)], 10 ** 6) == (split, cofactor)
 
 
 def _leibniz_det(a):

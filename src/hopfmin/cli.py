@@ -246,13 +246,12 @@ def _verdict_doc(verdict, max_total):
 def _settled_doc(computed):
     """How the computed QQ(t) blocks were certified (a table read from the
     cache counts none): how many by full seed rank, by the coideal bound and
-    by an evaluation point, and each block that paid for a point, with its
-    passes."""
-    hows = [b.settled[0] for b in computed]
+    by an evaluation point, and the multidegree of each block that paid for
+    a point."""
+    hows = [b.settled for b in computed]
     return {
         **{how: hows.count(how) for how in (SEED, BOUND, POINT)},
-        "points": [{"deg": list(b.deg), "passes": b.settled[1]}
-                   for b in computed if b.settled[0] == POINT],
+        "points": [list(b.deg) for b in computed if b.settled == POINT],
     }
 
 

@@ -48,12 +48,12 @@ table engine, IntegerPoints, is a SymEngine over the braiding at the seed,
 so it builds blocks over QQ, and it settles a block's rank in the BlockDim
 it keeps of it (as every table engine does): at once when its seed rank is
 full or meets the coideal bound (IntegerPoints.bound). The other blocks (in
-the cartan presets, only the Serre blocks) pay for an evaluation at an
-integer point B above every coefficient a relevant minor can have, so that a
-nonzero minor stays nonzero at t = B (_certified_rank). B is sized from the
-seed rank, so one evaluation usually decides. The block is rebuilt at B by
-the same recursion as at the seed, over the braiding at t = B, and lists no
-word there either.
+the cartan presets, only the Serre blocks) pay for one evaluation at an
+integer point B above every coefficient a minor of the bound's size can
+have, so that a nonzero one stays nonzero at t = B (_certified_rank). The
+bound is at least the rank, so the rank at B is the rank over QQ(t). The
+block is rebuilt at B by the same recursion as at the seed, over the
+braiding at t = B, and lists no word there either.
 
 Block determinants (det.gram_determinant) sit one layer up, above growth.
 """
@@ -90,9 +90,9 @@ POINT = "point"
 class BlockDim(Record):
     """What a table engine keeps of one block: deg, an int tuple; size, its
     word count; rank, over the datum's field. settled is how IntegerPoints
-    certified the rank over QQ(t), as (SEED, BOUND or POINT, passes), and
-    None on other fields: a record of the run, not part of the result, so
-    equality, hashing and the repr leave it out."""
+    certified the rank over QQ(t), SEED, BOUND or POINT, and None on other
+    fields: a record of the run, not part of the result, so equality,
+    hashing and the repr leave it out."""
 
     __slots__ = _fields = ("deg", "size", "rank", "settled")
     _defaults = {"settled": None}
@@ -452,33 +452,22 @@ def _clearing(field):
     return clear, None
 
 
-def _certified_rank(seed, dim, norm, rows_at):
-    """The evaluation certificate's pass loop; returns (rank over QQ(t),
-    passes).
+def _certified_rank(s, norm, rows_at):
+    """The rank over QQ(t) of a matrix over ZZ[t] whose rank is at most s,
+    from one evaluation.
 
-    seed is the rank of a matrix over ZZ[t] at some integer point, so a
-    certified lower bound, and dim the lesser of its two sides; norm bounds
-    the coefficient 1-norm of every entry (up to a common factor that does
-    not vanish at the points used), and rows_at(x) gives rows with the rank
-    of the matrix at t = x (IntegerPoints' word-free rows of a block).
-    An s x s minor is a sum of s! products of s entries, so its 1-norm is at
-    most s! * norm**s, and no integer root of a nonzero one exceeds 1 + its
-    height, which is at most that 1-norm. So at
+    norm bounds the coefficient 1-norm of every entry (up to a common factor
+    that does not vanish at the point used), and rows_at(x) gives rows with
+    the rank of the matrix at t = x (IntegerPoints' word-free rows of a
+    block). An s x s minor is a sum of s! products of s entries, so its
+    1-norm is at most s! * norm**s, and no integer root of a nonzero one
+    exceeds 1 + its height, which is at most that 1-norm. So at
     B = s! * norm**s + 2 every nonzero minor of size at most s stays
-    nonzero, while evaluation never raises rank: a rank r < s at B is the
-    rank over QQ(t), and r >= s grows s to r + 1 for another pass. A seed of
-    full rank needs no pass.
+    nonzero. The rank r over QQ(t) is at most s, so some nonzero r x r
+    minor survives at B, and evaluation never raises a rank: the rank at B
+    is r.
     """
-    if seed == dim:
-        return seed, 0
-    s = seed + 1
-    passes = 0
-    while True:
-        r = rank_rows(QQ, rows_at(factorial(s) * norm ** s + 2))
-        passes += 1
-        if r == dim or r < s:
-            return r, passes
-        s = min(r + 1, dim)
+    return rank_rows(QQ, rows_at(factorial(s) * norm ** s + 2))
 
 
 def _norm1(poly):
@@ -508,11 +497,12 @@ class IntegerPoints(SymEngine):
 
     * full rank at the seed (SEED);
     * the coideal bound (bound), when it equals the seed rank (BOUND);
-    * _certified_rank at certificate points B (POINT, with its passes); in
-      the cartan presets, only the Serre blocks, such as (1, 2) and (2, 1)
-      of A2. A fresh engine over the braiding at t = B builds the block's
-      rows (SymEngine.rows), as at the seed. In positive degree
-      y -> (d^R_c y)_c is one to one, so they have the rank of Sh at B.
+    * _certified_rank at one certificate point B, sized by the lesser of
+      the bound and the block size (POINT); in the cartan presets, only
+      the Serre blocks, such as (1, 2) and (2, 1) of A2. A fresh engine
+      over the braiding at t = B builds the block's rows (SymEngine.rows),
+      as at the seed. In positive degree y -> (d^R_c y)_c is one to one, so
+      they have the rank of Sh at B.
     """
 
     def __init__(self, braiding):
@@ -546,17 +536,18 @@ class IntegerPoints(SymEngine):
                 for b, top in lowers}
 
     def _certify(self, deg):
-        """The certified BlockDim of kept block deg, lower blocks settled."""
+        """The certified BlockDim of kept block deg. Its lower blocks are
+        settled, so the bound is at least its rank and sizes the point."""
         size = block_size(deg)
         seed = self.images[deg].rank
         if seed == size:
-            return BlockDim(deg, size, seed, (SEED, 0))
-        if self.bound(deg) == seed:
-            return BlockDim(deg, size, seed, (BOUND, 0))
-        r, passes = _certified_rank(
-            seed, size, self.block_norm(deg),
-            lambda x: SymEngine(self.braiding_at(x)).rows(deg))
-        return BlockDim(deg, size, r, (POINT, passes))
+            return BlockDim(deg, size, seed, SEED)
+        s = min(self.bound(deg), size)
+        if s == seed:
+            return BlockDim(deg, size, seed, BOUND)
+        r = _certified_rank(s, self.block_norm(deg),
+                            lambda x: SymEngine(self.braiding_at(x)).rows(deg))
+        return BlockDim(deg, size, r, POINT)
 
     def bound(self, deg):
         """An upper bound on the rank over QQ(t) of kept block deg, of total

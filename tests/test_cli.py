@@ -49,8 +49,7 @@ def test_analyze_timings_show_how_blocks_were_settled(capsys, tmp_path):
     assert code == 0 and err == ""
     assert json.loads(out)["timings"]["settled"] == {
         "seed": 18, "bound": 25, "point": 2,
-        "points": [{"deg": [1, 2], "passes": 1},
-                   {"deg": [2, 1], "passes": 1}]}
+        "points": [[1, 2], [2, 1]]}
     # blocks read from the cache are not counted
     code, out, err = run(capsys, *argv)
     assert json.loads(out)["timings"]["settled"] == {
@@ -76,8 +75,7 @@ def test_extended_table_settles_every_block(capsys, tmp_path):
     timings = json.loads(out)["timings"]
     assert timings["settled"] == {
         "seed": 18, "bound": 25, "point": 2,
-        "points": [{"deg": [1, 2], "passes": 1},
-                   {"deg": [2, 1], "passes": 1}]}
+        "points": [[1, 2], [2, 1]]}
     assert (timings["cache_hits"], timings["cache_misses"]) == (0, 45)
 
 

@@ -173,6 +173,27 @@ def test_validate_messages():
     assert validate(empty) == ["datum has no characters"]
 
 
+@pytest.mark.parametrize("d, errors", [
+    (Datum(0, ((1,),), ((Fraction(2),),), QQ),
+     ["rank must be positive, found 0", "alpha[1] has length 1, expected 0",
+      "gamma[1] has length 1, expected 0"]),
+    (Datum(1, ((1,), (2,)), ((Fraction(2),),), QQ),
+     ["2 characters but 1 points"]),
+    (Datum(2, ((1,),), ((Fraction(1), Fraction(1)),), QQ),
+     ["alpha[1] has length 1, expected 2"]),
+    (Datum(2, ((1, 0),), ((Fraction(2),),), QQ),
+     ["gamma[1] has length 1, expected 2"]),
+    (Datum(1, ((1,),), ((_tp(1),),), QQ),
+     ["gamma[1][1]: t is not a rational number"]),
+], ids=["rank-zero", "count-mismatch", "alpha-length", "gamma-length",
+        "outside-the-field"])
+def test_validate_shape_errors(d, errors):
+    assert validate(d) == errors
+    with pytest.raises(DatumValidationError) as exc:
+        require_valid(d)
+    assert exc.value.errors == errors
+
+
 def test_q_matrix_refuses_entries_too_long_to_write_out(digit_limit):
     # every output writes out the points or the q matrix, so an integer
     # past the limit is refused before any block: a point by validate, a q
@@ -384,6 +405,27 @@ def test_parse_datum_rejects_wrong_json_types(key, value, message):
         parse_datum(json.dumps(dict(_GOOD_DOC, **{key: value})))
     assert len(exc.value.errors) == 1
     assert exc.value.errors[0].startswith(message)
+
+
+@pytest.mark.parametrize("doc, errors", [
+    ([_GOOD_DOC], ["datum file must be a JSON object"]),
+    (dict(_GOOD_DOC, alphas=[5]), ["alphas[1] must be a list of integers"]),
+    (dict(_GOOD_DOC, gammas=["2"]),
+     ["gammas[1] must be a list of scalar literals"]),
+    (dict(_GOOD_DOC, gammas=[[None]]),
+     ["gamma[1][1]: expected a scalar literal"]),
+    (dict(_GOOD_DOC, gammas=[[[2]]]),
+     ["gamma[1][1]: expected a scalar literal"]),
+    (dict(_GOOD_DOC, rank=0),
+     ["rank must be positive, found 0", "alpha[1] has length 1, expected 0",
+      "gamma[1] has length 1, expected 0"]),
+    (dict(_GOOD_DOC, alphas=[[1], [2]]), ["2 characters but 1 points"]),
+], ids=["array", "alphas-row", "gammas-row", "null-gamma", "list-gamma",
+        "rank-zero", "count-mismatch"])
+def test_parse_datum_rejects_wrong_json_shapes(doc, errors):
+    with pytest.raises(DatumValidationError) as exc:
+        parse_datum(json.dumps(doc))
+    assert exc.value.errors == errors
 
 
 def test_parse_datum_scalar_literals():

@@ -44,18 +44,18 @@ from hopfmin.words import BlockSizeError, block_size, multidegrees_up_to
 def test_block_dim_equality_and_hash_ignore_settled():
     # settled records how a run certified the rank, not the result
     plain = BlockDim((1, 0), 1, 1)
-    seeded = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
-    pointed = BlockDim(deg=(1, 0), size=1, rank=1, settled=(POINT, 2))
+    seeded = BlockDim((1, 0), 1, 1, settled=SEED)
+    pointed = BlockDim(deg=(1, 0), size=1, rank=1, settled=POINT)
     assert plain == seeded == pointed
     assert hash(plain) == hash(seeded) == hash(pointed)
     assert len({plain, seeded, pointed}) == 1
-    assert plain.settled is None and pointed.settled == (POINT, 2)
+    assert plain.settled is None and pointed.settled == POINT
     assert plain != BlockDim((1, 0), 1, 0)
     assert plain != BlockDim((0, 1), 1, 1)
 
 
 def test_records_refuse_assignment():
-    block = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
+    block = BlockDim((1, 0), 1, 1, settled=SEED)
     table = HilbertTable(1, (block,))
     for record, name in [(block, "deg"), (block, "rank"),
                          (block, "settled"), (table, "max_total"),
@@ -64,23 +64,23 @@ def test_records_refuse_assignment():
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    assert (block.rank, block.settled) == (1, (SEED, 0))
+    assert (block.rank, block.settled) == (1, SEED)
 
 
 def test_record_reprs_are_unchanged():
-    block = BlockDim((1, 0), 1, 1, settled=(SEED, 0))
+    block = BlockDim((1, 0), 1, 1, settled=SEED)
     assert repr(block) == "BlockDim(deg=(1, 0), size=1, rank=1)"
     assert repr(HilbertTable(1, (block,))) == (
         "HilbertTable(max_total=1, blocks=(BlockDim(deg=(1, 0), size=1, "
         "rank=1),))")
-    assert repr(BlockDim((2, 1), 3, 2, (POINT, 2))) == (
+    assert repr(BlockDim((2, 1), 3, 2, POINT)) == (
         "BlockDim(deg=(2, 1), size=3, rank=2)")
 
 
 def test_records_take_their_fields_by_position_or_name():
-    block = BlockDim((2, 1), 3, 2, (POINT, 2))
-    named = BlockDim(settled=(POINT, 2), rank=2, size=3, deg=(2, 1))
-    assert block == named and named.settled == (POINT, 2)
+    block = BlockDim((2, 1), 3, 2, POINT)
+    named = BlockDim(settled=POINT, rank=2, size=3, deg=(2, 1))
+    assert block == named and named.settled == POINT
     for args, kwargs in [(((2, 1), 3), {}), (((2, 1), 3, 2, None, 0), {}),
                          (((2, 1), 3, 2), {"deg": (2, 1)}),
                          (((2, 1), 3, 2), {"how": POINT})]:
@@ -130,7 +130,7 @@ def test_cache_gaps_settle_their_missing_lower_blocks():
     got = compute_blocks(d, degs)
     assert got == tuple(full[deg] for deg in degs)
     assert [b.settled for b in got] == [full[deg].settled for deg in degs]
-    assert dict(zip(degs, got))[(4, 4)].settled == (BOUND, 0)
+    assert dict(zip(degs, got))[(4, 4)].settled == BOUND
 
 
 def test_compute_blocks_ranks_each_requested_block_once(monkeypatch):
@@ -175,9 +175,7 @@ def test_every_engine_keeps_the_block_records(datum, max_total):
         settled = engine.blocks[b.deg].settled
         assert settled == b.settled
         if qt:
-            how, passes = settled
-            assert how in (SEED, BOUND, POINT)
-            assert passes >= 1 if how == POINT else passes == 0
+            assert settled in (SEED, BOUND, POINT)
         else:
             assert settled is None
 

@@ -1,7 +1,8 @@
 """QQ(t) blocks ranked at integer points of t: agreement with symbolic
 elimination, the seed point, the coideal bound and which blocks it leaves
-to an evaluation point, extra certificate passes, and the guarantee that
-tables over QQ(t) never run the symmetrizer on RatFunc scalars."""
+to an evaluation point, one evaluation per such block, at a point sized by
+the bound, and the guarantee that tables over QQ(t) never run the
+symmetrizer on RatFunc scalars."""
 
 from math import factorial
 
@@ -23,7 +24,7 @@ from hopfmin.shapovalov import (
     rank_rows,
     symmetrizer,
 )
-from hopfmin.words import words_of_multidegree
+from hopfmin.words import block_size, words_of_multidegree
 
 
 def _qt_datum(q):
@@ -54,18 +55,20 @@ def test_pole_and_zero_at_two_move_the_seed():
     _assert_table_matches_symbolic(d, 5)
 
 
-def test_seed_rank_drop_takes_an_extra_pass():
+def test_seed_rank_drop_is_settled_at_one_point():
     # q_11 = 1 - t is -1 at the seed point 2, where [2]_q = 1 + q_11 and with
-    # it the rank of block (2, 1) vanish; the first certificate point then
-    # only certifies rank 1 as a lower bound, and a second pass confirms it
+    # it the rank of block (2, 1) vanish; a point sized for seed rank + 1
+    # would only bound the rank 1 from below, one sized by the bound 2
+    # certifies it
     d = _qt_datum((("1-t", "t"), ("t^-1", "t")))
     points = IntegerPoints(d.braiding_matrix)
     assert points.seed == 2
     rows = points.rows((2, 1))
     assert rank_rows(QQ, rows) == 0
     assert points.keep((2, 1), rows) == 1
+    assert points.bound((2, 1)) == 2
     got = points.blocks[(2, 1)]
-    assert (got.rank, got.settled) == (1, (POINT, 2))
+    assert (got.rank, got.settled) == (1, POINT)
     _assert_table_matches_symbolic(d, 5)
 
 
@@ -77,11 +80,11 @@ def test_blocks_above_a_rank_jump_pay_for_a_point():
     d = _qt_datum((("1-t", "t"), ("t^-1", "t")))
     table = hilbert_table(d, 5)
     settled = {b.deg: b.settled for b in table.blocks}
-    assert settled[(2, 1)] == (POINT, 2)
+    assert settled[(2, 1)] == POINT
     above = [b.deg for b in table.blocks if b.deg[0] >= 2 and b.deg[1] >= 1]
     assert above == [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
-    assert all(settled[deg][0] == POINT for deg in above)
-    assert settled[(1, 2)] == (BOUND, 0)
+    assert all(settled[deg] == POINT for deg in above)
+    assert settled[(1, 2)] == BOUND
     for b in table.blocks:
         assert b.rank == rank(symmetrizer(d, b.deg)), b.deg
 
@@ -99,8 +102,8 @@ def test_only_serre_blocks_pay_for_a_point(name, max_total, serre):
     table = hilbert_table(d, max_total)
     for b in table.blocks:
         assert b.rank == pbw_dims(roots, d.q_matrix, b.deg), b.deg
-        assert b.settled == ((POINT, 1) if b.deg in serre
-                             else (SEED if b.rank == b.size else BOUND, 0))
+        assert b.settled == (POINT if b.deg in serre
+                             else SEED if b.rank == b.size else BOUND)
 
 
 def test_coideal_bound_of_a2_block_two_two():
@@ -110,7 +113,7 @@ def test_coideal_bound_of_a2_block_two_two():
     points = IntegerPoints(d.braiding_matrix)
     assert points.keep((2, 2), points.rows((2, 2))) == 3
     got = points.blocks[(2, 2)]
-    assert (got.rank, got.settled) == (3, (BOUND, 0))
+    assert (got.rank, got.settled) == (3, BOUND)
     assert points.bound((2, 2)) == 3
     # the seed basis kept for the block has three vectors
     assert points.images[(2, 2)].rank == 3
@@ -124,12 +127,13 @@ def test_point_rows_have_the_rank_of_the_full_block(datum, max_total):
     # block at the same point, from the words, is the reference
     points = IntegerPoints(datum.braiding_matrix)
     paid = [b.deg for b in hilbert_table(datum, max_total).blocks
-            if b.settled[0] == POINT]
+            if b.settled == POINT]
     assert paid
     for deg in paid:
-        s = rank_rows(QQ, points.rows(deg)) + 1
-        first = factorial(s) * points.block_norm(deg) ** s + 2
-        for x in (points.seed, first):
+        points.rows(deg)  # keeps and settles the lower blocks
+        s = min(points.bound(deg), block_size(deg))
+        point = factorial(s) * points.block_norm(deg) ** s + 2
+        for x in (points.seed, point):
             engine = SymEngine(points.braiding_at(x))
             words = words_of_multidegree(deg)
             cols = [engine.sym(w) for w in words]
@@ -143,7 +147,7 @@ def test_lone_block_settles_its_lower_blocks():
     full = {b.deg: b for b in hilbert_table(d, 8).blocks}
     (got,) = compute_blocks(d, [(4, 4)])
     assert got == full[(4, 4)]
-    assert got.settled == full[(4, 4)].settled == (BOUND, 0)
+    assert got.settled == full[(4, 4)].settled == BOUND
 
 
 def test_full_seed_rank_needs_no_pass():
@@ -151,7 +155,7 @@ def test_full_seed_rank_needs_no_pass():
     points = IntegerPoints(d.braiding_matrix)
     assert points.keep((1, 1), points.rows((1, 1))) == 2
     got = points.blocks[(1, 1)]
-    assert (got.rank, got.settled) == (2, (SEED, 0))
+    assert (got.rank, got.settled) == (2, SEED)
 
 
 def test_minor_bound_from_norms():
@@ -196,3 +200,15 @@ def test_tables_never_build_ratfunc_engines(monkeypatch, capsys):
     assert _RationalOnlyEngine.built > 2  # seed engines and certificate points
     with pytest.raises(AssertionError):
         symmetrizer(preset_cartan("A2"), (1, 1))  # the symbolic route does
+
+
+def test_each_point_block_takes_one_evaluation(monkeypatch):
+    # the seed engine is an IntegerPoints, so every SymEngine built in
+    # shapovalov is a certificate point's; points sized for seed rank + 1
+    # would need a second one for 10 of these 16 blocks
+    monkeypatch.setattr(shapovalov, "SymEngine", _RationalOnlyEngine)
+    _RationalOnlyEngine.built = 0
+    table = hilbert_table(_qt_datum((("1-t", "t"), ("t^-1", "t"))), 6)
+    paid = [b.deg for b in table.blocks if b.settled == POINT]
+    assert len(paid) == 16
+    assert _RationalOnlyEngine.built == 16

@@ -1,5 +1,6 @@
 """Property tests against independent routes: small random QQ(t)
-braidings ranked at integer points against symbolic elimination, and
+braidings ranked at integer points against symbolic elimination, and the
+bound that sizes their certificate points against the symbolic ranks;
 cyclotomic blocks and table rows ranked over the field against a
 test-local regular representation ranked over QQ; QQ rows ranked
 as integer rows; multilinear block determinants from their closed form,
@@ -37,6 +38,8 @@ from hopfmin.scalars import (
     SpecializationPoleError, _pseudo_rem, cyclotomic_polynomial, poly_str,
     specialize)
 from hopfmin.shapovalov import (
+    POINT,
+    SEED,
     IntegerPoints,
     SymEngine,
     _eliminate,
@@ -47,7 +50,7 @@ from hopfmin.shapovalov import (
     rank_rows,
     symmetrizer,
 )
-from hopfmin.words import multidegrees_up_to, shuffle
+from hopfmin.words import block_size, multidegrees_up_to, shuffle
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -69,12 +72,26 @@ def _small_qt_tables(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_small_qt_tables())
+@example(((("1-t", "t"), ("t^-1", "t")), 4))  # the seed 2 is a root of 1 + q_11
 def test_integer_points_match_symbolic_rank(case):
+    # and the certificate point's premise: the rank of a block the seed does
+    # not settle is at most the lesser of its bound and size, which sizes
+    # the point; the block takes one exactly when its seed rank is below
     q, max_total = case
     datum = datum_from_q_matrix(
         tuple(tuple(QT.parse(x) for x in row) for row in q), QT)
+    points = IntegerPoints(datum.braiding_matrix)
     for b in hilbert_table(datum, max_total).blocks:
-        assert b.rank == rank(symmetrizer(datum, b.deg)), b.deg
+        deg = b.deg
+        want = rank(symmetrizer(datum, deg))
+        assert b.rank == want, deg
+        assert points.keep(deg, points.rows(deg)) == want, deg
+        settled = points.blocks[deg].settled
+        if settled == SEED:
+            continue
+        s = min(points.bound(deg), block_size(deg))
+        assert s >= want, deg
+        assert (settled == POINT) == (points.images[deg].rank < s), deg
 
 
 _ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)

@@ -351,6 +351,11 @@ def test_literal_nesting_is_bounded():
 
 
 def test_render_parse_round_trip_random():
+    # -t^k below the line, with its sign, beside the random values
+    for f in (-RatFunc.t_power(-2), RatFunc.t_power(-3),
+              RatFunc.t_power(-1) * 3):
+        assert parse_scalar(render_ratfunc(f)) == f
+    assert render_ratfunc(-RatFunc.t_power(-2)) == "-t^-2"
     rng = random.Random(47)
     for _ in range(60):
         f = _random_ratfunc(rng)

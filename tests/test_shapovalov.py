@@ -67,18 +67,16 @@ def _fraction_rank(mat):
 
 
 def _evaluation_rank(rows):
-    """(rank over QQ(t), passes) of QQ(t) rows by the evaluation
-    certificate: their integer rank at the seed point t = 2, then
-    _certified_rank with the largest 1-norm of the entries of the rows
-    cleared to ZZ[t]."""
+    """The rank over QQ(t) of QQ(t) rows by the evaluation certificate:
+    _certified_rank sized by the lesser side of the rows, with the largest
+    1-norm of their entries cleared to ZZ[t]."""
     polys = [_qt_row(row)[0] for row in rows]
 
     def rows_at(x):
         return [[p.eval_at(x) for p in prow] for prow in polys]
 
     norm = max(sum(map(abs, p.coeffs)) for prow in polys for p in prow)
-    return _certified_rank(rank_rows(QQ, rows_at(2)),
-                           min(len(rows), len(rows[0])), norm, rows_at)
+    return _certified_rank(min(len(rows), len(rows[0])), norm, rows_at)
 
 
 def test_block_a2_degree_one_one():
@@ -135,7 +133,7 @@ def test_rank_certified_matches_symbolic_on_blocks():
     d = preset_cartan("A2")
     for deg in ((2, 2), (3, 1), (3, 2)):
         mat = symmetrizer(d, deg)
-        assert _evaluation_rank(mat.entries)[0] == rank(mat)
+        assert _evaluation_rank(mat.entries) == rank(mat)
 
 
 def test_rank_certified_matches_symbolic_random():
@@ -156,7 +154,7 @@ def test_rank_certified_matches_symbolic_random():
             f = RatFunc(Poly((0, 1)), Poly((2,)))
             rows[-1] = [x * f for x in rows[0]]
         mat = _qt_matrix(rows)
-        assert _evaluation_rank(mat.entries)[0] == rank(mat)
+        assert _evaluation_rank(mat.entries) == rank(mat)
 
 
 def test_rank_integer_path_matches_symbolic_over_rationals():
@@ -183,11 +181,12 @@ def test_rank_integer_path_matches_symbolic_over_rationals():
                 assert rank(planted) == _fraction_rank(planted)
 
 
-def test_rank_certificate_second_pass_after_seed_drop():
+def test_rank_certificate_sees_past_a_seed_rank_drop():
     # diag(1, t - p, t - p, 0) mixed by unimodular integer matrices: rank 3
-    # over QQ(t) but 1 at the seed point p, so the first pass, sized for
-    # 2 x 2 minors, finds rank 3 and a second pass must confirm it
-    p = 2  # the seed point of _evaluation_rank
+    # over QQ(t) but 1 at p, so a point sized for p's rank + 1 (2 x 2
+    # minors) only bounds the rank from below; one sized by the matrix's
+    # side finds it
+    p = 2
     diag = [[1, 0, 0, 0], [0, (-p, 1), 0, 0], [0, 0, (-p, 1), 0], [0, 0, 0, 0]]
     left = [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
     right = [[1, 0, 0, 0], [1, 1, 0, 0], [-2, 1, 1, 0], [0, 3, 1, 1]]
@@ -203,26 +202,24 @@ def test_rank_certificate_second_pass_after_seed_drop():
                          [[poly(x) for x in r] for r in diag]),
                   [[poly(x) for x in r] for r in right])
     mat = _qt_matrix([[RatFunc(e, Poly((1,))) for e in row] for row in prod])
-    assert _evaluation_rank(mat.entries) == (3, 2)
+    assert _evaluation_rank(mat.entries) == 3
     assert rank(mat) == 3
 
 
 def test_rank_certificate_point_clears_minor_roots_above_the_norm():
-    # det [[t - 5, 3], [3, t - 5]] = (t - 2)(t - 8): the seed point 2 and
-    # t = 8, just above the entries' 1-norm 6, are both roots, so only a
-    # point sized for 2 x 2 minors (2! * 6**2 + 2) sees the full rank
+    # det [[t - 5, 3], [3, t - 5]] = (t - 2)(t - 8): t = 2 and t = 8, just
+    # above the entries' 1-norm 6, are both roots, so only a point sized
+    # for 2 x 2 minors (2! * 6**2 + 2) sees the full rank
     rows = [[RatFunc(Poly((-5, 1)), Poly((1,))), RatFunc(Poly((3,)), Poly((1,)))],
             [RatFunc(Poly((3,)), Poly((1,))), RatFunc(Poly((-5, 1)), Poly((1,)))]]
-    assert _evaluation_rank(rows) == (2, 1)
+    assert _evaluation_rank(rows) == 2
     assert rank(_qt_matrix(rows)) == 2
 
 
 def test_rank_certificate_one_pass_on_g2():
     mat = symmetrizer(preset_cartan("G2"), (3, 3))
-    got, passes = _evaluation_rank(mat.entries)
-    assert passes == 1
-    assert got == pbw_dims(positive_roots("G2"), preset_cartan("G2").q_matrix,
-                           (3, 3))
+    assert _evaluation_rank(mat.entries) == pbw_dims(
+        positive_roots("G2"), preset_cartan("G2").q_matrix, (3, 3))
 
 
 def test_gram_determinant_rational_matches_fraction_elimination():

@@ -255,6 +255,12 @@ def _settled_doc(computed):
     }
 
 
+def _header(command):
+    """The keys every document carries: its schema, tool and command."""
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+            "command": command}
+
+
 def _emit_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -280,9 +286,7 @@ def cmd_analyze(args):
     totals = table.totals()
     verdict = growth_classify(totals, window=args.window)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "analyze",
+        **_header("analyze"),
         "datum": datum_doc(datum),
         "hash": datum_key,
         "q_matrix": datum.q_text,
@@ -350,9 +354,7 @@ def cmd_det(args):
     pretty = [f"Phi_{k}(t^{j})" + (f"^{mult}" if mult > 1 else "")
               for k, j, mult in report.factors]
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "det",
+        **_header("det"),
         "datum": datum_doc(datum),
         "hash": datum_hash(datum),
         "deg": list(deg),
@@ -405,13 +407,7 @@ def cmd_sl2(args):
         raise DatumValidationError(
             [f"the sl2 report of --lam {args.lam} {too_long()}"]) from exc
     if args.format == "json":
-        doc = dict(report)
-        doc.update({
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "command": "sl2",
-        })
-        _emit_json(doc)
+        _emit_json({**report, **_header("sl2")})
     else:
         print(f"highest weight {report['highest_weight']}")
         print("depth  pairing value        verma  simple")

@@ -327,9 +327,9 @@ def datum_doc(datum):
             "alphas": datum.alphas, "gammas": datum.gamma_text}
 
 
-def emit_datum(datum, indent=None):
-    """Canonical JSON text for the datum; parse_datum inverts this."""
-    return json.dumps(datum_doc(datum), indent=indent, sort_keys=True)
+def emit_datum(datum):
+    """Canonical one-line JSON text for the datum; parse_datum inverts it."""
+    return json.dumps(datum_doc(datum), sort_keys=True)
 
 
 def parse_datum(text):

@@ -28,7 +28,9 @@ FieldMismatchError rather than guessing an embedding.
 
 The field objects share one protocol too (_Field): equality and hashing by
 the name tag, one() and zero() as coerce(1) and coerce(0), and render(s) as
-str(coerce(s)), the form parse reads back; coerce copies no field value.
+str(coerce(s)), the form parse reads back. A field's coerce is its scalars'
+_coerce (QQ's also takes a constant RatFunc to its Fraction), raising
+FieldMismatchError for anything else; coerce copies no field value.
 
 Record is the immutable base of the package's value types (Poly, RatFunc,
 Datum, the block and report types): fields named once, equality, hashing
@@ -738,8 +740,8 @@ def _coeff_str(c):
     return str(int(c))
 
 
-def poly_str(coeffs, var="t"):
-    """Render ascending coefficients as a human-readable polynomial string.
+def poly_str(coeffs):
+    """Render ascending coefficients as a human-readable polynomial in t.
 
     The output reparses to the same value: explicit '*', '^' for powers.
 
@@ -756,7 +758,7 @@ def poly_str(coeffs, var="t"):
         if k == 0:
             body = _coeff_str(mag)
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "t" if k == 1 else f"t^{k}"
             body = pw if mag == 1 else f"{_coeff_str(mag)}*{pw}"
         if not terms:
             terms.append(f"-{body}" if neg else body)
@@ -1028,11 +1030,10 @@ class RationalFunctionField(_Field):
         return RatFunc.t_power(1)
 
     def coerce(self, x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x)
-        raise FieldMismatchError(f"{x!r} is not a rational function in t")
+        value = RatFunc._coerce(x)
+        if value is None:
+            raise FieldMismatchError(f"{x!r} is not a rational function in t")
+        return value
 
     def parse(self, text):
         return parse_scalar(text)
@@ -1061,15 +1062,17 @@ class CyclotomicField(_Field):
     def zeta(self):
         return Cyclotomic.zeta(self.order)
 
+    @functools.cached_property
+    def _zero(self):
+        """The field's zero, whose _coerce coerce calls; built on first use,
+        as parse_datum makes a field before it checks ORDER_LIMIT."""
+        return Cyclotomic.const(self.order, 0)
+
     def coerce(self, x):
-        if isinstance(x, Cyclotomic):
-            if x.order != self.order:
-                raise FieldMismatchError(
-                    f"cyclotomic order {x.order} does not match field order {self.order}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic.const(self.order, x)
-        raise FieldMismatchError(f"{x!r} is not a cyclotomic({self.order}) value")
+        value = self._zero._coerce(x)
+        if value is None:
+            raise FieldMismatchError(f"{x!r} is not a cyclotomic({self.order}) value")
+        return value
 
     def parse(self, text):
         val = parse_scalar(text)

@@ -33,18 +33,6 @@ LETTER_LIMIT = 800
 BLOCK_COUNT_LIMIT = 100000
 
 
-def multidegree(word, m):
-    """Letter counts of a word, as a length-m tuple.
-
-    >>> multidegree((1, 3, 1), 3)
-    (2, 0, 1)
-    """
-    deg = [0] * m
-    for letter in word:
-        deg[letter - 1] += 1
-    return tuple(deg)
-
-
 def block_size(deg):
     """Number of words of the multidegree: the multinomial coefficient."""
     total = 0
